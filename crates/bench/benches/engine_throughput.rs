@@ -18,7 +18,7 @@ use slade_bench::harness::full_sweep;
 use slade_bench::report::{write_json, BenchRecord};
 use slade_bench::{instances, sweeps};
 use slade_core::prelude::*;
-use slade_engine::{Engine, EngineConfig, EngineRequest, SchedulerMode};
+use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, SchedulerMode, Submit};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,6 +101,14 @@ fn algorithm_batch(algorithm: Algorithm, full: bool, bins: &Arc<BinSet>) -> Vec<
     requests
 }
 
+/// Submits every request up front, keeping the handles in request order.
+fn submit_all(engine: &Engine, requests: &[EngineRequest]) -> Vec<ResolvedHandle> {
+    requests
+        .iter()
+        .map(|request| engine.submit(request.clone(), Submit::default()))
+        .collect()
+}
+
 /// Submits `requests` to a fresh engine and waits for every plan; returns
 /// the wall-clock of the best of `RUNS` repetitions.
 fn best_batch_time(config: &EngineConfig, requests: &[EngineRequest]) -> Duration {
@@ -108,8 +116,7 @@ fn best_batch_time(config: &EngineConfig, requests: &[EngineRequest]) -> Duratio
     for _ in 0..RUNS {
         let engine = Engine::new(config.clone());
         let start = Instant::now();
-        let handles = engine.submit_batch(requests.iter().cloned());
-        for handle in handles {
+        for handle in submit_all(&engine, requests) {
             handle.wait().expect("grid requests solve");
         }
         best = best.min(start.elapsed());
@@ -143,13 +150,13 @@ fn warm_cold_grid(
     let cold = best_batch_time(&config, &batch);
 
     let engine = Engine::new(config);
-    for handle in engine.submit_batch(batch.iter().cloned()) {
+    for handle in submit_all(&engine, &batch) {
         handle.wait().expect("grid requests solve"); // warm-up, untimed
     }
     let mut warm = Duration::MAX;
     for _ in 0..RUNS {
         let start = Instant::now();
-        for handle in engine.submit_batch(batch.iter().cloned()) {
+        for handle in submit_all(&engine, &batch) {
             handle.wait().expect("grid requests solve");
         }
         warm = warm.min(start.elapsed());

@@ -245,8 +245,8 @@ pub mod report {
     /// Parses a `BENCH_*.json` trajectory file back into records — the
     /// inverse of [`to_json`], via the workspace's own JSON dialect.
     pub fn parse_records(text: &str) -> Result<Vec<BenchRecord>, String> {
-        use slade_server::json::Json;
-        let json = slade_server::json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
+        use slade_json::Json;
+        let json = slade_json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
         let array = json.as_array().ok_or("trajectory file is not an array")?;
         array
             .iter()

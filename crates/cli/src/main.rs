@@ -17,14 +17,14 @@
 //! Defaults: the paper's Table-1 bin menu, 4 tasks, threshold 0.95, the
 //! OPQ-Based solver — i.e. Example 9 of the paper.
 //!
-//! JSON parsing and printing live in `slade_server::json` (shared with the
+//! JSON parsing and printing live in `slade_json` (shared with the
 //! server's wire protocol), so `batch` lines, `client` requests, and
 //! server responses all speak one dialect.
 
 use slade_core::prelude::*;
 use slade_crowd::{simulate, SimulationConfig};
-use slade_engine::{Engine, EngineConfig, EngineRequest};
-use slade_server::json::{member, Json};
+use slade_engine::{Engine, EngineConfig, EngineRequest, Submit};
+use slade_json::{member, Json};
 use slade_server::{protocol, Client, Server, ServerConfig};
 use std::io::Read;
 use std::net::SocketAddr;
@@ -249,7 +249,10 @@ fn run_batch(args: &[String], input: &str) -> Result<String, CliError> {
         cache_capacity: cache,
         ..EngineConfig::default()
     });
-    let handles = engine.submit_batch(requests.iter().cloned());
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|request| engine.submit(request.clone(), Submit::default()))
+        .collect();
 
     let mut out = String::new();
     for (i, (handle, request)) in handles.into_iter().zip(&requests).enumerate() {
@@ -260,8 +263,9 @@ fn run_batch(args: &[String], input: &str) -> Result<String, CliError> {
         // through the same serializer) as the server's responses.
         let mut members = vec![member("request", Json::number(i as f64))];
         match handle.wait() {
-            Ok(plan) => {
-                let audit = plan
+            Ok(resolved) => {
+                let audit = resolved
+                    .plan()
                     .validate(&request.workload, &request.bins)
                     .expect("engine plans are structurally valid");
                 members.extend(protocol::plan_summary_members(
@@ -528,7 +532,7 @@ fn run_top(args: &[String]) -> Result<String, CliError> {
             let response = client
                 .roundtrip(line)
                 .map_err(|e| CliError::Solve(format!("talking to {addr}: {e}")))?;
-            slade_server::json::parse(&response)
+            slade_json::parse(&response)
                 .map_err(|e| CliError::Solve(format!("unparseable response from {addr}: {e}")))
         };
         let metrics = poll(r#"{"op":"metrics"}"#)?;
@@ -684,7 +688,7 @@ fn parse_request(
     line: &str,
     default_bins: &Arc<BinSet>,
 ) -> Result<EngineRequest, CliError> {
-    let value = slade_server::json::parse(line)
+    let value = slade_json::parse(line)
         .map_err(|e| CliError::Usage(format!("line {line_no}: invalid JSON: {e}")))?;
     protocol::parse_engine_request(&value, default_bins, &[])
         .map_err(|e| CliError::Usage(format!("line {line_no}: {e}")))
@@ -1177,7 +1181,7 @@ mod tests {
         let log = std::fs::read_to_string(&log_path).expect("trace log must exist");
         let spans: Vec<&str> = log.lines().collect();
         assert_eq!(spans.len(), 1, "one traced request, one JSONL span: {log}");
-        let span = slade_server::json::parse(spans[0]).expect("span lines are JSON");
+        let span = slade_json::parse(spans[0]).expect("span lines are JSON");
         assert_eq!(span.get("op").and_then(Json::as_str), Some("solve"));
         let events = span
             .get("events")
@@ -1233,7 +1237,7 @@ mod tests {
 
     #[test]
     fn top_renders_a_dashboard_frame_from_canned_responses() {
-        let metrics = slade_server::json::parse(
+        let metrics = slade_json::parse(
             r#"{"ok":true,"op":"metrics",
                 "ops":{"solve":12,"errors":1,"timeouts":0},
                 "cache":{"entries":3,"capacity":64,"hit_rate":0.5,"evictions":2},
@@ -1247,7 +1251,7 @@ mod tests {
                 "process":{"uptime_seconds":42,"version":"0.1.0"}}"#,
         )
         .unwrap();
-        let health = slade_server::json::parse(
+        let health = slade_json::parse(
             r#"{"ok":true,"op":"health","status":"degraded",
                 "reasons":["queue saturation 0.50 (depth 1 of capacity 2)"],
                 "signals":{"queue":{"status":"degraded"},"timeouts":{"status":"ok"},

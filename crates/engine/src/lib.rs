@@ -52,8 +52,8 @@
 //! Every job is a pure function of the request (solver configurations are
 //! data; the randomized Baseline takes its seed from
 //! [`EngineRequest::seed`]), sharding is decided at submit time from the
-//! request alone, and [`PlanHandle::wait`] merges shard results in shard
-//! order. Hence the same request produces byte-identical plans at
+//! request alone, and every [`ResolvedHandle`] wait merges shard results
+//! in shard order. Hence the same request produces byte-identical plans at
 //! `threads = 1` and `threads = N` — *including under steal-heavy
 //! schedules, where jobs run on arbitrary workers in arbitrary order* — a
 //! warm-cache solve equals the cold solve for the same fingerprint (for
@@ -70,11 +70,19 @@
 //! Services built on top (the `slade-server` network frontend) share the
 //! engine behind an `Arc` and need bounded waits: [`Engine::shutdown`]
 //! drains already-queued shards deterministically and then rejects new
-//! work with [`EngineError::ShutDown`], and every blocking wait has a
-//! timeout-aware twin ([`PlanHandle::wait_timeout`],
-//! [`Engine::solve_resolved_timeout`], [`Engine::resubmit_timeout`])
-//! returning [`EngineError::Timeout`] — the abandoned shards finish in the
-//! pool, so a stuck request costs at most its deadline, never a thread.
+//! work with [`EngineError::ShutDown`].
+//!
+//! There is one entry point, [`Engine::submit`], and one handle,
+//! [`ResolvedHandle`]. A resubmission is an ordinary request built by
+//! [`ResolvedPlan::resubmission`] and submitted with the prior plan as
+//! [`Submit::prior`]. The handle is waited on in one of three ways, all
+//! delivering the same plan: [`ResolvedHandle::wait`],
+//! [`ResolvedHandle::wait_timeout`] (returning [`EngineError::Timeout`] —
+//! the abandoned shards finish in the pool, so a stuck request costs at
+//! most its deadline, never a thread), or [`ResolvedHandle::try_wait`]
+//! polled on each [`Submit::notify`] ping. [`Engine::solve`],
+//! [`Engine::solve_resolved`], and [`Engine::resubmit`] are the blocking
+//! conveniences, each `submit(..).wait()`.
 //!
 //! ## Quickstart
 //!
@@ -107,8 +115,8 @@ mod store;
 pub use cache::{ArtifactCache, CacheImpl, CacheKey, CacheStats, CACHE_SHARDS};
 pub use sched::SchedulerMode;
 pub use service::{
-    Engine, EngineConfig, EngineError, EngineRequest, PlanHandle, RequestTrace, ResolvedHandle,
-    ResolvedPlan, ShardNotify, WorkloadDelta,
+    Engine, EngineConfig, EngineError, EngineRequest, RequestTrace, ResolvedHandle, ResolvedPlan,
+    ShardNotify, Submit, WorkloadDelta,
 };
 pub use store::{FinishOutcome, PlanStore, SessionId, StoreError};
 // The fingerprint type cache keys are built from now lives in `slade_core`,

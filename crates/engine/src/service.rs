@@ -8,7 +8,7 @@ use slade_core::bin_set::BinSet;
 use slade_core::fingerprint::Fingerprint;
 use slade_core::hetero;
 use slade_core::opq_based::OpqBased;
-use slade_core::plan::DecompositionPlan;
+use slade_core::plan::{DecompositionPlan, PlannedBin};
 use slade_core::reliability;
 use slade_core::solver::{Algorithm, PreparedSolver};
 use slade_core::task::{TaskId, Workload};
@@ -161,7 +161,7 @@ impl EngineRequest {
     }
 }
 
-/// Errors surfaced by [`PlanHandle::wait`] and the resolved-plan API.
+/// Errors surfaced by [`ResolvedHandle`] waits and the blocking entry points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A shard's solver failed; the underlying error.
@@ -179,10 +179,9 @@ pub enum EngineError {
     /// The engine had already been [shut down](Engine::shutdown) when the
     /// request was submitted, so no shard was ever queued.
     ShutDown,
-    /// A timeout-aware wait ([`PlanHandle::wait_timeout`],
-    /// [`Engine::solve_resolved_timeout`], [`Engine::resubmit_timeout`])
-    /// gave up before every shard reported. The shards keep running in the
-    /// pool; only this wait abandoned them.
+    /// [`ResolvedHandle::wait_timeout`] (or a caller's own deadline around
+    /// [`ResolvedHandle::try_wait`]) gave up before every shard reported.
+    /// The shards keep running in the pool; only this wait abandoned them.
     Timeout {
         /// The deadline that elapsed.
         after: Duration,
@@ -234,6 +233,16 @@ enum ShardRemap {
     Members(Arc<Vec<TaskId>>),
 }
 
+impl ShardRemap {
+    /// The request-global id of shard-local task `local`.
+    fn global(&self, local: TaskId) -> TaskId {
+        match self {
+            ShardRemap::Offset(base) => base + local,
+            ShardRemap::Members(members) => members[local as usize],
+        }
+    }
+}
+
 /// What one shard computes. Equality is what [`Engine::resubmit`] uses to
 /// recognize unchanged work: a shard's *raw* (pre-remap) sub-plan is a pure
 /// function of this value (plus the request-level bins/solver state, which
@@ -260,10 +269,23 @@ type ShardResult = (usize, Result<DecompositionPlan, EngineError>);
 /// on the worker thread **after** that shard's result has been delivered to
 /// the handle's channel, once per shard. A caller multiplexing many handles
 /// on one thread (the `slade-server` session multiplexer) uses it to learn
-/// *when* to poll [`PlanHandle::try_wait`] / [`ResolvedHandle::try_wait`]
-/// without blocking on any single handle; the callback itself must be cheap
-/// and must not panic (a channel send, a condvar notify).
+/// *when* to poll [`ResolvedHandle::try_wait`] without blocking on any
+/// single handle; the callback itself must be cheap and must not panic (a
+/// channel send, a thread unpark).
 pub type ShardNotify = Arc<dyn Fn() + Send + Sync>;
+
+/// The options of one [`Engine::submit`] call; `Submit::default()` is a
+/// plain fresh solve.
+#[derive(Clone, Default)]
+pub struct Submit<'a> {
+    /// A prior resolve whose shard results may be reused: every shard whose
+    /// inputs match one of `prior`'s is spliced in instead of recomputed.
+    /// Pair it with the request [`ResolvedPlan::resubmission`] builds.
+    pub prior: Option<&'a ResolvedPlan>,
+    /// Runs after each queued shard's result is delivered, so a caller can
+    /// sleep until [`ResolvedHandle::try_wait`] has something to drain.
+    pub notify: Option<ShardNotify>,
+}
 
 /// The label the requested algorithm's own solver stamps on its plans —
 /// taken from the solver registry itself so it can never drift — so wrapped
@@ -275,24 +297,29 @@ fn plan_label(algorithm: Algorithm) -> &'static str {
     algorithm.solver().name()
 }
 
-/// Merges raw shard outputs in shard order under the request's wrap rule;
-/// shared by [`PlanHandle::wait`] and the resolved-plan path so the two can
-/// never diverge. Consumes the subs, so the unwrapped single-shard fast
-/// path is a move, not a clone.
+/// Merges raw shard outputs in shard order under `label`, remapping each
+/// sub-plan's task ids while copying it — one pass, and the shared raw
+/// sub-plans stay untouched for later resubmissions.
 fn merge_subs(
-    wrap: Option<&'static str>,
-    subs: impl IntoIterator<Item = DecompositionPlan>,
+    label: &'static str,
+    subs: &[Arc<DecompositionPlan>],
     remaps: &[ShardRemap],
 ) -> DecompositionPlan {
-    let mut subs = subs.into_iter();
-    let Some(label) = wrap else {
-        return subs
-            .next()
-            .expect("an unwrapped handle has exactly one shard");
-    };
     let mut plan = DecompositionPlan::empty(label);
-    for (sub, remap) in subs.zip(remaps) {
-        plan.merge(apply_remap(sub, remap));
+    for (sub, remap) in subs.iter().zip(remaps) {
+        let bins = sub
+            .bins()
+            .iter()
+            .map(|bin| {
+                let tasks = bin.tasks().iter().map(|&t| remap.global(t)).collect();
+                PlannedBin::new(bin.cardinality(), tasks)
+            })
+            .collect();
+        plan.merge(DecompositionPlan::from_parts(
+            sub.algorithm(),
+            bins,
+            sub.total_cost(),
+        ));
     }
     plan
 }
@@ -325,124 +352,6 @@ fn recv_shard(
             }
         }
     }
-}
-
-/// A blocking handle to one submitted request.
-///
-/// Dropping the handle without calling [`PlanHandle::wait`] abandons the
-/// result; the shards still run to completion (they are already queued) but
-/// their plans are discarded.
-#[must_use = "a PlanHandle does nothing until wait()ed on"]
-pub struct PlanHandle {
-    rx: Receiver<ShardResult>,
-    remaps: Vec<ShardRemap>,
-    /// `None`: a single identity shard whose result is already exactly what
-    /// a direct `solve` call would return — pass it through untouched.
-    /// `Some(label)`: wrap the merged shards under this label, mirroring
-    /// how `OpqExtended` itself wraps its per-bucket `OpqBased` sub-plans —
-    /// so engine results compare equal (label included) to the sequential
-    /// solver's whenever sharding does not change the plan.
-    wrap: Option<&'static str>,
-    /// Set when the engine was already shut down at submit time: at least
-    /// one shard was never queued, so the handle can only fail.
-    shut_down: bool,
-    /// Shard results collected so far (by [`PlanHandle::try_wait`] or a
-    /// blocking wait), index-aligned with `remaps`.
-    subs: Vec<Option<DecompositionPlan>>,
-    /// How many shard results have been received into `subs`.
-    received: usize,
-    /// Set once a result (or error) has been handed out; further
-    /// [`PlanHandle::try_wait`] calls return `None`.
-    spent: bool,
-}
-
-impl PlanHandle {
-    /// Blocks until every shard has reported, then merges the sub-plans in
-    /// shard order (never in completion order — that is what keeps the
-    /// result independent of scheduling).
-    pub fn wait(self) -> Result<DecompositionPlan, EngineError> {
-        self.collect(None)
-    }
-
-    /// Like [`PlanHandle::wait`], but gives up with [`EngineError::Timeout`]
-    /// once `timeout` has elapsed across *all* shards. The shards themselves
-    /// keep running in the pool (they are already queued); only their
-    /// results are abandoned — which is exactly what a network frontend
-    /// needs so one stuck request cannot wedge its serving thread.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<DecompositionPlan, EngineError> {
-        let deadline = deadline_after(timeout);
-        self.collect(deadline)
-    }
-
-    /// Non-blocking poll: drains whatever shard results have arrived and
-    /// returns `Some` exactly once — when the last shard reports (the merged
-    /// plan, identical to what [`PlanHandle::wait`] would return) or when a
-    /// shard fails. Returns `None` while work is still in flight, and `None`
-    /// forever after the result has been handed out (the handle is *spent*).
-    ///
-    /// Pair it with a [`ShardNotify`] ([`Engine::submit_notify`]) to
-    /// multiplex many handles on one thread without polling in a busy loop:
-    /// each notification means one more shard result is ready to drain.
-    pub fn try_wait(&mut self) -> Option<Result<DecompositionPlan, EngineError>> {
-        if self.spent {
-            return None;
-        }
-        if self.shut_down {
-            self.spent = true;
-            return Some(Err(EngineError::ShutDown));
-        }
-        let shards = self.remaps.len();
-        while self.received < shards {
-            match self.rx.try_recv() {
-                Ok((index, Ok(plan))) => {
-                    self.subs[index] = Some(plan);
-                    self.received += 1;
-                }
-                Ok((_, Err(e))) => {
-                    self.spent = true;
-                    return Some(Err(e));
-                }
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    self.spent = true;
-                    return Some(Err(EngineError::ShardLost));
-                }
-            }
-        }
-        self.spent = true;
-        let subs: Vec<DecompositionPlan> = self
-            .subs
-            .drain(..)
-            .map(|sub| sub.expect("every shard index reported exactly once"))
-            .collect();
-        Some(Ok(merge_subs(self.wrap, subs, &self.remaps)))
-    }
-
-    fn collect(mut self, deadline: Option<Deadline>) -> Result<DecompositionPlan, EngineError> {
-        if self.shut_down {
-            return Err(EngineError::ShutDown);
-        }
-        let shards = self.remaps.len();
-        while self.received < shards {
-            let (index, result) = recv_shard(&self.rx, deadline)?;
-            self.subs[index] = Some(result?);
-            self.received += 1;
-        }
-        let subs = self
-            .subs
-            .into_iter()
-            .map(|sub| sub.expect("every shard index reported exactly once"));
-        Ok(merge_subs(self.wrap, subs, &self.remaps))
-    }
-}
-
-fn apply_remap(mut plan: DecompositionPlan, remap: &ShardRemap) -> DecompositionPlan {
-    match remap {
-        ShardRemap::Offset(0) => {}
-        ShardRemap::Offset(base) => plan.remap_tasks(|t| t + base),
-        ShardRemap::Members(members) => plan.remap_tasks(|t| members[t as usize]),
-    }
-    plan
 }
 
 /// An incremental change to a previously solved workload, consumed by
@@ -566,6 +475,18 @@ impl ResolvedPlan {
         self.works.len()
     }
 
+    /// The request this plan was solved from with `delta` applied to its
+    /// workload — the request to [`Engine::submit`] with this plan as
+    /// [`Submit::prior`]. Bins, algorithm, and seed stay the prior's; the
+    /// request carries no trace (attach one with
+    /// [`EngineRequest::with_trace`]). Fails when the delta is invalid for
+    /// the prior workload.
+    pub fn resubmission(&self, delta: &WorkloadDelta) -> Result<EngineRequest, EngineError> {
+        let mut request = self.request.clone();
+        request.workload = delta.apply(&self.request.workload)?;
+        Ok(request)
+    }
+
     // ---- durable-codec access (crate-private; see `crate::codec`) ----
 
     /// The request's seed (randomized solvers consume it).
@@ -625,6 +546,12 @@ struct ResolvedCore {
     request: EngineRequest,
     works: Vec<ShardWork>,
     remaps: Vec<ShardRemap>,
+    /// `None`: a single identity shard whose result is already exactly what
+    /// a direct `solve` call would return — pass it through untouched.
+    /// `Some(label)`: wrap the merged shards under this label, mirroring
+    /// how `OpqExtended` itself wraps its per-bucket `OpqBased` sub-plans —
+    /// so engine results compare equal (label included) to the sequential
+    /// solver's whenever sharding does not change the plan.
     wrap: Option<&'static str>,
     solver_knobs: slade_core::fingerprint::KnobSink,
     /// Index-aligned with `works`; shards reused from a prior resolve are
@@ -634,9 +561,7 @@ struct ResolvedCore {
 }
 
 impl ResolvedCore {
-    /// Merges the collected sub-plans into a [`ResolvedPlan`] — the same
-    /// assembly the blocking resolved path has always performed, so the two
-    /// can never diverge.
+    /// Merges the collected sub-plans into a [`ResolvedPlan`].
     fn finish(self) -> ResolvedPlan {
         let subs: Vec<Arc<DecompositionPlan>> = self
             .subs
@@ -648,11 +573,7 @@ impl ResolvedCore {
             // share it instead of deep-copying (resubmit chains hold many
             // of these).
             None => Arc::clone(&subs[0]),
-            Some(_) => Arc::new(merge_subs(
-                self.wrap,
-                subs.iter().map(|sub| (**sub).clone()),
-                &self.remaps,
-            )),
+            Some(label) => Arc::new(merge_subs(label, &subs, &self.remaps)),
         };
         ResolvedPlan {
             request: self.request,
@@ -665,80 +586,92 @@ impl ResolvedCore {
     }
 }
 
-/// A non-blocking handle to an in-flight resolved solve
-/// ([`Engine::submit_resolved`]) or resubmission
-/// ([`Engine::resubmit_submit`]): the [`ResolvedPlan`]-producing twin of
-/// [`PlanHandle`], for callers that multiplex many requests on one thread.
+/// The handle to one request submitted with [`Engine::submit`]: wait on it
+/// ([`ResolvedHandle::wait`], [`ResolvedHandle::wait_timeout`]) or poll it
+/// ([`ResolvedHandle::try_wait`]) — every mode delivers the same
+/// [`ResolvedPlan`].
+///
+/// Dropping the handle abandons the result; the shards still run to
+/// completion (they are already queued) but their plans are discarded.
 #[must_use = "a ResolvedHandle does nothing until wait()ed on"]
 pub struct ResolvedHandle {
     rx: Receiver<ShardResult>,
     /// Shards actually queued (not reused); completion = this many receipts.
     outstanding: usize,
     received: usize,
+    /// Set when the engine was already shut down at submit time: at least
+    /// one shard was never queued, so the handle can only fail.
     shut_down: bool,
     /// `Some` until the result (or error) is handed out; `None` = spent.
     core: Option<ResolvedCore>,
 }
 
 impl ResolvedHandle {
-    /// Blocks until every queued shard has reported; identical result to
-    /// [`Engine::solve_resolved`] / [`Engine::resubmit`] for the same
-    /// submission.
-    pub fn wait(self) -> Result<ResolvedPlan, EngineError> {
-        self.collect(None)
+    /// Blocks until every queued shard has reported, then merges the
+    /// sub-plans in shard order (never in completion order — that is what
+    /// keeps the result independent of scheduling).
+    pub fn wait(mut self) -> Result<ResolvedPlan, EngineError> {
+        self.receive(Some(None))
+            .expect("a blocking receive on a live handle delivers")
     }
 
-    /// Like [`ResolvedHandle::wait`] with a deadline, mirroring
-    /// [`Engine::solve_resolved_timeout`]: abandoned shards finish in the
-    /// pool.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<ResolvedPlan, EngineError> {
-        let deadline = deadline_after(timeout);
-        self.collect(deadline)
+    /// Like [`ResolvedHandle::wait`], but gives up with
+    /// [`EngineError::Timeout`] once `timeout` has elapsed across *all*
+    /// shards. The shards themselves keep running in the pool (they are
+    /// already queued); only their results are abandoned — so one stuck
+    /// request cannot wedge its caller's thread.
+    pub fn wait_timeout(mut self, timeout: Duration) -> Result<ResolvedPlan, EngineError> {
+        self.receive(Some(deadline_after(timeout)))
+            .expect("a blocking receive on a live handle delivers")
     }
 
-    /// Non-blocking poll; the [`ResolvedPlan`] twin of
-    /// [`PlanHandle::try_wait`] with the same spent semantics: `Some` exactly
-    /// once, `None` while shards are in flight and forever afterwards.
+    /// Non-blocking poll: drains whatever shard results have arrived and
+    /// returns `Some` exactly once — when the last shard reports (the
+    /// result [`ResolvedHandle::wait`] would return) or when a shard fails.
+    /// Returns `None` while work is still in flight, and `None` forever
+    /// after the result has been handed out (the handle is *spent*).
+    ///
+    /// Pair it with a [`ShardNotify`] ([`Submit::notify`]) to multiplex many
+    /// handles on one thread without polling in a busy loop: each
+    /// notification means one more shard result is ready to drain.
     pub fn try_wait(&mut self) -> Option<Result<ResolvedPlan, EngineError>> {
-        self.core.as_ref()?; // None = spent
-        if self.shut_down {
-            self.core = None;
-            return Some(Err(EngineError::ShutDown));
-        }
-        while self.received < self.outstanding {
-            match self.rx.try_recv() {
+        self.receive(None)
+    }
+
+    /// The one receive loop behind every wait mode. `block` is `None` for a
+    /// poll (return `None` as soon as no result is ready) or the deadline
+    /// of a blocking wait (`Some(None)` = wait forever). Returns `None` on a
+    /// spent handle; after any `Some`, the handle is spent.
+    fn receive(
+        &mut self,
+        block: Option<Option<Deadline>>,
+    ) -> Option<Result<ResolvedPlan, EngineError>> {
+        let core = self.core.as_mut()?;
+        let outcome = loop {
+            if self.shut_down {
+                break Err(EngineError::ShutDown);
+            }
+            if self.received == self.outstanding {
+                break Ok(());
+            }
+            let next = match block {
+                None => match self.rx.try_recv() {
+                    Ok(next) => Ok(next),
+                    Err(TryRecvError::Empty) => return None,
+                    Err(TryRecvError::Disconnected) => Err(EngineError::ShardLost),
+                },
+                Some(deadline) => recv_shard(&self.rx, deadline),
+            };
+            match next {
                 Ok((index, Ok(plan))) => {
-                    let core = self.core.as_mut().expect("checked above");
                     core.subs[index] = Some(Arc::new(plan));
                     self.received += 1;
                 }
-                Ok((_, Err(e))) => {
-                    self.core = None;
-                    return Some(Err(e));
-                }
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    self.core = None;
-                    return Some(Err(EngineError::ShardLost));
-                }
+                Ok((_, Err(e))) | Err(e) => break Err(e),
             }
-        }
-        let core = self.core.take().expect("checked above");
-        Some(Ok(core.finish()))
-    }
-
-    fn collect(mut self, deadline: Option<Deadline>) -> Result<ResolvedPlan, EngineError> {
-        if self.shut_down {
-            return Err(EngineError::ShutDown);
-        }
-        while self.received < self.outstanding {
-            let (index, result) = recv_shard(&self.rx, deadline)?;
-            let core = self.core.as_mut().expect("collect runs on a live handle");
-            core.subs[index] = Some(Arc::new(result?));
-            self.received += 1;
-        }
-        let core = self.core.take().expect("collect runs on a live handle");
-        Ok(core.finish())
+        };
+        let core = self.core.take().expect("checked live above");
+        Some(outcome.map(|()| core.finish()))
     }
 }
 
@@ -746,7 +679,7 @@ impl ResolvedHandle {
 ///
 /// [`Engine::shutdown`] (or dropping the engine) stops the scheduler and
 /// joins every worker, so already-queued shards finish first (outstanding
-/// [`PlanHandle`]s stay valid across the shutdown).
+/// [`ResolvedHandle`]s stay valid across the shutdown).
 pub struct Engine {
     sched: Arc<Scheduler>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -793,7 +726,7 @@ impl Engine {
 
     /// Stops the scheduler and joins every worker, draining already queued
     /// shards first — so the drain is deterministic: everything submitted
-    /// before the call completes, and outstanding [`PlanHandle`]s deliver
+    /// before the call completes, and outstanding [`ResolvedHandle`]s deliver
     /// their results as usual. Requests submitted *after* shutdown fail
     /// with [`EngineError::ShutDown`]. Idempotent, and callable through a
     /// shared `Arc<Engine>` (it only needs `&self`).
@@ -856,243 +789,14 @@ impl Engine {
         self.cache.shard_occupancy()
     }
 
-    /// Submits one request, returning a blocking [`PlanHandle`].
+    /// Submits one request — a fresh solve, or a resubmission built with
+    /// [`ResolvedPlan::resubmission`] — and returns its [`ResolvedHandle`].
     ///
-    /// Blocks while the job queue is full (backpressure). Sharding is
-    /// decided here, from the request alone.
-    pub fn submit(&self, request: EngineRequest) -> PlanHandle {
-        self.submit_with(request, None)
-    }
-
-    /// [`Engine::submit`] with a per-shard completion callback, for callers
-    /// that multiplex many handles via [`PlanHandle::try_wait`]: `notify`
-    /// runs on a worker thread after each shard result is delivered, so one
-    /// multiplexer thread can sleep on its own channel and poll only the
-    /// handle the notification belongs to.
-    pub fn submit_notify(&self, request: EngineRequest, notify: ShardNotify) -> PlanHandle {
-        self.submit_with(request, Some(notify))
-    }
-
-    fn submit_with(&self, request: EngineRequest, notify: Option<ShardNotify>) -> PlanHandle {
-        let shards = self.shard(&request);
-        let wrap = Self::wrap_of(&shards, &request);
-        let (result_tx, result_rx) = channel::<ShardResult>();
-        let mut remaps = Vec::with_capacity(shards.len());
-        let mut shut_down = false;
-        for (index, shard) in shards.into_iter().enumerate() {
-            remaps.push(shard.remap);
-            shut_down |= !self.enqueue(self.make_job(
-                index,
-                shard.work,
-                &request,
-                result_tx.clone(),
-                notify.clone(),
-            ));
-        }
-        let subs = (0..remaps.len()).map(|_| None).collect();
-        PlanHandle {
-            rx: result_rx,
-            remaps,
-            wrap,
-            shut_down,
-            subs,
-            received: 0,
-            spent: false,
-        }
-    }
-
-    /// Submits every request in order and returns their handles, preserving
-    /// order. Shards of different requests interleave freely in the pool;
-    /// each handle's result is still deterministic.
-    pub fn submit_batch(
-        &self,
-        requests: impl IntoIterator<Item = EngineRequest>,
-    ) -> Vec<PlanHandle> {
-        requests.into_iter().map(|r| self.submit(r)).collect()
-    }
-
-    /// Convenience: submit one request and block for its plan.
-    pub fn solve(&self, request: EngineRequest) -> Result<DecompositionPlan, EngineError> {
-        self.submit(request).wait()
-    }
-
-    /// Solves `request` while retaining per-shard results, so follow-up
-    /// [`WorkloadDelta`]s can be applied incrementally with
-    /// [`Engine::resubmit`]. The plan is identical to [`Engine::solve`]'s.
-    pub fn solve_resolved(&self, request: EngineRequest) -> Result<ResolvedPlan, EngineError> {
-        self.run_resolved(request, None, None)
-    }
-
-    /// [`Engine::solve_resolved`] with a deadline: fails with
-    /// [`EngineError::Timeout`] if the shards have not all reported within
-    /// `timeout` (they keep running; their results are abandoned).
-    pub fn solve_resolved_timeout(
-        &self,
-        request: EngineRequest,
-        timeout: Duration,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.run_resolved(request, None, deadline_after(timeout))
-    }
-
-    /// Applies `delta` to `prior`'s workload and re-solves, reusing every
-    /// shard whose inputs the delta left unchanged (same task count and
-    /// threshold for OPQ shards — membership may shift, the raw sub-plan is
-    /// id-agnostic — and an untouched workload for pass-through shards).
-    ///
-    /// The returned plan is **byte-identical to a cold solve** of the
-    /// resulting workload: raw shard outputs are deterministic functions of
-    /// their inputs, so reuse is indistinguishable from recomputation.
-    pub fn resubmit(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.run_resubmit(prior, delta, None)
-    }
-
-    /// [`Engine::resubmit`] with a deadline, mirroring
-    /// [`Engine::solve_resolved_timeout`].
-    pub fn resubmit_timeout(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        timeout: Duration,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.run_resubmit(prior, delta, deadline_after(timeout))
-    }
-
-    /// The non-blocking twin of [`Engine::solve_resolved`]: shards and
-    /// queues the request, returning a [`ResolvedHandle`] to poll or wait
-    /// on. The eventual plan is identical to the blocking path's.
-    pub fn submit_resolved(&self, request: EngineRequest) -> ResolvedHandle {
-        self.submit_resolved_with(request, None, None)
-    }
-
-    /// [`Engine::submit_resolved`] with a per-shard completion callback
-    /// (see [`Engine::submit_notify`]).
-    pub fn submit_resolved_notify(
-        &self,
-        request: EngineRequest,
-        notify: ShardNotify,
-    ) -> ResolvedHandle {
-        self.submit_resolved_with(request, None, Some(notify))
-    }
-
-    /// The non-blocking twin of [`Engine::resubmit`]: applies `delta`,
-    /// reuses unchanged shards, queues the rest, and returns a
-    /// [`ResolvedHandle`]. Fails immediately (without queueing anything)
-    /// when the delta itself is invalid for the prior workload.
-    pub fn resubmit_submit(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-    ) -> Result<ResolvedHandle, EngineError> {
-        self.resubmit_submit_with(prior, delta, None)
-    }
-
-    /// [`Engine::resubmit_submit`] with a per-shard completion callback
-    /// (see [`Engine::submit_notify`]).
-    pub fn resubmit_submit_notify(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        notify: ShardNotify,
-    ) -> Result<ResolvedHandle, EngineError> {
-        self.resubmit_submit_with(prior, delta, Some(notify))
-    }
-
-    /// [`Engine::resubmit_submit`] carrying an explicit [`RequestTrace`]:
-    /// the resubmitted request is cloned from `prior` *inside* the engine,
-    /// so a frontend that wants this resubmission's shard stages recorded
-    /// must hand the span in here — it cannot attach one to a request it
-    /// never constructs.
-    pub fn resubmit_submit_traced(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        notify: Option<ShardNotify>,
-        trace: Option<RequestTrace>,
-    ) -> Result<ResolvedHandle, EngineError> {
-        self.resubmit_submit_inner(prior, delta, notify, trace)
-    }
-
-    /// [`Engine::resubmit_timeout`] carrying an explicit [`RequestTrace`]
-    /// (see [`Engine::resubmit_submit_traced`] for why the span is a
-    /// parameter here).
-    pub fn resubmit_timeout_traced(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        timeout: Duration,
-        trace: Option<RequestTrace>,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.resubmit_submit_inner(prior, delta, None, trace)?
-            .collect(deadline_after(timeout))
-    }
-
-    fn resubmit_submit_with(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        notify: Option<ShardNotify>,
-    ) -> Result<ResolvedHandle, EngineError> {
-        self.resubmit_submit_inner(prior, delta, notify, None)
-    }
-
-    fn resubmit_submit_inner(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        notify: Option<ShardNotify>,
-        trace: Option<RequestTrace>,
-    ) -> Result<ResolvedHandle, EngineError> {
-        let workload = delta.apply(&prior.request.workload)?;
-        let mut request = prior.request.clone();
-        request.workload = workload;
-        request.trace = trace;
-        Ok(self.submit_resolved_with(request, Some(prior), notify))
-    }
-
-    fn run_resubmit(
-        &self,
-        prior: &ResolvedPlan,
-        delta: &WorkloadDelta,
-        deadline: Option<Deadline>,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.resubmit_submit_with(prior, delta, None)?
-            .collect(deadline)
-    }
-
-    /// The knob words of this engine's OPQ-shard solver; raw OPQ sub-plans
-    /// are only interchangeable between engines whose words agree.
-    fn solver_knobs(&self) -> slade_core::fingerprint::KnobSink {
-        let mut knobs = slade_core::fingerprint::KnobSink::new();
-        self.config.solver.fingerprint_knobs(&mut knobs);
-        knobs
-    }
-
-    /// The shared blocking resolved-solve path: submit, then wait against
-    /// the deadline. (All assembly lives in the handle, so the blocking and
-    /// multiplexed paths cannot diverge.)
-    fn run_resolved(
-        &self,
-        request: EngineRequest,
-        prior: Option<&ResolvedPlan>,
-        deadline: Option<Deadline>,
-    ) -> Result<ResolvedPlan, EngineError> {
-        self.submit_resolved_with(request, prior, None)
-            .collect(deadline)
-    }
-
-    /// The shared resolved-submission path: shard, reuse what `prior`
-    /// already computed, queue the rest, and hand back the collecting
-    /// handle (which merges in shard order).
-    fn submit_resolved_with(
-        &self,
-        mut request: EngineRequest,
-        prior: Option<&ResolvedPlan>,
-        notify: Option<ShardNotify>,
-    ) -> ResolvedHandle {
+    /// Sharding is decided here, from the request alone; shards that
+    /// [`Submit::prior`] already computed are reused, the rest are queued.
+    /// Blocks while the job queue is full (backpressure).
+    pub fn submit(&self, mut request: EngineRequest, options: Submit<'_>) -> ResolvedHandle {
+        let Submit { prior, notify } = options;
         let shards = self.shard(&request);
         let wrap = Self::wrap_of(&shards, &request);
         let solver_knobs = self.solver_knobs();
@@ -1109,10 +813,16 @@ impl Engine {
             let reusable = prior.and_then(|p| {
                 // A prior resolve is only a valid donor when everything that
                 // shapes raw sub-plans besides the shard work itself agrees:
-                // algorithm, bin menu, and the engine's OPQ solver knobs (a
-                // `ResolvedPlan` may come from a differently-configured
-                // engine).
+                // algorithm, solver override, bin menu, and the engine's OPQ
+                // solver knobs (a `ResolvedPlan` may come from a
+                // differently-configured engine).
+                let same_solver = match (&p.request.solver_override, &request.solver_override) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                };
                 if p.request.algorithm != request.algorithm
+                    || !same_solver
                     || !Arc::ptr_eq(&p.request.bins, &request.bins)
                     || p.solver_knobs != solver_knobs
                 {
@@ -1174,6 +884,49 @@ impl Engine {
                 reused_shards,
             }),
         }
+    }
+
+    /// Submits one request and blocks for its plan.
+    pub fn solve(&self, request: EngineRequest) -> Result<DecompositionPlan, EngineError> {
+        self.submit(request, Submit::default())
+            .wait()
+            .map(ResolvedPlan::into_plan)
+    }
+
+    /// Solves `request` while retaining per-shard results, so follow-up
+    /// [`WorkloadDelta`]s can be applied incrementally with
+    /// [`Engine::resubmit`]. The plan is identical to [`Engine::solve`]'s.
+    pub fn solve_resolved(&self, request: EngineRequest) -> Result<ResolvedPlan, EngineError> {
+        self.submit(request, Submit::default()).wait()
+    }
+
+    /// Applies `delta` to `prior`'s workload and re-solves, reusing every
+    /// shard whose inputs the delta left unchanged (same task count and
+    /// threshold for OPQ shards — membership may shift, the raw sub-plan is
+    /// id-agnostic — and an untouched workload for pass-through shards).
+    ///
+    /// The returned plan is **byte-identical to a cold solve** of the
+    /// resulting workload: raw shard outputs are deterministic functions of
+    /// their inputs, so reuse is indistinguishable from recomputation.
+    pub fn resubmit(
+        &self,
+        prior: &ResolvedPlan,
+        delta: &WorkloadDelta,
+    ) -> Result<ResolvedPlan, EngineError> {
+        let request = prior.resubmission(delta)?;
+        let options = Submit {
+            prior: Some(prior),
+            notify: None,
+        };
+        self.submit(request, options).wait()
+    }
+
+    /// The knob words of this engine's OPQ-shard solver; raw OPQ sub-plans
+    /// are only interchangeable between engines whose words agree.
+    fn solver_knobs(&self) -> slade_core::fingerprint::KnobSink {
+        let mut knobs = slade_core::fingerprint::KnobSink::new();
+        self.config.solver.fingerprint_knobs(&mut knobs);
+        knobs
     }
 
     /// Queues `job`, returning whether it was accepted (`false` once the
@@ -1430,6 +1183,17 @@ mod tests {
         Arc::new(BinSet::paper_example())
     }
 
+    /// Submits every request in order, keeping the handles in order.
+    fn submit_all(
+        engine: &Engine,
+        requests: impl IntoIterator<Item = EngineRequest>,
+    ) -> Vec<ResolvedHandle> {
+        requests
+            .into_iter()
+            .map(|request| engine.submit(request, Submit::default()))
+            .collect()
+    }
+
     #[test]
     fn example9_through_the_engine() {
         let engine = Engine::new(EngineConfig {
@@ -1539,13 +1303,16 @@ mod tests {
             ..EngineConfig::default()
         });
         let bins = paper_bins();
-        let handles = engine.submit_batch((0..32).map(|i| {
-            EngineRequest::new(
-                Algorithm::OpqBased,
-                Workload::homogeneous(10 + i, 0.95).unwrap(),
-                Arc::clone(&bins),
-            )
-        }));
+        let handles = submit_all(
+            &engine,
+            (0..32).map(|i| {
+                EngineRequest::new(
+                    Algorithm::OpqBased,
+                    Workload::homogeneous(10 + i, 0.95).unwrap(),
+                    Arc::clone(&bins),
+                )
+            }),
+        );
         for handle in handles {
             assert!(handle.wait().is_ok());
         }
@@ -1631,13 +1398,16 @@ mod tests {
             ..EngineConfig::default()
         });
         let bins = paper_bins();
-        let handles = engine.submit_batch((0..16).map(|i| {
-            EngineRequest::new(
-                Algorithm::OpqBased,
-                Workload::homogeneous(10 + i, 0.95).unwrap(),
-                Arc::clone(&bins),
-            )
-        }));
+        let handles = submit_all(
+            &engine,
+            (0..16).map(|i| {
+                EngineRequest::new(
+                    Algorithm::OpqBased,
+                    Workload::homogeneous(10 + i, 0.95).unwrap(),
+                    Arc::clone(&bins),
+                )
+            }),
+        );
         assert!(!engine.is_shut_down());
         engine.shutdown();
         assert!(engine.is_shut_down());
@@ -1646,14 +1416,18 @@ mod tests {
         for handle in handles {
             assert!(handle.wait().is_ok());
         }
-        // New work is rejected explicitly on both submission paths.
+        // New work is rejected explicitly, by the handle and the blocking
+        // conveniences alike.
         let request = EngineRequest::new(
             Algorithm::OpqBased,
             Workload::homogeneous(4, 0.95).unwrap(),
             Arc::clone(&bins),
         );
         assert_eq!(
-            engine.submit(request.clone()).wait(),
+            engine
+                .submit(request.clone(), Submit::default())
+                .wait()
+                .map(ResolvedPlan::into_plan),
             Err(EngineError::ShutDown)
         );
         match engine.solve_resolved(request) {
@@ -1706,73 +1480,287 @@ mod tests {
         .with_solver(Arc::new(BlockingSolver {
             release: Mutex::new(blocked),
         }));
-        let handle = engine.submit(request);
+        let handle = engine.submit(request, Submit::default());
         let timeout = Duration::from_millis(40);
         assert_eq!(
-            handle.wait_timeout(timeout),
+            handle.wait_timeout(timeout).map(ResolvedPlan::into_plan),
             Err(EngineError::Timeout { after: timeout })
         );
         // Release the stuck solver; the worker survives and keeps serving,
         // and a generous timeout behaves exactly like a plain wait.
         release.send(()).unwrap();
         let plan = engine
-            .submit(EngineRequest::new(
-                Algorithm::Greedy,
-                Workload::homogeneous(4, 0.95).unwrap(),
-                bins,
-            ))
+            .submit(
+                EngineRequest::new(
+                    Algorithm::Greedy,
+                    Workload::homogeneous(4, 0.95).unwrap(),
+                    bins,
+                ),
+                Submit::default(),
+            )
             .wait_timeout(Duration::from_secs(30))
-            .unwrap();
+            .unwrap()
+            .into_plan();
         assert_eq!(plan.algorithm(), "Greedy");
+    }
+
+    /// The three ways to wait on a [`ResolvedHandle`].
+    #[derive(Debug, Clone, Copy)]
+    enum WaitMode {
+        Wait,
+        WaitTimeout,
+        /// `try_wait`, polled once per [`Submit::notify`] ping.
+        TryWait,
+    }
+
+    /// Submits `request` (reusing `prior`'s shards) and collects the
+    /// result under `mode`.
+    fn run_mode(
+        engine: &Engine,
+        request: EngineRequest,
+        prior: Option<&ResolvedPlan>,
+        mode: WaitMode,
+    ) -> Result<ResolvedPlan, EngineError> {
+        let plain = Submit {
+            prior,
+            notify: None,
+        };
+        match mode {
+            WaitMode::Wait => engine.submit(request, plain).wait(),
+            WaitMode::WaitTimeout => engine
+                .submit(request, plain)
+                .wait_timeout(Duration::from_secs(60)),
+            WaitMode::TryWait => {
+                let (notify, pings) = pinger();
+                let options = Submit {
+                    prior,
+                    notify: Some(notify),
+                };
+                poll_on_pings(&mut engine.submit(request, options), &pings)
+            }
+        }
+    }
+
+    /// A [`ShardNotify`] and the channel its pings land on.
+    fn pinger() -> (ShardNotify, std::sync::mpsc::Receiver<()>) {
+        let (ping_tx, ping_rx) = std::sync::mpsc::channel::<()>();
+        let notify: ShardNotify = Arc::new(move || {
+            let _ = ping_tx.send(());
+        });
+        (notify, ping_rx)
+    }
+
+    /// Polls `handle` once per ping until it delivers, then checks that
+    /// every queued shard pinged exactly once and that the handle is spent.
+    fn poll_on_pings(
+        handle: &mut ResolvedHandle,
+        pings: &std::sync::mpsc::Receiver<()>,
+    ) -> Result<ResolvedPlan, EngineError> {
+        let mut count = 0;
+        let result = loop {
+            if let Some(result) = handle.try_wait() {
+                break result;
+            }
+            pings
+                .recv_timeout(Duration::from_secs(20))
+                .expect("a shard must notify");
+            count += 1;
+        };
+        assert!(handle.try_wait().is_none(), "spent after delivering");
+        if let Ok(resolved) = &result {
+            // The last pings may still be on their way: a shard notifies
+            // after its result is already receivable.
+            let queued = resolved.shards() - resolved.reused_shards();
+            while count < queued {
+                pings
+                    .recv_timeout(Duration::from_secs(20))
+                    .expect("one notification per queued shard");
+                count += 1;
+            }
+            assert_eq!(count, queued, "one notification per queued shard");
+        }
+        result
+    }
+
+    /// The requests every wait mode is checked on: a cold solve, a
+    /// sharded hetero solve (five thresholds in four buckets, so wrapped)
+    /// and a resubmission of the cold solve resized by `RESUBMIT_DELTA`.
+    fn wait_table_requests(bins: &Arc<BinSet>) -> (EngineRequest, EngineRequest) {
+        let cold = EngineRequest::new(
+            Algorithm::OpqBased,
+            Workload::homogeneous(40, 0.95).unwrap(),
+            Arc::clone(bins),
+        );
+        let hetero = EngineRequest::new(
+            Algorithm::OpqExtended,
+            Workload::heterogeneous(vec![0.95, 0.72, 0.3, 0.11, 0.55]).unwrap(),
+            Arc::clone(bins),
+        );
+        (cold, hetero)
+    }
+
+    const RESUBMIT_DELTA: WorkloadDelta = WorkloadDelta::Resize(60);
+
+    /// The wait-mode table: every request kind under every mode in `modes`
+    /// on 1 and 4 threads must deliver byte-identical results. Returns the
+    /// `(plan, shards, reused_shards)` of each kind — cold solve, hetero
+    /// solve, resubmit — in that order.
+    fn assert_wait_modes_agree(modes: &[WaitMode]) -> Vec<(DecompositionPlan, usize, usize)> {
+        let bins = paper_bins();
+        let (cold, hetero) = wait_table_requests(&bins);
+        let mut reference: Vec<(DecompositionPlan, usize, usize)> = Vec::new();
+        for threads in [1, 4] {
+            let engine = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let prior = engine.solve_resolved(cold.clone()).unwrap();
+            let resubmission = prior.resubmission(&RESUBMIT_DELTA).unwrap();
+            let kinds = [
+                ("cold solve", cold.clone(), None),
+                ("hetero solve", hetero.clone(), None),
+                ("resubmit", resubmission, Some(&prior)),
+            ];
+            for (k, (kind, request, prior)) in kinds.into_iter().enumerate() {
+                for &mode in modes {
+                    let resolved = run_mode(&engine, request.clone(), prior, mode)
+                        .unwrap_or_else(|e| panic!("{kind} {mode:?} at {threads}: {e}"));
+                    let got = (
+                        resolved.plan().clone(),
+                        resolved.shards(),
+                        resolved.reused_shards(),
+                    );
+                    if reference.len() == k {
+                        reference.push(got);
+                    } else {
+                        assert_eq!(got, reference[k], "{kind} {mode:?} at {threads} threads");
+                    }
+                }
+            }
+        }
+        reference
     }
 
     #[test]
     fn resolved_timeouts_match_their_blocking_twins_when_not_stuck() {
-        let engine = Engine::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
+        let reference = assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::WaitTimeout]);
+        // The sharded solve equals the sequential solver's.
         let bins = paper_bins();
-        let request = EngineRequest::new(
-            Algorithm::OpqBased,
-            Workload::homogeneous(40, 0.95).unwrap(),
-            Arc::clone(&bins),
-        );
-        let generous = Duration::from_secs(60);
-        let blocking = engine.solve_resolved(request.clone()).unwrap();
-        let timed = engine.solve_resolved_timeout(request, generous).unwrap();
-        assert_eq!(*blocking.plan(), *timed.plan());
-        let delta = WorkloadDelta::Resize(60);
-        let resubmitted = engine.resubmit(&blocking, &delta).unwrap();
-        let resubmitted_timed = engine.resubmit_timeout(&timed, &delta, generous).unwrap();
-        assert_eq!(*resubmitted.plan(), *resubmitted_timed.plan());
+        let (_, hetero) = wait_table_requests(&bins);
+        let direct_hetero = Algorithm::OpqExtended
+            .solve(&hetero.workload, &bins)
+            .unwrap();
+        assert_eq!(reference[1].0, direct_hetero);
+        assert!(reference[1].1 > 1, "the hetero request must shard");
     }
 
     #[test]
     fn try_wait_completes_without_blocking_and_matches_wait() {
+        // The polling mode also checks one ping per queued shard and that
+        // the handle is spent after delivering.
+        assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::TryWait]);
+    }
+
+    #[test]
+    fn submit_resolved_and_resubmit_submit_match_their_blocking_twins() {
+        let reference =
+            assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::WaitTimeout, WaitMode::TryWait]);
+        // The resubmission equals a cold solve of the resized workload.
+        let bins = paper_bins();
+        let resized = Workload::homogeneous(60, 0.95).unwrap();
+        let direct_resized = OpqBased::default().solve(&resized, &bins).unwrap();
+        assert_eq!(reference[2].0, direct_resized);
+
+        // An invalid delta fails when the request is built, before anything
+        // queues.
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
+        let (_, hetero) = wait_table_requests(&bins);
+        let hetero_prior = engine.solve_resolved(hetero).unwrap();
+        assert!(matches!(
+            hetero_prior.resubmission(&WorkloadDelta::Resize(10)),
+            Err(EngineError::Solve(_))
+        ));
+    }
+
+    #[test]
+    fn shard_notify_and_try_wait_agree_when_shards_are_stolen() {
+        // Four buckets queued behind two pinned workers; once one gate
+        // opens, its worker drains one deque and steals from the other, and
+        // the polled result is still the sequential solver's.
+        let bins = paper_bins();
+        let pinned = Engine::new(EngineConfig {
+            threads: 2,
+            queue_capacity: 64,
+            ..EngineConfig::default()
+        });
+        let (gated, releases) = gate_both_workers(&pinned, &bins);
+        let workload = Workload::heterogeneous(vec![0.95, 0.72, 0.3, 0.11]).unwrap();
+        let direct = Algorithm::OpqExtended.solve(&workload, &bins).unwrap();
+        let (notify, pings) = pinger();
+        let options = Submit {
+            prior: None,
+            notify: Some(notify),
+        };
+        let request = EngineRequest::new(Algorithm::OpqExtended, workload, Arc::clone(&bins));
+        let mut handle = pinned.submit(request, options);
+        assert!(handle.try_wait().is_none(), "nothing can be done yet");
+        let _ = releases[0].send(());
+        let stolen = poll_on_pings(&mut handle, &pings).unwrap();
+        assert_eq!(*stolen.plan(), direct, "stolen shards changed the plan");
+        let _ = releases[1].send(());
+        for handle in gated {
+            assert!(handle.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn handles_surface_shutdown_through_try_wait() {
+        // A shut-down engine surfaces ShutDown through every mode (the
+        // polling mode also checks the handle is spent afterwards).
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
+        let (cold, _) = wait_table_requests(&paper_bins());
+        engine.shutdown();
+        for mode in [WaitMode::Wait, WaitMode::WaitTimeout, WaitMode::TryWait] {
+            match run_mode(&engine, cold.clone(), None, mode) {
+                Err(EngineError::ShutDown) => {}
+                other => panic!("{mode:?}: expected ShutDown, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn a_prior_donates_shards_only_to_requests_it_could_have_produced() {
         let engine = Engine::new(EngineConfig {
             threads: 2,
             ..EngineConfig::default()
         });
-        let bins = paper_bins();
-        let workload = Workload::heterogeneous(vec![0.3, 0.55, 0.72, 0.9, 0.95]).unwrap();
-        let request = EngineRequest::new(Algorithm::OpqExtended, workload, Arc::clone(&bins));
-        let reference = engine.solve(request.clone()).unwrap();
-
-        let mut handle = engine.submit(request);
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let plan = loop {
-            match handle.try_wait() {
-                Some(result) => break result.unwrap(),
-                None => {
-                    assert!(Instant::now() < deadline, "try_wait never completed");
-                    thread::yield_now();
-                }
-            }
+        let request = EngineRequest::new(
+            Algorithm::Greedy,
+            Workload::homogeneous(9, 0.9).unwrap(),
+            paper_bins(),
+        );
+        let prior = engine.solve_resolved(request.clone()).unwrap();
+        let with_prior = |request: EngineRequest| {
+            let options = Submit {
+                prior: Some(&prior),
+                notify: None,
+            };
+            engine.submit(request, options).wait().unwrap()
         };
-        assert_eq!(plan, reference);
-        // Spent: the handle hands its result out exactly once.
-        assert!(handle.try_wait().is_none());
+        // The unchanged request reuses its one pass-through shard...
+        assert_eq!(with_prior(request.clone()).reused_shards(), 1);
+        // ...but a solver override or another seed recomputes it.
+        let overridden = request
+            .clone()
+            .with_solver(Arc::new(slade_core::greedy::Greedy));
+        assert_eq!(with_prior(overridden).reused_shards(), 0);
+        assert_eq!(with_prior(request.with_seed(1)).reused_shards(), 0);
     }
 
     #[test]
@@ -1785,11 +1773,12 @@ mod tests {
         // Four well-separated thresholds = four threshold-bucket shards.
         let workload = Workload::heterogeneous(vec![0.95, 0.72, 0.3, 0.11]).unwrap();
         let request = EngineRequest::new(Algorithm::OpqExtended, workload, Arc::clone(&bins));
-        let (ping_tx, ping_rx) = std::sync::mpsc::channel::<()>();
-        let notify: ShardNotify = Arc::new(move || {
-            let _ = ping_tx.send(());
-        });
-        let mut handle = engine.submit_notify(request, notify);
+        let (notify, ping_rx) = pinger();
+        let options = Submit {
+            prior: None,
+            notify: Some(notify),
+        };
+        let mut handle = engine.submit(request, options);
         let mut pings = 0;
         let result = loop {
             ping_rx
@@ -1802,76 +1791,6 @@ mod tests {
         };
         assert!(result.is_ok());
         assert_eq!(pings, 4, "one notification per threshold bucket");
-    }
-
-    #[test]
-    fn submit_resolved_and_resubmit_submit_match_their_blocking_twins() {
-        let engine = Engine::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
-        let bins = paper_bins();
-        let request = EngineRequest::new(
-            Algorithm::OpqBased,
-            Workload::homogeneous(40, 0.95).unwrap(),
-            Arc::clone(&bins),
-        );
-        let blocking = engine.solve_resolved(request.clone()).unwrap();
-        let submitted = engine.submit_resolved(request).wait().unwrap();
-        assert_eq!(*blocking.plan(), *submitted.plan());
-
-        let delta = WorkloadDelta::Resize(60);
-        let blocking_re = engine.resubmit(&blocking, &delta).unwrap();
-        let mut handle = engine.resubmit_submit(&submitted, &delta).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let polled = loop {
-            match handle.try_wait() {
-                Some(result) => break result.unwrap(),
-                None => {
-                    assert!(Instant::now() < deadline, "resubmit handle never completed");
-                    thread::yield_now();
-                }
-            }
-        };
-        assert_eq!(*blocking_re.plan(), *polled.plan());
-        assert_eq!(blocking_re.reused_shards(), polled.reused_shards());
-        assert!(handle.try_wait().is_none(), "spent after delivering");
-
-        // An invalid delta fails at submission, before anything queues.
-        let hetero_prior = engine
-            .solve_resolved(EngineRequest::new(
-                Algorithm::OpqExtended,
-                Workload::heterogeneous(vec![0.5, 0.9]).unwrap(),
-                bins,
-            ))
-            .unwrap();
-        assert!(matches!(
-            engine.resubmit_submit(&hetero_prior, &WorkloadDelta::Resize(10)),
-            Err(EngineError::Solve(_))
-        ));
-    }
-
-    #[test]
-    fn handles_surface_shutdown_through_try_wait() {
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
-        engine.shutdown();
-        let bins = paper_bins();
-        let request = EngineRequest::new(
-            Algorithm::OpqBased,
-            Workload::homogeneous(4, 0.95).unwrap(),
-            bins,
-        );
-        let mut handle = engine.submit(request.clone());
-        assert_eq!(handle.try_wait(), Some(Err(EngineError::ShutDown)));
-        assert!(handle.try_wait().is_none());
-        let mut resolved = engine.submit_resolved(request);
-        match resolved.try_wait() {
-            Some(Err(EngineError::ShutDown)) => {}
-            other => panic!("expected ShutDown, got {:?}", other.map(|r| r.map(|_| ()))),
-        }
     }
 
     #[test]
@@ -1935,26 +1854,23 @@ mod tests {
     fn gate_both_workers(
         engine: &Engine,
         bins: &Arc<BinSet>,
-    ) -> (Vec<PlanHandle>, Vec<std::sync::mpsc::Sender<()>>) {
+    ) -> (Vec<ResolvedHandle>, Vec<std::sync::mpsc::Sender<()>>) {
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let mut gated = Vec::new();
         let mut releases = Vec::new();
         for _ in 0..2 {
             let (release_tx, release_rx) = std::sync::mpsc::channel();
             releases.push(release_tx);
-            gated.push(
-                engine.submit(
-                    EngineRequest::new(
-                        Algorithm::Greedy,
-                        Workload::homogeneous(4, 0.95).unwrap(),
-                        Arc::clone(bins),
-                    )
-                    .with_solver(Arc::new(GatedSolver {
-                        started: started_tx.clone(),
-                        release: Mutex::new(release_rx),
-                    })),
-                ),
-            );
+            let request = EngineRequest::new(
+                Algorithm::Greedy,
+                Workload::homogeneous(4, 0.95).unwrap(),
+                Arc::clone(bins),
+            )
+            .with_solver(Arc::new(GatedSolver {
+                started: started_tx.clone(),
+                release: Mutex::new(release_rx),
+            }));
+            gated.push(engine.submit(request, Submit::default()));
         }
         for _ in 0..2 {
             started_rx
@@ -1978,13 +1894,16 @@ mod tests {
         // With both workers pinned, these multi-shard requests sit in the
         // deques — some in the pinned workers' own deques, reachable only
         // by stealing once a worker frees up.
-        let queued: Vec<PlanHandle> = engine.submit_batch((0..4).map(|i| {
-            EngineRequest::new(
-                Algorithm::OpqBased,
-                Workload::homogeneous(20 + 8 * i, 0.95).unwrap(),
-                Arc::clone(&bins),
-            )
-        }));
+        let queued = submit_all(
+            &engine,
+            (0..4).map(|i| {
+                EngineRequest::new(
+                    Algorithm::OpqBased,
+                    Workload::homogeneous(20 + 8 * i, 0.95).unwrap(),
+                    Arc::clone(&bins),
+                )
+            }),
+        );
         engine.shutdown();
         assert!(engine.is_shut_down());
         for release in &releases {
@@ -2002,7 +1921,10 @@ mod tests {
             ..EngineConfig::default()
         });
         for (i, handle) in queued.into_iter().enumerate() {
-            let drained = handle.wait().expect("queued jobs drain, never drop");
+            let drained = handle
+                .wait()
+                .expect("queued jobs drain, never drop")
+                .into_plan();
             let cold = reference
                 .solve(EngineRequest::new(
                     Algorithm::OpqBased,
@@ -2012,14 +1934,16 @@ mod tests {
                 .unwrap();
             assert_eq!(drained, cold, "request {i} diverged during the drain");
         }
+        let late = EngineRequest::new(
+            Algorithm::OpqBased,
+            Workload::homogeneous(4, 0.95).unwrap(),
+            bins,
+        );
         assert_eq!(
             engine
-                .submit(EngineRequest::new(
-                    Algorithm::OpqBased,
-                    Workload::homogeneous(4, 0.95).unwrap(),
-                    bins,
-                ))
-                .wait(),
+                .submit(late, Submit::default())
+                .wait()
+                .map(ResolvedPlan::into_plan),
             Err(EngineError::ShutDown)
         );
     }
@@ -2054,10 +1978,9 @@ mod tests {
                 homogeneous_shard: Some(16),
                 ..EngineConfig::default()
             });
-            let plans: Vec<DecompositionPlan> = engine
-                .submit_batch(batch(()))
+            let plans: Vec<DecompositionPlan> = submit_all(&engine, batch(()))
                 .into_iter()
-                .map(|h| h.wait().unwrap())
+                .map(|h| h.wait().unwrap().into_plan())
                 .collect();
             (plans, engine.steals())
         };
@@ -2065,50 +1988,6 @@ mod tests {
         let (shared, shared_steals) = solve_all(SchedulerMode::SharedQueue);
         assert_eq!(stealing, shared, "scheduler choice leaked into plans");
         assert_eq!(shared_steals, 0, "the shared queue has nothing to steal");
-    }
-
-    #[test]
-    fn shard_notify_and_try_wait_agree_when_shards_are_stolen() {
-        let engine = Engine::new(EngineConfig {
-            threads: 2,
-            queue_capacity: 64,
-            ..EngineConfig::default()
-        });
-        let bins = paper_bins();
-        let (gated, releases) = gate_both_workers(&engine, &bins);
-
-        // Four threshold buckets queued behind two pinned workers: once one
-        // gate opens, its worker drains one deque and steals from the other.
-        let workload = Workload::heterogeneous(vec![0.95, 0.72, 0.3, 0.11]).unwrap();
-        let reference = Algorithm::OpqExtended.solve(&workload, &bins).unwrap();
-        let (ping_tx, ping_rx) = std::sync::mpsc::channel::<()>();
-        let notify: ShardNotify = Arc::new(move || {
-            let _ = ping_tx.send(());
-        });
-        let mut handle = engine.submit_notify(
-            EngineRequest::new(Algorithm::OpqExtended, workload, Arc::clone(&bins)),
-            notify,
-        );
-        assert!(handle.try_wait().is_none(), "nothing can be done yet");
-        let _ = releases[0].send(());
-
-        let mut pings = 0;
-        let plan = loop {
-            ping_rx
-                .recv_timeout(Duration::from_secs(20))
-                .expect("a shard must notify");
-            pings += 1;
-            if let Some(result) = handle.try_wait() {
-                break result.unwrap();
-            }
-        };
-        assert_eq!(pings, 4, "one notification per threshold bucket");
-        assert_eq!(plan, reference, "stolen shards changed the plan");
-
-        let _ = releases[1].send(());
-        for handle in gated {
-            assert!(handle.wait().is_ok());
-        }
     }
 
     #[test]
@@ -2133,11 +2012,12 @@ mod tests {
                     Arc::clone(&bins),
                 )
                 .with_solver(Arc::new(PanickingSolver)),
+                Submit::default(),
             );
             // Alternate which gate opens first so both the own-pop and the
             // steal path run the panicking job across the rounds.
             let _ = releases[round % 2].send(());
-            match doomed.wait() {
+            match doomed.wait().map(ResolvedPlan::into_plan) {
                 Err(EngineError::WorkerPanicked { message }) => {
                     assert!(message.contains("injected solver panic"), "{message}");
                 }

@@ -17,7 +17,7 @@ use slade_core::reliability::theta;
 use slade_core::solver::SolveArtifacts;
 use slade_engine::{
     ArtifactCache, CacheImpl, CacheKey, Engine, EngineConfig, EngineRequest, Fingerprint,
-    CACHE_SHARDS,
+    ResolvedHandle, Submit, CACHE_SHARDS,
 };
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -219,6 +219,15 @@ fn single_flight_computes_once_per_cold_key_round_after_round() {
     );
 }
 
+/// Submits every request up front (so their shards interleave in the
+/// pool), keeping the handles in request order.
+fn submit_all(engine: &Engine, requests: Vec<EngineRequest>) -> Vec<ResolvedHandle> {
+    requests
+        .into_iter()
+        .map(|request| engine.submit(request, Submit::default()))
+        .collect()
+}
+
 /// A mixed batch of every algorithm, including a chunked homogeneous OPQ
 /// request whose shards all share one fingerprint — the forced
 /// single-flight race (8 workers, one cold key).
@@ -287,16 +296,14 @@ fn plans_are_byte_identical_across_impls_threads_and_warmth() {
         // Cold, 8 threads: the chunked request forces 11 same-fingerprint
         // shards through the cold path at once — under the sharded impl
         // that is a guaranteed single-flight pile-up.
-        let cold: Vec<DecompositionPlan> = engine
-            .submit_batch(mixed_batch(&bins))
+        let cold: Vec<DecompositionPlan> = submit_all(&engine, mixed_batch(&bins))
             .into_iter()
-            .map(|h| h.wait().unwrap())
+            .map(|h| h.wait().unwrap().into_plan())
             .collect();
         // Warm: same batch again, artifacts now resident.
-        let warm: Vec<DecompositionPlan> = engine
-            .submit_batch(mixed_batch(&bins))
+        let warm: Vec<DecompositionPlan> = submit_all(&engine, mixed_batch(&bins))
             .into_iter()
-            .map(|h| h.wait().unwrap())
+            .map(|h| h.wait().unwrap().into_plan())
             .collect();
 
         for (i, ((cold, warm), reference)) in cold.iter().zip(&warm).zip(&reference).enumerate() {

@@ -8,7 +8,7 @@
 //!    cold solve of the resulting workload.
 
 use slade_core::prelude::*;
-use slade_engine::{Engine, EngineConfig, EngineRequest, WorkloadDelta};
+use slade_engine::{Engine, EngineConfig, EngineRequest, Submit, WorkloadDelta};
 use std::sync::Arc;
 
 /// A mixed batch exercising every sharding path: unsharded and chunked
@@ -61,10 +61,17 @@ fn config(threads: usize) -> EngineConfig {
 
 fn run_batch(threads: usize, bins: &Arc<BinSet>) -> Vec<DecompositionPlan> {
     let engine = Engine::new(config(threads));
-    let handles = engine.submit_batch(mixed_batch(bins));
+    let handles: Vec<_> = mixed_batch(bins)
+        .into_iter()
+        .map(|r| engine.submit(r, Submit::default()))
+        .collect();
     handles
         .into_iter()
-        .map(|h| h.wait().expect("every request in the batch solves"))
+        .map(|h| {
+            h.wait()
+                .expect("every request in the batch solves")
+                .into_plan()
+        })
         .collect()
 }
 

@@ -12,7 +12,7 @@
 
 use slade_core::prelude::*;
 use slade_core::solver::{DecompositionSolver, PreparedSolver};
-use slade_engine::{Engine, EngineConfig, EngineRequest, SchedulerMode};
+use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, SchedulerMode, Submit};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -46,6 +46,15 @@ fn next_u64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Submits every request up front (so their shards interleave in the
+/// pool), keeping the handles in request order.
+fn submit_all(engine: &Engine, requests: Vec<EngineRequest>) -> Vec<ResolvedHandle> {
+    requests
+        .into_iter()
+        .map(|request| engine.submit(request, Submit::default()))
+        .collect()
 }
 
 /// One seeded schedule: a few stalling override requests (grabbed first,
@@ -114,18 +123,25 @@ fn steal_heavy_schedules_match_single_thread_plans_across_100_seeds() {
     let mut total_steals = 0u64;
     for seed in 0..100u64 {
         let stealing = Engine::new(config(4, SchedulerMode::WorkSteal));
-        let handles = stealing.submit_batch(schedule(seed, &bins));
+        let handles = submit_all(&stealing, schedule(seed, &bins));
         let stolen: Vec<DecompositionPlan> = handles
             .into_iter()
-            .map(|h| h.wait().expect("every scheduled request solves"))
+            .map(|h| {
+                h.wait()
+                    .expect("every scheduled request solves")
+                    .into_plan()
+            })
             .collect();
         total_steals += stealing.steals();
 
         let single = Engine::new(config(1, SchedulerMode::WorkSteal));
-        let baseline: Vec<DecompositionPlan> = single
-            .submit_batch(schedule(seed, &bins))
+        let baseline: Vec<DecompositionPlan> = submit_all(&single, schedule(seed, &bins))
             .into_iter()
-            .map(|h| h.wait().expect("the single-thread baseline solves"))
+            .map(|h| {
+                h.wait()
+                    .expect("the single-thread baseline solves")
+                    .into_plan()
+            })
             .collect();
 
         assert_eq!(stolen.len(), baseline.len());
@@ -150,7 +166,7 @@ fn steal_heavy_schedules_match_single_thread_plans_across_100_seeds() {
 fn a_single_thread_pool_never_steals() {
     let bins = Arc::new(BinSet::paper_example());
     let engine = Engine::new(config(1, SchedulerMode::WorkSteal));
-    for handle in engine.submit_batch(schedule(7, &bins)) {
+    for handle in submit_all(&engine, schedule(7, &bins)) {
         handle.wait().unwrap();
     }
     assert_eq!(engine.steals(), 0, "one worker has no victims");

@@ -6,9 +6,9 @@
 //! messages, plus the matching compact serializer ([`Json`]'s [`Display`]).
 //! The CLI's `batch` subcommand, the `slade-server` wire protocol, and the
 //! engine's durable plan codec all parse and print through it, so none of
-//! them can drift apart. (It started life as `slade_server::json` and was
-//! lifted into its own crate when the engine's journal codec needed the
-//! same serializer without a dependency on the server.)
+//! them can drift apart. (It started life inside the server and was lifted into
+//! its own crate when the engine's journal codec needed the same
+//! serializer without a dependency on the server.)
 //!
 //! Numbers are `f64`, which is exact for every integer a request can
 //! legitimately carry (task counts fit `u32`, seeds of interest fit 2⁵³;

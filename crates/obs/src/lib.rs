@@ -3,7 +3,7 @@
 //! The engine and server are built around one discipline: nothing on the
 //! request hot path may take a contended lock. This crate gives the stack
 //! a measurement substrate under the same discipline, std-only and
-//! dependency-free (hand-rolled like `slade_server::json`):
+//! dependency-free (hand-rolled like `slade_json`):
 //!
 //! * **[`Counter`]** — a monotone event counter sharded across
 //!   cache-line-padded atomics. The hot path is one relaxed `fetch_add` on

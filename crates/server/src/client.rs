@@ -7,8 +7,8 @@
 //! connection, and reorders the out-of-order responses back into request
 //! order.
 
-use crate::json::{self, member, Json};
 use crate::line::LineBuffer;
+use slade_json::{self as json, member, Json};
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -8,16 +8,13 @@
 //! ```text
 //! {"record":"land","id":"<plan id>","plan":{<codec v1 object>}}
 //! {"record":"release","id":"<plan id>"}
-//! {"record":"drop","id":"<plan id>"}
 //! ```
 //!
 //! `land` is written after a producer's plan is stored (re-lands under the
 //! same id overwrite — last record wins on replay); `release` after an
 //! explicit lease release (an audit record: replayed plans are always
-//! unleased, because the sessions that held them died with the process);
-//! `drop` removes an id on replay (the current store never deletes a
-//! stored plan, so no code path appends one today — the grammar and the
-//! replayer keep it for forward compatibility). Leases and claims are
+//! unleased, because the sessions that held them died with the process).
+//! Any other record kind is corrupt and ends replay. Leases and claims are
 //! deliberately **not** journaled as state: they are session-scoped, and a
 //! restart has no sessions.
 //!
@@ -40,8 +37,8 @@
 //! truncates any torn tail before new appends could land behind it) and
 //! automatically every [`COMPACT_EVERY`] appended records.
 
-use crate::json::{member, parse, Json};
 use slade_engine::{codec, PlanStore, ResolvedPlan};
+use slade_json::{member, parse, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -230,9 +227,6 @@ fn replay(bytes: &[u8], replayed: &mut u64) -> Vec<(String, Arc<ResolvedPlan>)> 
                 }
             }
             "release" => {}
-            "drop" => {
-                plans.remove(id);
-            }
             _ => break,
         }
         *replayed += 1;

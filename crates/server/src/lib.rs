@@ -15,7 +15,7 @@
 //! [`Engine::resubmit`] — and inherits its guarantee: the returned plan
 //! is **byte-identical to a cold solve of the final workload** (pinned
 //! over a real socket by this crate's e2e tests, down to the serialized
-//! bytes — the shared [`json`] serializer prints floats in
+//! bytes — the shared [`slade_json`] serializer prints floats in
 //! shortest-round-trip form precisely so that contract is testable).
 //!
 //! Plan ids are global but **leased**: producing a plan leases its id to
@@ -122,7 +122,6 @@
 
 pub mod client;
 mod journal;
-pub mod json;
 mod line;
 pub mod protocol;
 mod server;

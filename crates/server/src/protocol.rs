@@ -65,12 +65,12 @@
 //! server's "resubmit ≡ cold solve, byte-identical" contract testable over
 //! the wire.
 
-use crate::json::{self, member, Json};
 use slade_core::bin_set::BinSet;
 use slade_core::plan::{DecompositionPlan, PlanAudit};
 use slade_core::solver::Algorithm;
 use slade_core::task::Workload;
 use slade_engine::{EngineRequest, WorkloadDelta};
+use slade_json::{self as json, member, Json};
 use std::sync::Arc;
 
 /// The protocol verbs, for error messages and dispatch tables.

@@ -13,11 +13,12 @@
 //!
 //! A session is three cooperating threads over one connection:
 //!
-//! * the **reader** owns the read half: it frames request lines, executes
-//!   untagged requests in line (strict request/response, exactly the
+//! * the **reader** owns the read half: it frames request lines, waits
+//!   untagged requests out in line (strict request/response, exactly the
 //!   pre-pipelining behavior), and dispatches `seq`-tagged requests to the
 //!   engine without blocking — each becomes an in-flight entry handed to
-//!   the multiplexer;
+//!   the multiplexer. Both kinds start and complete through the same
+//!   per-verb functions; they differ only in who waits;
 //! * the **multiplexer** owns every in-flight tagged request: engine
 //!   workers ping it (via [`ShardNotify`]) as shards complete, it polls the
 //!   pinged handle with a non-blocking `try_wait`, and finished requests
@@ -52,16 +53,15 @@
 //!   dead connection (write failure) discards in-flight responses.
 
 use crate::journal::Journal;
-use crate::json::{member, Json};
 use crate::line::LineBuffer;
 use crate::protocol::{self, Request};
 use slade_core::bin_set::BinSet;
-use slade_core::plan::DecompositionPlan;
 use slade_core::solver::Algorithm;
 use slade_engine::{
-    Engine, EngineConfig, EngineError, EngineRequest, FinishOutcome, PlanHandle, PlanStore,
-    RequestTrace, ResolvedHandle, ResolvedPlan, SessionId, ShardNotify, StoreError,
+    Engine, EngineConfig, EngineError, EngineRequest, FinishOutcome, PlanStore, RequestTrace,
+    ResolvedHandle, ResolvedPlan, SessionId, ShardNotify, StoreError, Submit, WorkloadDelta,
 };
+use slade_json::{member, Json};
 use slade_obs::{
     Counter, Registry, RequestSpan, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram,
     PROMETHEUS_CONTENT_TYPE,
@@ -246,13 +246,13 @@ struct Counters {
     shutdown: Arc<WindowedCounter>,
     /// Requests that arrived with a `seq` tag (also counted under their op).
     pipelined: Arc<WindowedCounter>,
-    /// Tagged requests the multiplexer answered with a deadline-expiry
-    /// timeout (also counted under their op, under `errors` like every
-    /// error response, and — per verb — under `timeouts.<verb>`).
+    /// Requests answered with a deadline-expiry timeout, tagged or not
+    /// (also counted under their op, under `errors` like every error
+    /// response, and — per verb — under `timeouts.<verb>`).
     timeouts: Arc<WindowedCounter>,
     /// The per-verb split of `timeouts`: `timeouts.<verb>` for the three
-    /// verbs that can expire in the multiplexer. The global counter is
-    /// unchanged (wire compatibility); these add the breakdown.
+    /// verbs that wait on the engine. The global counter is unchanged
+    /// (wire compatibility); these add the breakdown.
     timeouts_solve: Arc<WindowedCounter>,
     timeouts_batch: Arc<WindowedCounter>,
     timeouts_resubmit: Arc<WindowedCounter>,
@@ -301,16 +301,16 @@ impl Counters {
         self.errors.inc();
     }
 
-    /// Counts one multiplexer deadline expiry: the legacy global counter
-    /// plus the per-verb `timeouts.<verb>` split.
+    /// Counts one request that ran past its deadline — tagged or untagged:
+    /// the legacy global counter plus the per-verb `timeouts.<verb>` split.
     fn count_timeout(&self, op: &str) {
         self.timeouts.inc();
         match op {
             "solve" => self.timeouts_solve.inc(),
             "batch" => self.timeouts_batch.inc(),
             "resubmit" => self.timeouts_resubmit.inc(),
-            // Only pipelinable verbs can expire in the multiplexer; an
-            // unknown op here would be a dispatch bug, not a counter miss.
+            // Only the verbs that wait on the engine can expire; an unknown
+            // op here would be a dispatch bug, not a counter miss.
             other => debug_assert!(false, "unexpected timeout verb `{other}`"),
         }
     }
@@ -481,8 +481,8 @@ impl Shared {
     /// Applies a producer's result to the store and journals a landed
     /// plan. The [`FinishOutcome`] flows back so response builders can
     /// distinguish a stored plan from one that lost its id while solving
-    /// (see `run_solve` / `Mux::finish`) — a discarded plan is never
-    /// journaled and never answered with success.
+    /// (see `Session::complete`) — a discarded plan is never journaled and
+    /// never answered with success.
     fn finish_store(
         &self,
         session: SessionId,
@@ -831,25 +831,79 @@ impl Gate {
     }
 }
 
-/// What one tagged request is waiting on.
-enum PendingWork {
-    /// A tagged `solve` or `resubmit`.
-    Single {
+/// A started `solve`, `resubmit`, or `batch`: the engine handles it waits
+/// on plus what its completion needs. `solve` and `resubmit` hold one
+/// handle, `batch` one per sub-request.
+struct PendingWork {
+    op: &'static str,
+    /// Plan id this request produces (always the request id for
+    /// `resubmit`, the optional retain id for `solve`, never for `batch`).
+    id: Option<String>,
+    want_plan: bool,
+    handles: Vec<ResolvedHandle>,
+    /// Index-aligned with `handles`: each handle's result once delivered
+    /// (`try_wait` hands a result out exactly once, so it is kept here on
+    /// the way to the response builder).
+    results: Vec<Option<Result<ResolvedPlan, EngineError>>>,
+}
+
+impl PendingWork {
+    fn new(
         op: &'static str,
-        /// Plan id this request produces (always the request id for
-        /// `resubmit`, the optional retain id for `solve`).
         id: Option<String>,
         want_plan: bool,
-        /// Boxed: a `ResolvedHandle` holds the whole resolved request and
-        /// would dwarf the `Batch` variant inline.
-        handle: Box<ResolvedHandle>,
-    },
-    /// A tagged `batch`: one engine handle per sub-request.
-    Batch {
-        requests: Vec<EngineRequest>,
-        handles: Vec<PlanHandle>,
-        results: Vec<Option<Result<DecompositionPlan, EngineError>>>,
-    },
+        handles: Vec<ResolvedHandle>,
+    ) -> PendingWork {
+        let results = handles.iter().map(|_| None).collect();
+        PendingWork {
+            op,
+            id,
+            want_plan,
+            handles,
+            results,
+        }
+    }
+
+    /// Collects whatever results have arrived, without blocking; `true`
+    /// once every handle has delivered.
+    fn poll(&mut self) -> bool {
+        let mut done = true;
+        for (handle, slot) in self.handles.iter_mut().zip(&mut self.results) {
+            if slot.is_none() {
+                *slot = handle.try_wait();
+                done &= slot.is_some();
+            }
+        }
+        done
+    }
+}
+
+/// What [`Session::dispatch`] hands a verb's start function: the request's
+/// tag (both `None` when untagged), its span, and the completion callback
+/// that wakes whoever waits — the reader or the multiplexer.
+struct Start<'a> {
+    seq: Option<&'a Json>,
+    seq_key: Option<&'a str>,
+    span: &'a Option<RequestTrace>,
+    notify: ShardNotify,
+}
+
+impl Start<'_> {
+    /// The submit options of a fresh (non-resubmit) request.
+    fn submit(&self) -> Submit<'static> {
+        Submit {
+            prior: None,
+            notify: Some(Arc::clone(&self.notify)),
+        }
+    }
+}
+
+/// Attaches `span` (when the client opted in) to an engine request.
+fn traced(request: EngineRequest, span: &Option<RequestTrace>) -> EngineRequest {
+    match span {
+        Some(span) => request.with_trace(Arc::clone(span)),
+        None => request,
+    }
 }
 
 /// One tagged request in flight on a session.
@@ -862,10 +916,6 @@ struct InFlight {
     /// The request's trace span, when the client opted in.
     span: Option<RequestTrace>,
     deadline: Option<Instant>,
-    /// The result of `Single` work once its handle delivered (a non-
-    /// blocking `try_wait` hands its result out exactly once, so it is
-    /// stashed here on the way to the response builder).
-    ready: Option<Result<ResolvedPlan, EngineError>>,
     work: PendingWork,
 }
 
@@ -922,6 +972,9 @@ struct Outgoing {
 struct SessionIo {
     out: Sender<Outgoing>,
     mux: Sender<MuxMsg>,
+    /// Unparks the reader: the completion callback of untagged requests,
+    /// which the reader waits out in line.
+    wake_reader: ShardNotify,
     /// Next multiplexer token; tokens order [`MuxMsg::Drain`]'s
     /// remaining-work drain deterministically (dispatch order).
     next_token: u64,
@@ -969,9 +1022,11 @@ impl Session<'_> {
                 .run(mux_rx)
             });
 
+            let reader = thread::current();
             let mut io = SessionIo {
                 out: out_tx,
                 mux: mux_tx,
+                wake_reader: Arc::new(move || reader.unpark()),
                 next_token: 0,
             };
             let outcome = self.read_loop(stream, &mut io, &dead);
@@ -1104,27 +1159,9 @@ impl Session<'_> {
                 counters.solve.inc();
                 counters.count_algorithm(request.algorithm);
                 let span = self.mint_span("solve", trace, seq.as_ref());
-                let mut request = self.shared.apply_middleware(request);
-                if let Some(span) = &span {
-                    request = request.with_trace(Arc::clone(span));
-                }
-                match seq {
-                    None => {
-                        record_stage(&span, "admitted");
-                        let response = self.run_solve(request, id, want_plan, span.as_deref());
-                        io.respond_done(
-                            response,
-                            Done {
-                                op: "solve",
-                                started,
-                                span,
-                            },
-                        );
-                    }
-                    Some(seq) => {
-                        self.pipeline_solve(io, dead, request, id, want_plan, seq, started, span)
-                    }
-                }
+                self.dispatch(io, dead, "solve", seq, started, span, |at| {
+                    self.start_solve(at, request, id, want_plan)
+                });
             }
             Ok(Request::Resubmit {
                 id,
@@ -1135,23 +1172,9 @@ impl Session<'_> {
             }) => {
                 counters.resubmit.inc();
                 let span = self.mint_span("resubmit", trace, seq.as_ref());
-                match seq {
-                    None => {
-                        record_stage(&span, "admitted");
-                        let response = self.run_resubmit(&id, &delta, want_plan, span.as_ref());
-                        io.respond_done(
-                            response,
-                            Done {
-                                op: "resubmit",
-                                started,
-                                span,
-                            },
-                        );
-                    }
-                    Some(seq) => {
-                        self.pipeline_resubmit(io, dead, id, &delta, want_plan, seq, started, span)
-                    }
-                }
+                self.dispatch(io, dead, "resubmit", seq, started, span, |at| {
+                    self.start_resubmit(at, id, &delta, want_plan)
+                });
             }
             Ok(Request::Batch {
                 requests,
@@ -1163,33 +1186,9 @@ impl Session<'_> {
                     counters.count_algorithm(request.algorithm);
                 }
                 let span = self.mint_span("batch", trace, seq.as_ref());
-                let requests: Vec<EngineRequest> = requests
-                    .into_iter()
-                    .map(|r| {
-                        let r = self.shared.apply_middleware(r);
-                        match &span {
-                            // Sub-requests share the batch's span: their
-                            // shard stages interleave on one timeline.
-                            Some(span) => r.with_trace(Arc::clone(span)),
-                            None => r,
-                        }
-                    })
-                    .collect();
-                match seq {
-                    None => {
-                        record_stage(&span, "admitted");
-                        let response = self.run_batch(requests, span.as_ref());
-                        io.respond_done(
-                            response,
-                            Done {
-                                op: "batch",
-                                started,
-                                span,
-                            },
-                        );
-                    }
-                    Some(seq) => self.pipeline_batch(io, dead, requests, seq, started, span),
-                }
+                self.dispatch(io, dead, "batch", seq, started, span, |at| {
+                    Ok(self.start_batch(at, requests))
+                });
             }
             Ok(Request::Claim { id }) => {
                 counters.claim.inc();
@@ -1287,359 +1286,233 @@ impl Session<'_> {
         None
     }
 
-    // ---- tagged (pipelined) dispatch ------------------------------------
+    // ---- solve / resubmit / batch: one start and one completion each ----
 
-    /// Admits a tagged request through the in-flight gate, answering the
-    /// duplicate case with a structured error. `None` means "drop the
-    /// request" (dead/aborting session).
+    /// Runs one `solve`, `resubmit`, or `batch` request. `start` is the
+    /// verb's start function; whatever it starts completes through
+    /// [`Session::complete`]. Untagged and tagged requests differ only in
+    /// who waits: an untagged request is waited out right here on the
+    /// reader (so it is answered at its position in the stream), a tagged
+    /// one is admitted through the in-flight gate and handed to the
+    /// multiplexer.
     #[allow(clippy::too_many_arguments)]
-    fn admit(
+    fn dispatch(
         &self,
-        io: &SessionIo,
+        io: &mut SessionIo,
         dead: &AtomicBool,
-        seq: &Json,
-        seq_key: &str,
         op: &'static str,
+        seq: Option<Json>,
         started: Instant,
-        span: &Option<RequestTrace>,
-    ) -> Option<()> {
+        span: Option<RequestTrace>,
+        start: impl FnOnce(Start<'_>) -> Result<PendingWork, Json>,
+    ) {
+        let timeout = self.shared.request_timeout;
+        let Some(seq) = seq else {
+            record_stage(&span, "admitted");
+            let at = Start {
+                seq: None,
+                seq_key: None,
+                span: &span,
+                notify: Arc::clone(&io.wake_reader),
+            };
+            let response = match start(at) {
+                Err(response) => response,
+                Ok(mut work) => {
+                    wait_out(&mut work, Instant::now().checked_add(timeout));
+                    self.complete(work, None, &span)
+                }
+            };
+            io.respond_done(response, Done { op, started, span });
+            return;
+        };
+        let seq_key = seq.to_string();
         let abort = || dead.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst);
-        match self.gate.acquire(seq_key, self.shared.max_inflight, abort) {
+        match self.gate.acquire(&seq_key, self.shared.max_inflight, abort) {
             Admission::Admitted => {
                 self.shared.counters.pipelined.inc();
-                record_stage(span, "admitted");
-                Some(())
+                record_stage(&span, "admitted");
             }
             Admission::Duplicate => {
                 self.shared.counters.count_error();
-                io.respond_done(
-                    protocol::error_response(
-                        None,
-                        Some(seq),
-                        &format!("seq {seq_key} is already in flight on this session"),
-                    ),
-                    Done {
-                        op,
-                        started,
-                        span: span.clone(),
-                    },
-                );
-                None
+                let message = format!("seq {seq_key} is already in flight on this session");
+                let response = protocol::error_response(None, Some(&seq), &message);
+                io.respond_done(response, Done { op, started, span });
+                return;
             }
             Admission::Aborted => {
                 // The request is dropped — no response will ever be
                 // written. Record its latency sample here so the books
                 // still balance (one sample per counted request).
                 self.shared.obs.record_latency(op, started);
-                None
-            }
-        }
-    }
-
-    /// A [`ShardNotify`] that pings the multiplexer about `token`.
-    fn notify_for(io: &SessionIo, token: u64) -> ShardNotify {
-        let mux = io.mux.clone();
-        Arc::new(move || {
-            let _ = mux.send(MuxMsg::Ping(token));
-        })
-    }
-
-    /// Hands a dispatched tagged request to the multiplexer.
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &self,
-        io: &mut SessionIo,
-        seq: Json,
-        seq_key: String,
-        started: Instant,
-        span: Option<RequestTrace>,
-        work: PendingWork,
-    ) {
-        let token = io.next_token;
-        io.next_token += 1;
-        let entry = InFlight {
-            seq,
-            seq_key,
-            started,
-            span,
-            deadline: Instant::now().checked_add(self.shared.request_timeout),
-            ready: None,
-            work,
-        };
-        let _ = io.mux.send(MuxMsg::Register {
-            token,
-            entry: Box::new(entry),
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pipeline_solve(
-        &self,
-        io: &mut SessionIo,
-        dead: &AtomicBool,
-        request: EngineRequest,
-        id: Option<String>,
-        want_plan: bool,
-        seq: Json,
-        started: Instant,
-        span: Option<RequestTrace>,
-    ) {
-        let seq_key = seq.to_string();
-        if self
-            .admit(io, dead, &seq, &seq_key, "solve", started, &span)
-            .is_none()
-        {
-            return;
-        }
-        if let Some(id) = &id {
-            if let Err(e) = self
-                .shared
-                .store
-                .begin_produce(self.sid, id, Some(&seq_key))
-            {
-                self.gate.release(&seq_key);
-                let response = self.store_error("solve", Some(&seq), &e);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "solve",
-                        started,
-                        span,
-                    },
-                );
                 return;
             }
         }
-        // Register *after* computing the token but the handle *before*
-        // registering is impossible (the handle is the registration): early
-        // worker pings for this token are covered by the poll the
-        // multiplexer performs at registration.
+        // Worker pings that race ahead of the registration below are
+        // covered by the poll the multiplexer performs at registration.
         let token = io.next_token;
-        let notify = Self::notify_for(io, token);
-        record_stage(&span, "dispatched");
-        let handle = Box::new(self.shared.engine.submit_resolved_notify(request, notify));
-        self.register(
-            io,
-            seq,
-            seq_key,
-            started,
-            span,
-            PendingWork::Single {
-                op: "solve",
-                id,
-                want_plan,
-                handle,
-            },
-        );
+        let mux = io.mux.clone();
+        let at = Start {
+            seq: Some(&seq),
+            seq_key: Some(&seq_key),
+            span: &span,
+            notify: Arc::new(move || {
+                let _ = mux.send(MuxMsg::Ping(token));
+            }),
+        };
+        match start(at) {
+            Err(response) => {
+                self.gate.release(&seq_key);
+                io.respond_done(response, Done { op, started, span });
+            }
+            Ok(work) => {
+                io.next_token += 1;
+                let entry = InFlight {
+                    seq,
+                    seq_key,
+                    started,
+                    span,
+                    deadline: Instant::now().checked_add(timeout),
+                    work,
+                };
+                let _ = io.mux.send(MuxMsg::Register {
+                    token,
+                    entry: Box::new(entry),
+                });
+            }
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn pipeline_resubmit(
+    /// Starts a `solve`: marks a retained id pending, then submits the
+    /// request through the middleware. `Err` is the (counted) error
+    /// response.
+    fn start_solve(
         &self,
-        io: &mut SessionIo,
-        dead: &AtomicBool,
-        id: String,
-        delta: &slade_engine::WorkloadDelta,
+        at: Start<'_>,
+        request: EngineRequest,
+        id: Option<String>,
         want_plan: bool,
-        seq: Json,
-        started: Instant,
-        span: Option<RequestTrace>,
-    ) {
-        let seq_key = seq.to_string();
-        if self
-            .admit(io, dead, &seq, &seq_key, "resubmit", started, &span)
-            .is_none()
-        {
-            return;
+    ) -> Result<PendingWork, Json> {
+        if let Some(id) = &id {
+            // An untagged producer marks the id pending too: its session
+            // is blocked until the response, but *other* sessions race
+            // freely and must see the same structured error.
+            if let Err(e) = self.shared.store.begin_produce(self.sid, id, at.seq_key) {
+                return Err(self.store_error("solve", at.seq, &e));
+            }
         }
+        let request = traced(self.shared.apply_middleware(request), at.span);
+        record_stage(at.span, "dispatched");
+        let handle = self.shared.engine.submit(request, at.submit());
+        Ok(PendingWork::new("solve", id, want_plan, vec![handle]))
+    }
+
+    /// Starts a `resubmit`: becomes the id's producer, then submits the
+    /// prior plan's request with `delta` applied, reusing its unchanged
+    /// shards. `Err` is the (counted) error response.
+    fn start_resubmit(
+        &self,
+        at: Start<'_>,
+        id: String,
+        delta: &WorkloadDelta,
+        want_plan: bool,
+    ) -> Result<PendingWork, Json> {
         // This request becomes the id's producer: concurrent resubmits of
         // one id — from this session or any other — would race each
         // other's retained state, so they queue behind the response.
-        let prior = match self
-            .shared
-            .store
-            .begin_resubmit(self.sid, &id, Some(&seq_key))
-        {
+        let prior = match self.shared.store.begin_resubmit(self.sid, &id, at.seq_key) {
             Ok(prior) => prior,
-            Err(e) => {
-                self.gate.release(&seq_key);
-                let response = self.store_error("resubmit", Some(&seq), &e);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "resubmit",
-                        started,
-                        span,
-                    },
-                );
-                return;
-            }
+            Err(e) => return Err(self.store_error("resubmit", at.seq, &e)),
         };
         self.shared.counters.count_algorithm(prior.algorithm());
-        let token = io.next_token;
-        let notify = Self::notify_for(io, token);
-        record_stage(&span, "dispatched");
-        match self
-            .shared
-            .engine
-            .resubmit_submit_traced(&prior, delta, Some(notify), span.clone())
-        {
+        record_stage(at.span, "dispatched");
+        let request = match prior.resubmission(delta) {
+            Ok(request) => traced(request, at.span),
             Err(e) => {
                 let _ = self.shared.finish_store(self.sid, &id, None);
-                self.gate.release(&seq_key);
                 self.shared.counters.count_error();
-                let response =
-                    protocol::error_response(Some("resubmit"), Some(&seq), &e.to_string());
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "resubmit",
-                        started,
-                        span,
-                    },
-                );
+                let message = e.to_string();
+                return Err(protocol::error_response(Some("resubmit"), at.seq, &message));
             }
-            Ok(handle) => self.register(
-                io,
-                seq,
-                seq_key,
-                started,
-                span,
-                PendingWork::Single {
-                    op: "resubmit",
-                    id: Some(id),
-                    want_plan,
-                    handle: Box::new(handle),
-                },
-            ),
-        }
+        };
+        let options = Submit {
+            prior: Some(&prior),
+            ..at.submit()
+        };
+        let handle = self.shared.engine.submit(request, options);
+        Ok(PendingWork::new(
+            "resubmit",
+            Some(id),
+            want_plan,
+            vec![handle],
+        ))
     }
 
-    fn pipeline_batch(
-        &self,
-        io: &mut SessionIo,
-        dead: &AtomicBool,
-        requests: Vec<EngineRequest>,
-        seq: Json,
-        started: Instant,
-        span: Option<RequestTrace>,
-    ) {
-        let seq_key = seq.to_string();
-        if self
-            .admit(io, dead, &seq, &seq_key, "batch", started, &span)
-            .is_none()
-        {
-            return;
-        }
-        let token = io.next_token;
-        let notify = Self::notify_for(io, token);
-        record_stage(&span, "dispatched");
-        let handles: Vec<PlanHandle> = requests
-            .iter()
-            .map(|r| self.shared.engine.submit_notify(r.clone(), notify.clone()))
+    /// Starts a `batch`: submits every sub-request through the middleware
+    /// up front, so their shards interleave freely in the pool.
+    fn start_batch(&self, at: Start<'_>, requests: Vec<EngineRequest>) -> PendingWork {
+        record_stage(at.span, "dispatched");
+        let handles = requests
+            .into_iter()
+            .map(|request| {
+                // Sub-requests share the batch's span: their shard stages
+                // interleave on one timeline.
+                let request = traced(self.shared.apply_middleware(request), at.span);
+                self.shared.engine.submit(request, at.submit())
+            })
             .collect();
-        let results = (0..requests.len()).map(|_| None).collect();
-        self.register(
-            io,
-            seq,
-            seq_key,
-            started,
-            span,
-            PendingWork::Batch {
-                requests,
-                handles,
-                results,
-            },
-        );
+        PendingWork::new("batch", None, false, handles)
     }
 
-    // ---- untagged (strict request/response) execution -------------------
-
-    fn run_solve(
-        &self,
-        request: EngineRequest,
-        id: Option<String>,
-        want_plan: bool,
-        span: Option<&RequestSpan>,
-    ) -> Json {
-        if let Some(id) = &id {
-            // An untagged producer marks the id pending too: this session
-            // is blocked until the response, but *other* sessions race
-            // freely and must see the same structured error.
-            if let Err(e) = self.shared.store.begin_produce(self.sid, id, None) {
-                return self.store_error("solve", None, &e);
-            }
+    /// Answers one started request from whatever its handles delivered —
+    /// the one completion path of tagged and untagged `solve`, `resubmit`,
+    /// and `batch` alike. A handle that has not delivered by now ran past
+    /// the request deadline: its result is a timeout, counted in
+    /// `ops.timeouts` and `timeouts.<verb>`.
+    fn complete(&self, work: PendingWork, seq: Option<&Json>, span: &Option<RequestTrace>) -> Json {
+        let shared = self.shared;
+        let PendingWork {
+            op,
+            id,
+            want_plan,
+            results,
+            ..
+        } = work;
+        if results.iter().any(Option::is_none) {
+            shared.counters.count_timeout(op);
+            record_stage(span, "expired");
+        } else {
+            record_stage(span, "merged");
         }
-        if let Some(span) = span {
-            span.record("dispatched");
+        let timeout = EngineError::Timeout {
+            after: shared.request_timeout,
+        };
+        let mut results = results
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|| Err(timeout.clone())));
+        if op == "batch" {
+            return batch_response(shared, results, seq);
         }
-        let resolved = self
-            .shared
-            .engine
-            .solve_resolved_timeout(request, self.shared.request_timeout);
-        match resolved {
+        match results.next().expect("solve and resubmit hold one handle") {
+            Ok(resolved) => match id {
+                None => resolved_response(op, None, seq, &resolved, want_plan),
+                Some(id) => {
+                    // Chained resubmits build on the latest state of the
+                    // id — and the store's verdict shapes the response, so
+                    // a producer that lost the id mid-solve never reports a
+                    // false success.
+                    let resolved = Arc::new(resolved);
+                    let outcome = shared.finish_store(self.sid, &id, Some(Arc::clone(&resolved)));
+                    self.outcome_response(op, &id, seq, outcome, &resolved, want_plan)
+                }
+            },
             Err(e) => {
                 if let Some(id) = &id {
-                    let _ = self.shared.finish_store(self.sid, id, None);
+                    // A failed producer releases the id; the previously
+                    // retained plan (if any) stays the id's current state.
+                    let _ = shared.finish_store(self.sid, id, None);
                 }
-                self.engine_error("solve", &e)
-            }
-            Ok(resolved) => {
-                if let Some(span) = span {
-                    span.record("merged");
-                }
-                match id {
-                    None => resolved_response("solve", None, None, &resolved, want_plan),
-                    Some(id) => {
-                        let resolved = Arc::new(resolved);
-                        let outcome =
-                            self.shared
-                                .finish_store(self.sid, &id, Some(Arc::clone(&resolved)));
-                        self.outcome_response("solve", &id, None, outcome, &resolved, want_plan)
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_resubmit(
-        &self,
-        id: &str,
-        delta: &slade_engine::WorkloadDelta,
-        want_plan: bool,
-        span: Option<&RequestTrace>,
-    ) -> Json {
-        let prior = match self.shared.store.begin_resubmit(self.sid, id, None) {
-            Ok(prior) => prior,
-            Err(e) => return self.store_error("resubmit", None, &e),
-        };
-        self.shared.counters.count_algorithm(prior.algorithm());
-        if let Some(span) = span {
-            span.record("dispatched");
-        }
-        match self.shared.engine.resubmit_timeout_traced(
-            &prior,
-            delta,
-            self.shared.request_timeout,
-            span.cloned(),
-        ) {
-            Err(e) => {
-                let _ = self.shared.finish_store(self.sid, id, None);
-                self.engine_error("resubmit", &e)
-            }
-            Ok(resolved) => {
-                if let Some(span) = span {
-                    span.record("merged");
-                }
-                // Chained resubmits build on the latest state of the id —
-                // and the store's verdict shapes the response, so a
-                // producer that lost the id mid-solve never reports a
-                // false success.
-                let resolved = Arc::new(resolved);
-                let outcome = self
-                    .shared
-                    .finish_store(self.sid, id, Some(Arc::clone(&resolved)));
-                self.outcome_response("resubmit", id, None, outcome, &resolved, want_plan)
+                shared.counters.count_error();
+                protocol::error_response(Some(op), seq, &e.to_string())
             }
         }
     }
@@ -1733,36 +1606,6 @@ impl Session<'_> {
                 response
             }
         }
-    }
-
-    /// Runs a `batch` verb exactly the way `slade-cli batch` runs a JSONL
-    /// stream: submit everything up front, collect in request order, and
-    /// turn per-request failures into per-request error entries. The
-    /// request timeout spans the whole batch.
-    fn run_batch(&self, requests: Vec<EngineRequest>, span: Option<&RequestTrace>) -> Json {
-        // Checked like every other wait path: a timeout too large for the
-        // `Instant` domain means "no deadline", not an `Instant` overflow.
-        let deadline = Instant::now().checked_add(self.shared.request_timeout);
-        if let Some(span) = span {
-            span.record("dispatched");
-        }
-        let handles = self.shared.engine.submit_batch(requests.iter().cloned());
-        let results: Vec<Result<DecompositionPlan, EngineError>> = handles
-            .into_iter()
-            .map(|handle| match deadline {
-                Some(at) => handle.wait_timeout(at.saturating_duration_since(Instant::now())),
-                None => handle.wait(),
-            })
-            .collect();
-        if let Some(span) = span {
-            span.record("merged");
-        }
-        batch_response(self.shared, &requests, results, None)
-    }
-
-    fn engine_error(&self, op: &str, error: &EngineError) -> Json {
-        self.shared.counters.count_error();
-        protocol::error_response(Some(op), None, &error.to_string())
     }
 
     fn stats_response(&self) -> Json {
@@ -2614,25 +2457,24 @@ fn resolved_response(
     Json::Object(members)
 }
 
-/// Assembles a batch response from per-request results (counting failures),
-/// shared by the in-line path and the multiplexer.
+/// Assembles a batch response from per-request results (counting failures).
 fn batch_response(
     shared: &Shared,
-    requests: &[EngineRequest],
-    results: Vec<Result<DecompositionPlan, EngineError>>,
+    results: impl Iterator<Item = Result<ResolvedPlan, EngineError>>,
     seq: Option<&Json>,
 ) -> Json {
-    let mut entries = Vec::with_capacity(requests.len());
-    for (i, (result, request)) in results.into_iter().zip(requests).enumerate() {
+    let mut entries = Vec::with_capacity(results.size_hint().0);
+    for (i, result) in results.enumerate() {
         let mut members = vec![member("request", Json::number(i as f64))];
         match result {
-            Ok(plan) => {
-                let audit = plan
-                    .validate(&request.workload, &request.bins)
+            Ok(resolved) => {
+                let audit = resolved
+                    .plan()
+                    .validate(resolved.workload(), resolved.bins())
                     .expect("engine plans are structurally valid");
                 members.extend(protocol::plan_summary_members(
-                    request.algorithm,
-                    &request.workload,
+                    resolved.algorithm(),
+                    resolved.workload(),
                     &audit,
                 ));
             }
@@ -2654,23 +2496,25 @@ fn batch_response(
     Json::Object(members)
 }
 
-/// The drain's blocking wait: polls a non-consuming `try_wait` until it
-/// delivers or `deadline` passes (then the engine's standard timeout
-/// error). `try_wait` hands out each result exactly once, so the polling
-/// stays with the caller and the deadline math with the entry.
-fn wait_out<T>(
-    mut poll: impl FnMut() -> Option<Result<T, EngineError>>,
-    deadline: Option<Instant>,
-    timeout: Duration,
-) -> Result<T, EngineError> {
-    loop {
-        if let Some(result) = poll() {
-            return result;
+/// Longest nap between polls of [`wait_out`]. An untagged request's
+/// shards unpark the reader at once; the multiplexer's drain, whose pings
+/// go to its inbox instead, relies on this bound.
+const WAIT_POLL: Duration = Duration::from_millis(1);
+
+/// Waits `work` out in line: polls until every handle has delivered or
+/// `deadline` passes (whatever is still missing then completes as a
+/// timeout). The thread parks between polls.
+fn wait_out(work: &mut PendingWork, deadline: Option<Instant>) {
+    while !work.poll() {
+        let mut nap = WAIT_POLL;
+        if let Some(deadline) = deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            nap = nap.min(left);
         }
-        if deadline.is_some_and(|d| d.saturating_duration_since(Instant::now()).is_zero()) {
-            return Err(EngineError::Timeout { after: timeout });
-        }
-        thread::sleep(Duration::from_millis(1));
+        thread::park_timeout(nap);
     }
 }
 
@@ -2777,27 +2621,9 @@ impl Mux<'_, '_> {
         let Some(entry) = self.inflight.get_mut(&token) else {
             return; // early ping, or the entry already expired
         };
-        let ready = match &mut entry.work {
-            PendingWork::Single { handle, .. } => handle.try_wait().map(Some),
-            PendingWork::Batch {
-                handles, results, ..
-            } => {
-                let mut all_done = true;
-                for (handle, slot) in handles.iter_mut().zip(results.iter_mut()) {
-                    if slot.is_none() {
-                        match handle.try_wait() {
-                            Some(result) => *slot = Some(result),
-                            None => all_done = false,
-                        }
-                    }
-                }
-                all_done.then_some(None)
-            }
-        };
-        if let Some(single_result) = ready {
-            let mut entry = self.inflight.remove(&token).expect("present above");
-            entry.ready = single_result;
-            self.finish(entry, None);
+        if entry.work.poll() {
+            let entry = self.inflight.remove(&token).expect("present above");
+            self.finish(entry);
         }
     }
 
@@ -2814,10 +2640,7 @@ impl Mux<'_, '_> {
             .collect();
         for token in due {
             let entry = self.inflight.remove(&token).expect("collected above");
-            let timeout = EngineError::Timeout {
-                after: self.session.shared.request_timeout,
-            };
-            self.finish(entry, Some(timeout));
+            self.finish(entry);
         }
     }
 
@@ -2828,133 +2651,36 @@ impl Mux<'_, '_> {
             if discard {
                 // Dead connection: nobody can read responses. Release the
                 // bookkeeping; dropping the handles abandons the shards.
-                if let PendingWork::Single { id: Some(id), .. } = &entry.work {
+                if let Some(id) = &entry.work.id {
                     let _ = self.session.shared.finish_store(self.session.sid, id, None);
                 }
                 self.session.gate.release(&entry.seq_key);
                 // No response will ever be written; record the latency
                 // sample directly so every counted request still has
                 // exactly one.
-                let op = match &entry.work {
-                    PendingWork::Single { op, .. } => op,
-                    PendingWork::Batch { .. } => "batch",
-                };
-                self.session.shared.obs.record_latency(op, entry.started);
+                self.session
+                    .shared
+                    .obs
+                    .record_latency(entry.work.op, entry.started);
                 continue;
             }
-            let deadline = entry.deadline;
-            let timeout = self.session.shared.request_timeout;
-            match &mut entry.work {
-                PendingWork::Single { handle, op, .. } => {
-                    let result = wait_out(|| handle.try_wait(), deadline, timeout);
-                    if matches!(result, Err(EngineError::Timeout { .. })) {
-                        self.session.shared.counters.count_timeout(op);
-                    }
-                    entry.ready = Some(result);
-                    self.finish(entry, None);
-                }
-                PendingWork::Batch {
-                    handles, results, ..
-                } => {
-                    let mut timed_out = false;
-                    for (handle, slot) in handles.iter_mut().zip(results.iter_mut()) {
-                        if slot.is_none() {
-                            let result = wait_out(|| handle.try_wait(), deadline, timeout);
-                            timed_out |= matches!(result, Err(EngineError::Timeout { .. }));
-                            *slot = Some(result);
-                        }
-                    }
-                    if timed_out {
-                        self.session.shared.counters.count_timeout("batch");
-                    }
-                    self.finish(entry, None);
-                }
-            }
+            wait_out(&mut entry.work, entry.deadline);
+            self.finish(entry);
         }
     }
 
-    /// Answers one retired entry. `fill` (an expiry timeout) substitutes
-    /// for whatever has not reported.
-    fn finish(&self, entry: InFlight, fill: Option<EngineError>) {
-        let shared = self.session.shared;
+    /// Answers one retired entry through the shared completion path.
+    fn finish(&self, entry: InFlight) {
         let InFlight {
             seq,
             seq_key,
             started,
             span,
-            ready,
             work,
             ..
         } = entry;
-        let op: &'static str = match &work {
-            PendingWork::Single { op, .. } => op,
-            PendingWork::Batch { .. } => "batch",
-        };
-        if fill.is_some() {
-            // `fill` arrives exactly from deadline expiry: this request is
-            // being answered with a timeout substituted for its missing
-            // results.
-            shared.counters.count_timeout(op);
-            record_stage(&span, "expired");
-        } else {
-            record_stage(&span, "merged");
-        }
-        let response = match work {
-            PendingWork::Single {
-                op, id, want_plan, ..
-            } => {
-                let result = match (ready, &fill) {
-                    (Some(result), _) => result,
-                    (None, Some(timeout)) => Err(timeout.clone()),
-                    (None, None) => unreachable!("a Single entry finishes with a result or fill"),
-                };
-                match result {
-                    Ok(resolved) => match id {
-                        None => resolved_response(op, None, Some(&seq), &resolved, want_plan),
-                        Some(id) => {
-                            let resolved = Arc::new(resolved);
-                            let outcome = shared.finish_store(
-                                self.session.sid,
-                                &id,
-                                Some(Arc::clone(&resolved)),
-                            );
-                            self.session.outcome_response(
-                                op,
-                                &id,
-                                Some(&seq),
-                                outcome,
-                                &resolved,
-                                want_plan,
-                            )
-                        }
-                    },
-                    Err(e) => {
-                        if let Some(id) = &id {
-                            // A failed producer releases the id; the
-                            // previously retained plan (if any) stays the
-                            // id's current state.
-                            let _ = shared.finish_store(self.session.sid, id, None);
-                        }
-                        shared.counters.count_error();
-                        protocol::error_response(Some(op), Some(&seq), &e.to_string())
-                    }
-                }
-            }
-            PendingWork::Batch {
-                requests, results, ..
-            } => {
-                let results: Vec<Result<DecompositionPlan, EngineError>> = results
-                    .into_iter()
-                    .map(|slot| match slot {
-                        Some(result) => result,
-                        None => Err(fill
-                            .clone()
-                            .expect("only expiry finishes a batch with missing results")),
-                    })
-                    .collect();
-                batch_response(shared, &requests, results, Some(&seq))
-            }
-        };
+        let op = work.op;
+        let response = self.session.complete(work, Some(&seq), &span);
         self.session.gate.release(&seq_key);
         let _ = self.out.send(Outgoing {
             response,

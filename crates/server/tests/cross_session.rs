@@ -21,7 +21,7 @@ use slade_core::solver::{Algorithm, DecompositionSolver, PreparedSolver};
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::{Engine, EngineConfig, EngineRequest};
-use slade_server::json::{self, Json};
+use slade_json::{self as json, Json};
 use slade_server::{protocol, Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::mpsc;

@@ -13,7 +13,7 @@
 
 use slade_core::prelude::*;
 use slade_engine::{Engine, EngineConfig, EngineRequest};
-use slade_server::json::Json;
+use slade_json::Json;
 use slade_server::{protocol, Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -64,7 +64,7 @@ fn connect(addr: SocketAddr) -> Client {
 /// Sends `line`, expects an `ok: true` response, and returns it parsed.
 fn ok_roundtrip(client: &mut Client, line: &str) -> Json {
     let response = client.roundtrip(line).expect("protocol round trip");
-    let value = slade_server::json::parse(&response).expect("responses are valid JSON");
+    let value = slade_json::parse(&response).expect("responses are valid JSON");
     assert_eq!(
         value.get("ok"),
         Some(&Json::Bool(true)),
@@ -168,7 +168,7 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     ];
     for (line, needle) in cases {
         let response = client.roundtrip(line).expect("connection must survive");
-        let value = slade_server::json::parse(&response).expect("errors are valid JSON");
+        let value = slade_json::parse(&response).expect("errors are valid JSON");
         assert_eq!(value.get("ok"), Some(&Json::Bool(false)), "{response}");
         let error = value.get("error").and_then(Json::as_str).unwrap();
         assert!(error.contains(needle), "{line} → {error}");

@@ -18,7 +18,7 @@
 //! 7. **exposition** — store and journal gauges reach the Prometheus
 //!    text endpoint and the `health`/`metrics` verbs.
 
-use slade_server::json::{self, Json};
+use slade_json::{self as json, Json};
 use slade_server::{Client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -244,6 +244,23 @@ fn torn_final_record_is_skipped_and_truncated_at_boot() {
     for line in lines {
         json::parse(line).expect("compacted journals hold only whole records");
     }
+
+    // A `drop` record is not in the grammar: it ends replay like any
+    // unknown record — it is neither applied nor counted.
+    {
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(b"{\"record\":\"drop\",\"id\":\"w\"}\n")
+            .unwrap();
+    }
+    let (addr, _, done) = start_server(config(Some(path.clone()), None));
+    let mut client = connect(addr);
+    let (_, metrics) = ok_roundtrip(&mut client, "{\"op\":\"metrics\"}");
+    assert_eq!(metric(&metrics, "store", "plans"), 2.0, "{metrics}");
+    assert_eq!(metric(&metrics, "journal", "replayed"), 2.0, "{metrics}");
+    shutdown(&mut client, &done);
     let _ = std::fs::remove_file(path);
 }
 

@@ -1,5 +1,5 @@
 //! Fuzz-style corpus tests of the workspace's one JSON implementation
-//! (`slade_server::json`), driven by the deterministic in-tree `rand`
+//! (`slade_json`), driven by the deterministic in-tree `rand`
 //! shim:
 //!
 //! * **no panics** — the parser must reject, never crash, on thousands of
@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slade_server::json::{self, Json};
+use slade_json::{self as json, Json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Structural equality with numbers by bit pattern (plain `==` would let

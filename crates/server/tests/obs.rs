@@ -25,7 +25,7 @@ use slade_core::solver::{DecompositionSolver, PreparedSolver};
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::EngineConfig;
-use slade_server::json::Json;
+use slade_json::Json;
 use slade_server::{Client, ObsOptions, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -70,7 +70,7 @@ fn connect(addr: SocketAddr) -> Client {
 }
 
 fn parse(response: &str) -> Json {
-    slade_server::json::parse(response).expect("responses are valid JSON")
+    slade_json::parse(response).expect("responses are valid JSON")
 }
 
 fn field_f64(value: &Json, key: &str) -> f64 {

@@ -26,7 +26,7 @@ use slade_core::solver::{DecompositionSolver, PreparedSolver};
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::EngineConfig;
-use slade_server::json::{self, Json};
+use slade_json::{self as json, Json};
 use slade_server::{Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -419,10 +419,30 @@ fn a_stuck_solver_costs_its_deadline_not_the_session() {
         "{response}"
     );
 
+    // An untagged stuck solve runs into the same deadline, in line.
+    let untagged = client
+        .roundtrip(r#"{"algorithm":"greedy","tasks":13}"#)
+        .unwrap();
+    assert!(
+        untagged.contains("\"ok\":false") && untagged.contains("did not finish within"),
+        "{untagged}"
+    );
+
     // The deadline freed the in-flight slot and the session keeps serving
     // (the abandoned shard finishes in the pool, invisible here).
     let after = client.roundtrip(r#"{"tasks":4}"#).unwrap();
     assert!(after.contains("\"ok\":true"), "{after}");
+
+    // Both expiries are counted, tagged and untagged alike.
+    let stats = json::parse(&client.roundtrip(r#"{"op":"stats"}"#).unwrap()).unwrap();
+    let count = |section: &str, key: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_f64)
+    };
+    assert_eq!(count("timeouts", "solve"), Some(2.0), "{stats}");
+    assert_eq!(count("ops", "timeouts"), Some(2.0), "{stats}");
 
     shutdown.shutdown();
     expect_clean_exit(&done);

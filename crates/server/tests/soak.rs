@@ -17,7 +17,7 @@
 //! wall-clock budget — a wedged session fails fast instead of hanging CI.
 
 use slade_engine::EngineConfig;
-use slade_server::json::{self, Json};
+use slade_json::{self as json, Json};
 use slade_server::{Client, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::mpsc;
