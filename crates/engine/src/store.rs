@@ -542,7 +542,10 @@ impl PlanStore {
     }
 
     /// The retained plans, id-sorted — the journal-compaction snapshot.
-    /// Scans the table; compaction is rare and off the request path.
+    /// Scans the table under the store lock. Compaction is rare (every few
+    /// hundred journal appends) but not off the request path: it runs on
+    /// the request of whichever append spends the budget, and blocks the
+    /// other requests' store updates while it scans.
     pub fn snapshot_plans(&self) -> Vec<(String, Arc<ResolvedPlan>)> {
         self.scans.fetch_add(1, Ordering::Relaxed);
         let guard = self.lock();

@@ -3,7 +3,8 @@
 //! The offline build environment has no serde; this crate implements the
 //! full JSON value grammar (RFC 8259) — objects, arrays, strings with
 //! escapes, numbers, booleans, null — with byte positions in error
-//! messages, plus the matching compact serializer ([`Json`]'s [`Display`]).
+//! messages, plus the matching compact serializer ([`Json::write_into`],
+//! which [`Json`]'s [`Display`] wraps).
 //! The CLI's `batch` subcommand, the `slade-server` wire protocol, and the
 //! engine's durable plan codec all parse and print through it, so none of
 //! them can drift apart. (It started life inside the server and was lifted into
@@ -14,7 +15,7 @@
 //! legitimately carry (task counts fit `u32`, seeds of interest fit 2⁵³;
 //! full-width `u64` values such as knob words travel as hex strings, not
 //! numbers). Serialization uses Rust's shortest-round-trip float
-//! formatting, so a value survives `parse(format!("{json}"))`
+//! formatting, so a value survives `parse(&json.to_string())`
 //! **bit-identically** — the property the server's byte-identical plan
 //! contract and the journal's replay contract both rest on.
 //!
@@ -109,52 +110,119 @@ pub fn member(key: &str, value: Json) -> (String, Json) {
     (key.to_string(), value)
 }
 
-/// The compact serializer: no whitespace, object members in insertion
-/// order, strings through [`escape`], and numbers in Rust's
-/// shortest-round-trip decimal form (integers without a trailing `.0`) —
-/// so `parse(x.to_string()) == x` bit-for-bit for every finite value.
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// The compact serializer: appends this value to `out` with no
+    /// whitespace, object members in insertion order, strings escaped in
+    /// place, and numbers in Rust's shortest-round-trip decimal form
+    /// (integers without a trailing `.0`) — so `parse(x.to_string()) == x`
+    /// bit-for-bit for every finite value. [`Display`] is a thin wrapper
+    /// over this; callers that send or store the bytes render into a
+    /// buffer they reuse.
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn write_into(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Number(x) => {
-                debug_assert!(x.is_finite(), "serializing non-finite number {x}");
-                // Integers in the f64-exact range print without a fraction;
-                // everything else uses Display's shortest form that parses
-                // back to the same f64. -0.0 must take the Display branch
-                // (printing "-0"): the integer cast would print "0", which
-                // parses back as +0.0 and breaks the bit-identity contract.
-                let negative_zero = *x == 0.0 && x.is_sign_negative();
-                if x.fract() == 0.0 && x.abs() < 9.007_199_254_740_992e15 && !negative_zero {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Json::String(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Number(x) => write_number(*x, out),
+            Json::String(s) => write_string(s, out),
             Json::Array(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.write_into(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Object(members) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (key, value)) in members.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "\"{}\":{value}", escape(key))?;
+                    write_string(key, out);
+                    out.push(':');
+                    value.write_into(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
+}
+
+/// Renders through [`Json::write_into`] and hands the result to the
+/// formatter in one `write_str`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Integers in the f64-exact range print without a fraction, digit by
+/// digit; everything else uses `Display`'s shortest form that parses back
+/// to the same f64. -0.0 must take the `Display` branch (printing "-0"):
+/// the integer path would print "0", which parses back as +0.0 and breaks
+/// the bit-identity contract.
+fn write_number(x: f64, out: &mut String) {
+    debug_assert!(x.is_finite(), "serializing non-finite number {x}");
+    let negative_zero = x == 0.0 && x.is_sign_negative();
+    if x.fract() == 0.0 && x.abs() < 9.007_199_254_740_992e15 && !negative_zero {
+        let value = x as i64;
+        if value < 0 {
+            out.push('-');
+        }
+        let mut magnitude = value.unsigned_abs();
+        // 2^53 has 16 decimal digits.
+        let mut digits = [0u8; 16];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (magnitude % 10) as u8;
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    } else {
+        use fmt::Write as _;
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Appends `text` as a quoted JSON string, escaping `"`, `\`, and control
+/// characters. Runs of plain characters are copied as whole slices; the
+/// scan is bytewise, which is safe because every byte that needs escaping
+/// is ASCII and never occurs inside a multi-byte UTF-8 sequence.
+fn write_string(text: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut plain = 0;
+    for (i, &byte) in text.as_bytes().iter().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&text[plain..i]);
+        plain = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&text[plain..]);
+    out.push('"');
 }
 
 /// Maximum container nesting depth. The parser recurses per level, so an
@@ -335,13 +403,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input is valid UTF-8");
-                    let ch = s.chars().next().expect("non-empty by peek");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input, and
+                    // each byte is checked once however long the string.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .expect("input is valid UTF-8");
+                    out.push_str(run);
                 }
             }
         }
@@ -396,23 +468,6 @@ impl Parser<'_> {
         }
         Ok(Json::Number(number))
     }
-}
-
-/// Escapes a string for embedding in JSON output.
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -490,6 +545,27 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input for every character would make
+        // one long string quadratic: hours of CPU for a line the server's
+        // 64 MiB cap admits. Each byte must be checked once.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let text = "é€😀x".repeat(1 << 19); // 5.5 MiB of mixed-width UTF-8
+            let doc = format!(r#"{{"id": "{text}\n", "k": ["{text}"]}}"#);
+            let value = parse(&doc).unwrap();
+            assert_eq!(
+                value.get("id").unwrap().as_str(),
+                Some(format!("{text}\n").as_str())
+            );
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("parsing a long string took more than linear time");
+    }
+
+    #[test]
     fn deep_nesting_is_rejected_before_the_stack_gives_out() {
         // 128 levels are fine; 129 are not — and 100k must error, not crash.
         let ok = format!("{}0{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
@@ -526,9 +602,242 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        let encoded = format!("\"{}\"", escape(nasty));
+        let nasty = "a\"b\\c\nd\te\u{1}f\u{1f}é😀";
+        let encoded = Json::string(nasty).to_string();
         assert_eq!(parse(&encoded).unwrap(), Json::String(nasty.into()));
+    }
+
+    /// The serializer as it stood before [`Json::write_into`]: a
+    /// token-at-a-time `Display` with an allocating escape. Kept as the
+    /// byte-for-byte reference the buffer serializer is checked against.
+    struct Reference<'a>(&'a Json);
+
+    fn reference_escape(text: &str) -> String {
+        let mut out = String::with_capacity(text.len() + 2);
+        for ch in text.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    impl fmt::Display for Reference<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Number(x) => {
+                    let negative_zero = *x == 0.0 && x.is_sign_negative();
+                    if x.fract() == 0.0 && x.abs() < 9.007_199_254_740_992e15 && !negative_zero {
+                        write!(f, "{}", *x as i64)
+                    } else {
+                        write!(f, "{x}")
+                    }
+                }
+                Json::String(s) => write!(f, "\"{}\"", reference_escape(s)),
+                Json::Array(items) => {
+                    f.write_str("[")?;
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", Reference(item))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Object(members) => {
+                    f.write_str("{")?;
+                    for (i, (key, value)) in members.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "\"{}\":{}", reference_escape(key), Reference(value))?;
+                    }
+                    f.write_str("}")
+                }
+            }
+        }
+    }
+
+    /// Checks `write_into` (fresh and appended to a dirty buffer) and
+    /// `to_string` against the reference, byte for byte.
+    fn assert_matches_reference(value: &Json) {
+        let expected = Reference(value).to_string();
+        let mut fresh = String::new();
+        value.write_into(&mut fresh);
+        assert_eq!(fresh, expected, "{value:?}");
+        let mut appended = String::from("prefix");
+        value.write_into(&mut appended);
+        assert_eq!(&appended["prefix".len()..], expected, "{value:?}");
+        assert_eq!(value.to_string(), expected, "{value:?}");
+    }
+
+    const EDGE_NUMBERS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        9.0,
+        10.0,
+        -10.0,
+        4.0,
+        0.68,
+        -0.25,
+        0.1 + 0.2,
+        0.5,
+        1.5,
+        -1234.5,
+        123_456_789.0,
+        4_294_967_295.0, // u32::MAX
+        -4_294_967_295.0,
+        9_007_199_254_740_991.0,  // 2^53 - 1: last integer-path value
+        -9_007_199_254_740_991.0, // its negation
+        9_007_199_254_740_992.0,  // 2^53: first Display-path integer
+        -9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        18_014_398_509_481_984.0, // 2^54
+        1e15,
+        1e16,
+        1e21,
+        1e22,
+        1e300,
+        1e308,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324, // smallest subnormal
+        -5e-324,
+        1e-7,
+        1e-300,
+        0.000_001,
+        std::f64::consts::PI,
+    ];
+
+    #[test]
+    fn write_into_matches_the_reference_on_edge_scalars() {
+        for &x in EDGE_NUMBERS {
+            assert_matches_reference(&Json::Number(x));
+        }
+        for value in [Json::Null, Json::Bool(true), Json::Bool(false)] {
+            assert_matches_reference(&value);
+        }
+        // Every control character, each escape, quotes at the edges, and
+        // non-ASCII text (2-, 3- and 4-byte UTF-8) next to escapes.
+        let mut every_control = String::new();
+        for code in 0u8..0x20 {
+            every_control.push(char::from(code));
+        }
+        for text in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "\"\"",
+            "a\"b\\c\nd\re\tf",
+            every_control.as_str(),
+            "\u{7f}\u{80}\u{9f}",
+            "é",
+            "ü\n€\t😀",
+            "\u{1}é\u{1f}",
+            "end\\",
+            "/slash/ is not escaped",
+        ] {
+            assert_matches_reference(&Json::string(text));
+            // The same text as an object key.
+            assert_matches_reference(&Json::Object(vec![member(text, Json::Null)]));
+        }
+    }
+
+    #[test]
+    fn write_into_matches_the_reference_on_containers() {
+        let nested = Json::Object(vec![
+            member("empty_array", Json::Array(vec![])),
+            member("empty_object", Json::Object(vec![])),
+            member(
+                "deep",
+                Json::Array(vec![Json::Array(vec![Json::Array(vec![Json::Object(
+                    vec![member("", Json::Array(vec![Json::Null, Json::Bool(false)]))],
+                )])])]),
+            ),
+            member(
+                "numbers",
+                Json::Array(EDGE_NUMBERS.iter().map(|&x| Json::Number(x)).collect()),
+            ),
+            member("we\"ird\n", Json::string("a\u{0}b")),
+        ]);
+        assert_matches_reference(&nested);
+        assert_matches_reference(&Json::Array(vec![]));
+        assert_matches_reference(&Json::Object(vec![]));
+        assert_matches_reference(&Json::Array(vec![
+            Json::Array(vec![]),
+            Json::Object(vec![]),
+        ]));
+    }
+
+    #[test]
+    fn write_into_matches_the_reference_on_seeded_random_documents() {
+        // A small xorshift keeps the crate dependency-free.
+        struct Rng(u64);
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0
+            }
+            fn below(&mut self, n: u64) -> u64 {
+                self.next() % n
+            }
+        }
+        fn text(rng: &mut Rng) -> String {
+            const ALPHABET: &[char] =
+                &['a', 'z', '"', '\\', '\n', '\u{1}', '\u{1f}', 'é', '😀', ' '];
+            (0..rng.below(8))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+                .collect()
+        }
+        fn number(rng: &mut Rng) -> f64 {
+            match rng.below(4) {
+                0 => rng.below(1 << 20) as f64 - (1 << 19) as f64,
+                1 => EDGE_NUMBERS[rng.below(EDGE_NUMBERS.len() as u64) as usize],
+                _ => loop {
+                    let x = f64::from_bits(rng.next());
+                    if x.is_finite() {
+                        break x;
+                    }
+                },
+            }
+        }
+        fn value(rng: &mut Rng, depth: u32) -> Json {
+            match rng.below(if depth == 0 { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 0),
+                2 => Json::Number(number(rng)),
+                3 => Json::String(text(rng)),
+                4 => Json::Array((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()),
+                _ => Json::Object(
+                    (0..rng.below(4))
+                        .map(|i| (format!("{}{i}", text(rng)), value(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+        let mut rng = Rng(0x5eed_0f5a_1dec);
+        for _ in 0..2_000 {
+            let doc = value(&mut rng, 4);
+            assert_matches_reference(&doc);
+            assert_eq!(
+                parse(&doc.to_string()).unwrap().to_string(),
+                doc.to_string()
+            );
+        }
     }
 
     #[test]

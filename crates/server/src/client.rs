@@ -23,6 +23,9 @@ pub struct Client {
     /// the same [`LineBuffer`] the server's sessions use. Uncapped: the
     /// server is trusted, and full-plan responses are legitimately large.
     lines: LineBuffer,
+    /// Outgoing line plus its newline, reused so each request goes out in
+    /// one write (one segment under `TCP_NODELAY`, not two).
+    framed: Vec<u8>,
 }
 
 impl Client {
@@ -36,6 +39,7 @@ impl Client {
         Ok(Client {
             stream,
             lines: LineBuffer::new(usize::MAX),
+            framed: Vec::new(),
         })
     }
 
@@ -45,10 +49,13 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Sends one raw request line (the newline is appended here).
+    /// Sends one raw request line (the newline is appended here); line and
+    /// newline leave in a single write.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.framed.clear();
+        self.framed.extend_from_slice(line.as_bytes());
+        self.framed.push(b'\n');
+        self.stream.write_all(&self.framed)?;
         self.stream.flush()
     }
 

@@ -10,8 +10,9 @@
 //! {"record":"release","id":"<plan id>"}
 //! ```
 //!
-//! `land` is written after a producer's plan is stored (re-lands under the
-//! same id overwrite — last record wins on replay); `release` after an
+//! `land` is written together with the store update that lands the plan
+//! (re-lands under the same id overwrite — last record wins on replay);
+//! `release` after an
 //! explicit lease release (an audit record: replayed plans are always
 //! unleased, because the sessions that held them died with the process).
 //! Any other record kind is corrupt and ends replay. Leases and claims are
@@ -28,16 +29,31 @@
 //! only corrupts at the tail. Replay never panics on arbitrary bytes (the
 //! journal fuzz suite byte-flips and truncates real journals to pin this).
 //!
+//! ## Lock order and record order
+//!
+//! The journal's file mutex is taken **before** the plan store's lock,
+//! never after. A landing plan is stored *and* appended under the file
+//! mutex ([`Journal::land`]), so the order of `land` records for an id is
+//! the order in which the store accepted its versions: a pipelined
+//! resubmit that starts the moment the previous version lands cannot get
+//! its record in ahead of that version's. Records are rendered before the
+//! mutex is taken, so the critical section is one store update and one
+//! `write(2)`.
+//!
 //! ## Compaction atomicity
 //!
 //! Compaction rewrites the retained plans as fresh `land` records into
 //! `<path>.tmp`, fsyncs, then atomically renames over the journal — a
 //! crash during compaction leaves either the old complete journal or the
-//! new complete journal, never a mix. It runs at every boot (which also
-//! truncates any torn tail before new appends could land behind it) and
-//! automatically every [`COMPACT_EVERY`] appended records.
+//! new complete journal, never a mix. The store snapshot is taken under
+//! the file mutex, so no land can slip between the snapshot and the swap:
+//! every land is either in the snapshot or appended to the new file. It
+//! runs at every boot (which also truncates any torn tail before new
+//! appends could land behind it) and automatically every
+//! [`COMPACT_EVERY`] appended records, on the request path of whichever
+//! request makes that append.
 
-use slade_engine::{codec, PlanStore, ResolvedPlan};
+use slade_engine::{codec, FinishOutcome, PlanStore, ResolvedPlan, SessionId};
 use slade_json::{member, parse, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -50,11 +66,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// enough that compaction cost (a full snapshot rewrite) stays rare.
 pub(crate) const COMPACT_EVERY: u64 = 256;
 
+/// Compaction flushes its rendered records to the temp file whenever this
+/// many bytes have accumulated, bounding its buffer independently of the
+/// number of retained plans.
+const COMPACT_FLUSH: usize = 64 * 1024;
+
 /// An open journal; see the module docs for the format and guarantees.
 pub(crate) struct Journal {
     path: PathBuf,
-    /// The append handle. The mutex also serializes compaction's
-    /// rewrite-and-swap against concurrent appends.
+    /// The append handle. The mutex also orders store updates with their
+    /// appends and serializes compaction's snapshot-rewrite-and-swap
+    /// against both (see the module docs for the lock order).
     file: Mutex<File>,
     /// Records currently in the file (surviving replay + appended since).
     records: AtomicU64,
@@ -94,36 +116,54 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Journals a landed plan (after the store accepted it), compacting if
-    /// the append budget is spent. I/O errors are counted, never raised:
-    /// the plan is already live in memory and the client already paid for
-    /// it — degraded durability is a health signal, not a request failure.
-    pub(crate) fn land(&self, store: &PlanStore, id: &str, plan: &ResolvedPlan) {
-        let record = Json::Object(vec![
-            member("record", Json::string("land")),
-            member("id", Json::string(id)),
-            member("plan", codec::encode(plan)),
-        ]);
-        self.append(store, &record);
+    /// Completes `session`'s production of `id` in `store` with `plan` and
+    /// journals the result, compacting if the append budget is spent. The
+    /// store update and the append happen under the file mutex, so records
+    /// for an id are appended in the order the store accepted them; a
+    /// [`FinishOutcome::Discarded`] plan is never journaled. I/O errors are
+    /// counted, never raised: the plan is already live in memory and the
+    /// client already paid for it — degraded durability is a health
+    /// signal, not a request failure.
+    pub(crate) fn land(
+        &self,
+        store: &PlanStore,
+        session: SessionId,
+        id: &str,
+        plan: Arc<ResolvedPlan>,
+    ) -> FinishOutcome {
+        let mut line = String::new();
+        render_land(id, &plan, &mut line);
+        let mut file = self.lock();
+        let outcome = store.finish(session, id, Some(plan));
+        if outcome != FinishOutcome::Discarded {
+            let written = file.write_all(line.as_bytes());
+            drop(file);
+            self.appended(store, written);
+        }
+        outcome
     }
 
     /// Journals an explicit lease release (an audit record; see the module
     /// docs for why leases are not replayed as state).
     pub(crate) fn release(&self, store: &PlanStore, id: &str) {
-        let record = Json::Object(vec![
+        let mut line = String::new();
+        Json::Object(vec![
             member("record", Json::string("release")),
             member("id", Json::string(id)),
-        ]);
-        self.append(store, &record);
+        ])
+        .write_into(&mut line);
+        line.push('\n');
+        let written = self.lock().write_all(line.as_bytes());
+        self.appended(store, written);
     }
 
-    fn append(&self, store: &PlanStore, record: &Json) {
-        {
-            let mut file = self.lock();
-            if file.write_all(format!("{record}\n").as_bytes()).is_err() {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+    /// Books one append attempt (made under the file mutex, booked after
+    /// it is released): a failure is counted, a success counts toward the
+    /// record total and compacts when the budget is spent.
+    fn appended(&self, store: &PlanStore, written: io::Result<()>) {
+        if written.is_err() {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         self.records.fetch_add(1, Ordering::Relaxed);
         if self.since_compact.fetch_add(1, Ordering::Relaxed) + 1 >= COMPACT_EVERY
@@ -135,24 +175,26 @@ impl Journal {
 
     /// Rewrites the journal to exactly the store's retained plans:
     /// snapshot → write `<path>.tmp` → fsync → rename → swap the append
-    /// handle. Holding the file mutex throughout makes the swap atomic
-    /// with respect to concurrent appends.
+    /// handle, all under the file mutex — so the swap is atomic with
+    /// respect to concurrent appends, and no land can fall between the
+    /// snapshot and the swap.
     pub(crate) fn compact(&self, store: &PlanStore) -> io::Result<()> {
-        let snapshot = store.snapshot_plans();
         let mut file = self.lock();
+        let snapshot = store.snapshot_plans();
         let mut tmp_path = self.path.clone().into_os_string();
         tmp_path.push(".tmp");
         let tmp_path = PathBuf::from(tmp_path);
         {
             let mut tmp = File::create(&tmp_path)?;
+            let mut buf = String::with_capacity(COMPACT_FLUSH);
             for (id, plan) in &snapshot {
-                let record = Json::Object(vec![
-                    member("record", Json::string("land")),
-                    member("id", Json::string(id)),
-                    member("plan", codec::encode(plan)),
-                ]);
-                tmp.write_all(format!("{record}\n").as_bytes())?;
+                render_land(id, plan, &mut buf);
+                if buf.len() >= COMPACT_FLUSH {
+                    tmp.write_all(buf.as_bytes())?;
+                    buf.clear();
+                }
             }
+            tmp.write_all(buf.as_bytes())?;
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
@@ -188,6 +230,17 @@ impl Journal {
     pub(crate) fn compactions(&self) -> u64 {
         self.compactions.load(Ordering::Relaxed)
     }
+}
+
+/// Appends the `land` record for `id`'s `plan`, newline included.
+fn render_land(id: &str, plan: &ResolvedPlan, out: &mut String) {
+    Json::Object(vec![
+        member("record", Json::string("land")),
+        member("id", Json::string(id)),
+        member("plan", codec::encode(plan)),
+    ])
+    .write_into(out);
+    out.push('\n');
 }
 
 /// Applies the journal bytes record by record, last-wins per id, stopping
@@ -238,4 +291,205 @@ fn replay(bytes: &[u8], replayed: &mut u64) -> Vec<(String, Arc<ResolvedPlan>)> 
             Some((id, plan))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slade_core::prelude::*;
+    use slade_engine::{Engine, EngineConfig, EngineRequest, StoreError};
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::thread;
+
+    /// A resolved homogeneous plan for `tasks` tasks. With `shard` set the
+    /// plan carries `tasks / shard` sub-plans, which makes its journal
+    /// record large and slow to render — the lever the race tests use to
+    /// widen the windows they probe.
+    fn resolved(tasks: u32, shard: Option<u32>) -> Arc<ResolvedPlan> {
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            homogeneous_shard: shard,
+            ..EngineConfig::default()
+        });
+        let request = EngineRequest::new(
+            Algorithm::OpqBased,
+            Workload::homogeneous(tasks, 0.95).unwrap(),
+            Arc::new(BinSet::paper_example()),
+        );
+        Arc::new(engine.solve_resolved(request).unwrap())
+    }
+
+    fn big() -> Arc<ResolvedPlan> {
+        resolved(2_000, Some(4))
+    }
+
+    fn temp_journal(name: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "slade-journal-unit-{}-{name}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn encoded(plans: Vec<(String, Arc<ResolvedPlan>)>) -> HashMap<String, String> {
+        plans
+            .into_iter()
+            .map(|(id, plan)| (id, codec::encode(&plan).to_string()))
+            .collect()
+    }
+
+    /// What a restart would recover from the journal file right now.
+    fn recovered(path: &PathBuf) -> HashMap<String, String> {
+        encoded(replay(&std::fs::read(path).unwrap(), &mut 0))
+    }
+
+    /// Produces `id` for `session` once the previous producer is done.
+    fn begin(store: &PlanStore, session: SessionId, id: &str) {
+        loop {
+            match store.begin_produce(session, id, None) {
+                Ok(()) => return,
+                Err(StoreError::Pending { .. }) => thread::yield_now(),
+                Err(e) => panic!("unexpected store error: {e}"),
+            }
+        }
+    }
+
+    fn land(journal: &Journal, store: &PlanStore, id: &str, plan: &Arc<ResolvedPlan>) {
+        let outcome = journal.land(store, 1, id, Arc::clone(plan));
+        assert_eq!(outcome, FinishOutcome::Applied);
+    }
+
+    /// Runs `work` while another thread compacts `journal` in a loop.
+    fn with_compactions(journal: &Journal, store: &PlanStore, work: impl FnOnce() + Send) {
+        let stop = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let compactor = scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    journal.compact(store).unwrap();
+                    // Let the landers at the lock between compactions.
+                    thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+            work();
+            stop.store(true, Ordering::Relaxed);
+            compactor.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn chained_lands_replay_to_the_store_under_forced_compaction() {
+        // Per id, a large version lands and a small one chains right behind
+        // it, the shape of a pipelined resubmit that starts the moment the
+        // previous version lands, with compactions forced in between. The
+        // small record renders far faster than the large one, so if the
+        // store update and the append were not one step the small record
+        // would be appended first and replay would resurrect the large one.
+        const IDS: usize = 24;
+        let path = temp_journal("chained");
+        let store = PlanStore::new();
+        let journal = Journal::open(path.clone(), &store).unwrap();
+        let (large, small) = (big(), resolved(4, None));
+        // Lockstep: the large land of id `i` starts once the small land of
+        // id `i - 1` is done, so every id sees the chained race.
+        let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let wait_for = |counter: &AtomicUsize, at_least: usize| {
+            while counter.load(Ordering::SeqCst) < at_least {
+                thread::yield_now();
+            }
+        };
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..IDS {
+                    wait_for(&finished, i);
+                    let id = format!("plan-{i:02}");
+                    begin(&store, 1, &id);
+                    started.store(i + 1, Ordering::SeqCst);
+                    land(&journal, &store, &id, &large);
+                }
+            });
+            scope.spawn(|| {
+                for i in 0..IDS {
+                    wait_for(&started, i + 1);
+                    let id = format!("plan-{i:02}");
+                    begin(&store, 1, &id);
+                    land(&journal, &store, &id, &small);
+                    // Forced compactions between the chains; none after the
+                    // last few, whose records replay has to order itself.
+                    if i % 8 == 0 {
+                        journal.compact(&store).unwrap();
+                    }
+                    finished.store(i + 1, Ordering::SeqCst);
+                }
+            });
+        });
+        assert_eq!(journal.append_errors(), 0);
+        let store_plans = encoded(store.snapshot_plans());
+        assert_eq!(store_plans.len(), IDS);
+        assert_eq!(recovered(&path), store_plans);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_land_racing_compaction_is_never_lost() {
+        // Small plans land once each under their own ids while a large plan
+        // is re-landed and the journal compacts in a loop. A small land that
+        // falls between a compaction's snapshot and its rename must still be
+        // in the journal afterwards. The window is a scheduling race, so
+        // the scenario runs for several rounds.
+        const ROUNDS: usize = 10;
+        const SMALL: usize = 1_000;
+        let (large, small) = (big(), resolved(4, None));
+        for round in 0..ROUNDS {
+            let path = temp_journal(&format!("compaction-{round}"));
+            let store = PlanStore::new();
+            let journal = Journal::open(path.clone(), &store).unwrap();
+            let done = AtomicBool::new(false);
+            with_compactions(&journal, &store, || {
+                thread::scope(|scope| {
+                    scope.spawn(|| {
+                        while !done.load(Ordering::Relaxed) {
+                            begin(&store, 1, "large");
+                            land(&journal, &store, "large", &large);
+                        }
+                    });
+                    let landers: Vec<_> = (0..4)
+                        .map(|lander| {
+                            let (store, journal, small) = (&store, &journal, &small);
+                            scope.spawn(move || {
+                                for i in (lander..SMALL).step_by(4) {
+                                    let id = format!("small-{i:04}");
+                                    begin(store, 1, &id);
+                                    land(journal, store, &id, small);
+                                }
+                            })
+                        })
+                        .collect();
+                    for lander in landers {
+                        lander.join().unwrap();
+                    }
+                    done.store(true, Ordering::Relaxed);
+                });
+            });
+            assert_eq!(journal.append_errors(), 0);
+            let store_plans = encoded(store.snapshot_plans());
+            assert_eq!(store_plans.len(), SMALL + 1);
+            assert_eq!(recovered(&path), store_plans, "round {round}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn records_render_byte_identically_to_the_value_serializer() {
+        let plan = resolved(4, None);
+        let mut line = String::new();
+        render_land("we\"ird\nid", &plan, &mut line);
+        let expected = Json::Object(vec![
+            member("record", Json::string("land")),
+            member("id", Json::string("we\"ird\nid")),
+            member("plan", codec::encode(&plan)),
+        ]);
+        assert_eq!(line, format!("{expected}\n"));
+    }
 }

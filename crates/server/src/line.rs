@@ -6,8 +6,17 @@
 //! [`Client`]: crate::client::Client
 
 /// Accumulates raw bytes and yields complete newline-terminated lines.
+///
+/// Linear in the bytes fed, however they are split: lines are consumed by
+/// advancing an offset, the newline scan resumes where the previous one
+/// stopped, and the consumed prefix is dropped only when the scan comes up
+/// empty — by then it is followed by at most one read's worth of bytes.
 pub(crate) struct LineBuffer {
     buf: Vec<u8>,
+    /// Start of the first unconsumed byte.
+    start: usize,
+    /// Bytes before this offset hold no newline past `start`.
+    scanned: usize,
     /// Maximum bytes one line may occupy; [`LineBuffer::over_limit`] turns
     /// true when the pending (incomplete) line exceeds it.
     max_line: usize,
@@ -17,6 +26,8 @@ impl LineBuffer {
     pub fn new(max_line: usize) -> Self {
         LineBuffer {
             buf: Vec::new(),
+            start: 0,
+            scanned: 0,
             max_line,
         }
     }
@@ -28,25 +39,42 @@ impl LineBuffer {
 
     /// Pops the next complete line (newline included), if one is buffered.
     pub fn next_line(&mut self) -> Option<Vec<u8>> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
-        Some(self.buf.drain(..=pos).collect())
+        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(offset) => {
+                let end = self.scanned + offset + 1;
+                let line = self.buf[self.start..end].to_vec();
+                self.start = end;
+                self.scanned = end;
+                Some(line)
+            }
+            None => {
+                self.buf.drain(..self.start);
+                self.start = 0;
+                self.scanned = self.buf.len();
+                None
+            }
+        }
     }
 
     /// Takes whatever is buffered — the trailing line of a stream that
     /// ended without a final newline.
     pub fn take_rest(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+        let rest = self.buf.split_off(self.start);
+        self.buf.clear();
+        self.start = 0;
+        self.scanned = 0;
+        rest
     }
 
     /// Whether an incomplete line has outgrown the cap. Only meaningful
     /// after [`LineBuffer::next_line`] returned `None`: a buffer this full
     /// with no newline in sight can only keep growing.
     pub fn over_limit(&self) -> bool {
-        self.buf.len() > self.max_line
+        self.buf.len() - self.start > self.max_line
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.start == self.buf.len()
     }
 }
 
@@ -79,5 +107,62 @@ mod tests {
         lines.extend(b"0123456789");
         assert_eq!(lines.next_line(), None);
         assert!(lines.over_limit());
+    }
+
+    #[test]
+    fn a_cap_sized_line_fed_in_small_reads_is_framed_in_linear_time() {
+        // A newline-free line up to the server's 64 MiB cap, arriving in
+        // 8 KiB reads: rescanning from the start after every read would be
+        // quadratic (minutes of CPU); resuming the scan keeps it linear.
+        const CAP: usize = 64 * 1024 * 1024;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut lines = LineBuffer::new(CAP);
+            let chunk = [b'x'; 8192];
+            let mut fed = 0;
+            while fed < CAP {
+                lines.extend(&chunk);
+                fed += chunk.len();
+                assert_eq!(lines.next_line(), None);
+            }
+            assert!(!lines.over_limit());
+            lines.extend(b"y");
+            assert_eq!(lines.next_line(), None);
+            assert!(lines.over_limit());
+            lines.extend(b"\nnext");
+            let line = lines.next_line().expect("the newline completes the line");
+            assert_eq!(line.len(), CAP + 2);
+            assert_eq!(lines.take_rest(), b"next".to_vec());
+            let _ = done_tx.send(());
+        });
+        // Linear work is well under a second even unoptimized; the bound
+        // only has to separate it from the quadratic rescan.
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("framing a cap-sized line took more than linear time");
+    }
+
+    #[test]
+    fn many_short_lines_behind_a_partial_one_keep_their_order() {
+        let mut lines = LineBuffer::new(1024);
+        let mut expected = Vec::new();
+        let mut stream = Vec::new();
+        for i in 0..500 {
+            let line = format!("line-{i}\n");
+            stream.extend_from_slice(line.as_bytes());
+            expected.push(line.into_bytes());
+        }
+        stream.extend_from_slice(b"tail");
+        let mut got = Vec::new();
+        for chunk in stream.chunks(7) {
+            lines.extend(chunk);
+            while let Some(line) = lines.next_line() {
+                got.push(line);
+            }
+        }
+        assert_eq!(got, expected);
+        assert!(!lines.is_empty());
+        assert_eq!(lines.take_rest(), b"tail".to_vec());
+        assert!(lines.is_empty());
     }
 }

@@ -401,8 +401,10 @@ impl ServerObs {
     /// Sinks one completed span: slow-request stderr line, JSONL trace log,
     /// then the ring. Called by the writer thread *before* the response
     /// bytes reach the socket, so a client that has read its response is
-    /// guaranteed to find the span in a subsequent `trace` request.
-    fn sink_span(&self, record: &SpanRecord) {
+    /// guaranteed to find the span in a subsequent `trace` request. The
+    /// trace-log line is rendered into the writer's `scratch` buffer before
+    /// the file lock is taken, and goes out in one write.
+    fn sink_span(&self, record: &SpanRecord, scratch: &mut String) {
         if let Some(slow_ms) = self.slow_ms {
             let total_ms = record.total_ns / 1_000_000;
             if total_ms >= slow_ms {
@@ -414,8 +416,10 @@ impl ServerObs {
             }
         }
         if let Some(log) = &self.trace_log {
-            let line = span_to_json(record);
-            let _ = writeln!(lock(log), "{line}");
+            scratch.clear();
+            span_to_json(record).write_into(scratch);
+            scratch.push('\n');
+            let _ = lock(log).write_all(scratch.as_bytes());
         }
         self.ring.push(record.clone());
     }
@@ -479,24 +483,21 @@ impl Shared {
     }
 
     /// Applies a producer's result to the store and journals a landed
-    /// plan. The [`FinishOutcome`] flows back so response builders can
-    /// distinguish a stored plan from one that lost its id while solving
-    /// (see `Session::complete`) — a discarded plan is never journaled and
-    /// never answered with success.
+    /// plan — both in one step under the journal's lock, so records land
+    /// in store order. The [`FinishOutcome`] flows back so response
+    /// builders can distinguish a stored plan from one that lost its id
+    /// while solving (see `Session::complete`) — a discarded plan is never
+    /// journaled and never answered with success.
     fn finish_store(
         &self,
         session: SessionId,
         id: &str,
         produced: Option<Arc<ResolvedPlan>>,
     ) -> FinishOutcome {
-        let landed = produced.clone();
-        let outcome = self.store.finish(session, id, produced);
-        if outcome != FinishOutcome::Discarded {
-            if let (Some(journal), Some(plan)) = (&self.journal, landed) {
-                journal.land(&self.store, id, &plan);
-            }
+        match (&self.journal, produced) {
+            (Some(journal), Some(plan)) => journal.land(&self.store, session, id, plan),
+            (_, produced) => self.store.finish(session, id, produced),
         }
-        outcome
     }
 }
 
@@ -2518,9 +2519,20 @@ fn wait_out(work: &mut PendingWork, deadline: Option<Instant>) {
     }
 }
 
+/// Capacity the writer's buffer is trimmed back to after a larger response
+/// (a `plan: true` answer can run to hundreds of KiB; a typical response is
+/// a few hundred bytes), so one big answer does not pin memory for the rest
+/// of the session.
+const WRITE_BUF_KEEP: usize = 16 * 1024;
+
 /// The writer half: serializes every queued response onto the socket. On a
 /// write failure (stalled or gone client) it flags the connection dead and
 /// keeps draining the channel, so producers never block on a dead peer.
+///
+/// Each response is rendered, newline included, into one buffer reused for
+/// the whole session and handed to the stream in a single `write_all` —
+/// one `write(2)` per response rather than one per JSON token, which under
+/// `TCP_NODELAY` would also mean one segment per token.
 ///
 /// The writer is also where requests are *finalized*: a traced span gets
 /// its `written` stage, is snapshotted, and is sunk (ring / trace log /
@@ -2530,12 +2542,13 @@ fn wait_out(work: &mut PendingWork, deadline: Option<Instant>) {
 /// trace id is echoed on the response itself. Finalization happens even on
 /// a dead connection (only the write is skipped), so the books balance no
 /// matter how the session ends.
-fn writer_loop(
-    mut stream: TcpStream,
+fn writer_loop<W: Write>(
+    mut stream: W,
     responses: Receiver<Outgoing>,
     dead: &AtomicBool,
     obs: &ServerObs,
 ) {
+    let mut buf = String::new();
     for Outgoing { mut response, done } in responses {
         if let Some(done) = done {
             if let Some(span) = &done.span {
@@ -2544,18 +2557,26 @@ fn writer_loop(
                 if let Json::Object(members) = &mut response {
                     members.push(member("trace", Json::number(record.id as f64)));
                 }
-                obs.sink_span(&record);
+                obs.sink_span(&record, &mut buf);
             }
             obs.record_latency(done.op, done.started);
         }
         if dead.load(Ordering::SeqCst) {
             continue;
         }
-        if writeln!(stream, "{response}")
+        buf.clear();
+        response.write_into(&mut buf);
+        buf.push('\n');
+        if stream
+            .write_all(buf.as_bytes())
             .and_then(|()| stream.flush())
             .is_err()
         {
             dead.store(true, Ordering::SeqCst);
+        }
+        if buf.capacity() > WRITE_BUF_KEEP {
+            buf.clear();
+            buf.shrink_to(WRITE_BUF_KEEP);
         }
     }
 }
@@ -2686,5 +2707,159 @@ impl Mux<'_, '_> {
             response,
             done: Some(Done { op, started, span }),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One `write` call as the writer loop issued it, with the obs state
+    /// observed at that moment.
+    struct Observed {
+        bytes: Vec<u8>,
+        spans_sunk: u64,
+        solve_latencies: u64,
+    }
+
+    /// An `io::Write` that records every call and what had already been
+    /// finalized when it arrived.
+    struct CountingWriter<'a> {
+        obs: &'a ServerObs,
+        writes: Vec<Observed>,
+    }
+
+    impl Write for CountingWriter<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(Observed {
+                bytes: buf.to_vec(),
+                spans_sunk: self.obs.ring.pushed(),
+                solve_latencies: self.obs.latency_for("solve").unwrap().lifetime().count(),
+            });
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_issues_one_write_per_response_after_finalizing_it() {
+        let trace_log =
+            std::env::temp_dir().join(format!("slade-writer-loop-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&trace_log);
+        let options = ObsOptions {
+            trace_log: Some(trace_log.clone()),
+            ..ObsOptions::default()
+        };
+        let obs = ServerObs::new(&options, Registry::new()).unwrap();
+        let solved = |cost: f64| {
+            Json::Object(vec![
+                member("ok", Json::Bool(true)),
+                member("op", Json::string("solve")),
+                member("cost", Json::number(cost)),
+                member("note", Json::string("quote \" and\nnewline")),
+            ])
+        };
+        let big = Json::Object(vec![
+            member("ok", Json::Bool(true)),
+            member(
+                "plan",
+                Json::Array((0..20_000).map(|i| Json::number(f64::from(i))).collect()),
+            ),
+        ]);
+        let span = |id| Some(Arc::new(slade_obs::RequestSpan::new(id, "solve", None)));
+        let done = |span| {
+            Some(Done {
+                op: "solve",
+                started: Instant::now(),
+                span,
+            })
+        };
+        let queued = vec![
+            (solved(0.68), done(span(1))),
+            (solved(0.1 + 0.2), done(None)),
+            (protocol::error_response(None, None, "bad line"), None),
+            (big.clone(), done(None)),
+            (solved(-0.0), done(span(2))),
+        ];
+        let traced = |mut response: Json, id: f64| {
+            if let Json::Object(members) = &mut response {
+                members.push(member("trace", Json::number(id)));
+            }
+            response
+        };
+        let expected: Vec<String> = [
+            traced(solved(0.68), 1.0),
+            solved(0.1 + 0.2),
+            protocol::error_response(None, None, "bad line"),
+            big,
+            traced(solved(-0.0), 2.0),
+        ]
+        .iter()
+        .map(|response| format!("{response}\n"))
+        .collect();
+        let (tx, rx) = channel();
+        for (response, done) in queued {
+            tx.send(Outgoing { response, done }).unwrap();
+        }
+        drop(tx);
+        let mut writer = CountingWriter {
+            obs: &obs,
+            writes: Vec::new(),
+        };
+        writer_loop(&mut writer, rx, &AtomicBool::new(false), &obs);
+
+        // Exactly one write per response, each carrying one whole line.
+        assert_eq!(writer.writes.len(), expected.len());
+        for (observed, line) in writer.writes.iter().zip(&expected) {
+            assert_eq!(String::from_utf8_lossy(&observed.bytes), line.as_str());
+        }
+        // Each response's span was sunk and its latency recorded before
+        // the write that carries it.
+        let spans: Vec<u64> = writer.writes.iter().map(|w| w.spans_sunk).collect();
+        assert_eq!(spans, [1, 1, 1, 1, 2]);
+        let latencies: Vec<u64> = writer.writes.iter().map(|w| w.solve_latencies).collect();
+        assert_eq!(latencies, [1, 2, 2, 3, 4]);
+        // The trace log got one whole line per traced span.
+        let logged = std::fs::read_to_string(&trace_log).unwrap();
+        let _ = std::fs::remove_file(&trace_log);
+        let ids: Vec<f64> = logged
+            .lines()
+            .map(|line| {
+                slade_json::parse(line)
+                    .unwrap()
+                    .get("id")
+                    .unwrap()
+                    .as_f64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(ids, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_dead_connection_still_finalizes_but_never_writes() {
+        let obs = ServerObs::new(&ObsOptions::default(), Registry::new()).unwrap();
+        let (tx, rx) = channel();
+        tx.send(Outgoing {
+            response: Json::Null,
+            done: Some(Done {
+                op: "solve",
+                started: Instant::now(),
+                span: Some(Arc::new(slade_obs::RequestSpan::new(7, "solve", None))),
+            }),
+        })
+        .unwrap();
+        drop(tx);
+        let mut writer = CountingWriter {
+            obs: &obs,
+            writes: Vec::new(),
+        };
+        writer_loop(&mut writer, rx, &AtomicBool::new(true), &obs);
+        assert!(writer.writes.is_empty());
+        assert_eq!(obs.ring.pushed(), 1);
+        assert_eq!(obs.latency_for("solve").unwrap().lifetime().count(), 1);
     }
 }
