@@ -228,7 +228,7 @@ impl Baseline {
         for (spec, &count) in specs.iter().zip(&best.counts) {
             debug_assert!(count.fract() == 0.0, "rounded counts must be integral");
             for _ in 0..count as u64 {
-                plan.push(&bins.bins()[spec.bin_index], spec.tasks.clone());
+                plan.push(&bins.bins()[spec.bin_index], spec.tasks.iter().copied());
             }
         }
         Ok(plan)

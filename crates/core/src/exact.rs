@@ -55,8 +55,16 @@ struct Search<'a> {
     node_budget: u64,
     nodes: u64,
     best_cost: f64,
-    best_bins: Vec<(usize, Vec<TaskId>)>,
-    stack: Vec<(usize, Vec<TaskId>)>,
+    best: Branch,
+    stack: Branch,
+}
+
+/// The bins posted along one search path, flat: each bin's menu index and
+/// the offset one past its last task in `tasks`.
+#[derive(Clone, Default)]
+struct Branch {
+    bins: Vec<(usize, usize)>,
+    tasks: Vec<TaskId>,
 }
 
 impl Search<'_> {
@@ -82,7 +90,7 @@ impl Search<'_> {
             // Feasible leaf.
             if cost < self.best_cost {
                 self.best_cost = cost;
-                self.best_bins = self.stack.clone();
+                self.best.clone_from(&self.stack);
             }
             return Ok(());
         };
@@ -115,18 +123,21 @@ impl Search<'_> {
             // hurts).
             let mut subset: Vec<usize> = (0..room).collect();
             loop {
-                let mut members: Vec<TaskId> = Vec::with_capacity(room + 1);
-                members.push(pivot as TaskId);
-                members.extend(subset.iter().map(|&s| others[s] as TaskId));
-                for &t in &members {
+                let start = self.stack.tasks.len();
+                self.stack.tasks.push(pivot as TaskId);
+                self.stack
+                    .tasks
+                    .extend(subset.iter().map(|&s| others[s] as TaskId));
+                for &t in &self.stack.tasks[start..] {
                     residual[t as usize] -= bin.weight();
                 }
-                self.stack.push((bi, members.clone()));
+                self.stack.bins.push((bi, self.stack.tasks.len()));
                 self.dfs(residual, cost + bin.cost())?;
-                self.stack.pop();
-                for &t in &members {
+                self.stack.bins.pop();
+                for &t in &self.stack.tasks[start..] {
                     residual[t as usize] += bin.weight();
                 }
+                self.stack.tasks.truncate(start);
                 if !next_combination(&mut subset, others.len()) {
                     break;
                 }
@@ -173,18 +184,23 @@ impl DecompositionSolver for ExactSolver {
             node_budget: self.node_budget,
             nodes: 0,
             best_cost: incumbent.total_cost() + 1e-12,
-            best_bins: Vec::new(),
-            stack: Vec::new(),
+            best: Branch::default(),
+            stack: Branch::default(),
         };
         search.dfs(&mut residual, 0.0)?;
 
-        if search.best_bins.is_empty() {
+        if search.best.bins.is_empty() {
             // The greedy incumbent was never improved upon.
             return Ok(incumbent);
         }
         let mut plan = DecompositionPlan::empty(self.name());
-        for (bi, tasks) in search.best_bins {
-            plan.push(&bins.bins()[bi], tasks);
+        let mut start = 0;
+        for &(bi, end) in &search.best.bins {
+            plan.push(
+                &bins.bins()[bi],
+                search.best.tasks[start..end].iter().copied(),
+            );
+            start = end;
         }
         Ok(plan)
     }

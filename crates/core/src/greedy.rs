@@ -236,8 +236,8 @@ impl Greedy {
             };
             let bin = &bins.bins()[i];
             let take = (bin.cardinality() as usize).min(top.len());
-            let members: Vec<TaskId> = top[..take].iter().map(|e| e.task).collect();
-            for &t in &members {
+            plan.push(bin, top[..take].iter().map(|e| e.task));
+            for &Entry { task: t, .. } in &top[..take] {
                 let r = residual[t as usize] - bin.weight();
                 residual[t as usize] = r;
                 version[t as usize] += 1;
@@ -255,7 +255,6 @@ impl Greedy {
             for entry in top.drain(take..) {
                 heap.push(entry);
             }
-            plan.push(bin, members);
         }
 
         plan

@@ -179,7 +179,11 @@ impl OpqBased {
         }
     }
 
-    /// Materializes a group as physical bins via round-robin placement.
+    /// Materializes a group as physical bins via round-robin placement:
+    /// the group's `g·k` placement entries `e` (task `base + e/k`, each task
+    /// `k` times in a row) are dealt out over `n_bins` bins, so bin `s`
+    /// holds the entries `e ≡ s (mod n_bins)` in increasing order. `k ≤
+    /// n_bins` keeps a task's `k` entries in distinct bins.
     fn emit_group(
         group: &Group,
         pool: &[Combination],
@@ -193,17 +197,11 @@ impl OpqBased {
                 continue;
             }
             let bin = &bins.bins()[i];
-            let n_bins = bins_needed(g, k, bin.cardinality()) as usize;
-            let mut members: Vec<Vec<TaskId>> = vec![Vec::new(); n_bins];
-            for t in 0..g {
-                for j in 0..u64::from(k) {
-                    let slot = (t * u64::from(k) + j) as usize % n_bins;
-                    members[slot].push(group.base + t as TaskId);
-                }
-            }
-            for tasks in members {
-                debug_assert!(tasks.len() <= bin.cardinality() as usize);
-                plan.push(bin, tasks);
+            let n_bins = bins_needed(g, k, bin.cardinality());
+            let k = u64::from(k);
+            for slot in 0..n_bins {
+                let entries = (slot..g * k).step_by(n_bins as usize);
+                plan.push(bin, entries.map(|e| group.base + (e / k) as TaskId));
             }
         }
     }
@@ -253,6 +251,16 @@ impl OpqBased {
         artifacts: &OpqArtifacts,
         bins: &BinSet,
     ) -> DecompositionPlan {
+        let mut plan = DecompositionPlan::empty(self.name());
+        for group in &Self::groups(n, artifacts, bins) {
+            Self::emit_group(group, &artifacts.pool, bins, &mut plan);
+        }
+        plan
+    }
+
+    /// The group structure planned for `n` tasks: the DP's groups when `n`
+    /// is within the tables, else one bulk group plus the best DP tail.
+    fn groups(n: u32, artifacts: &OpqArtifacts, bins: &BinSet) -> Vec<Group> {
         debug_assert!(n >= 1);
         let mut groups: Vec<Group> = Vec::new();
         let cap = artifacts.dp_cap();
@@ -280,12 +288,7 @@ impl OpqBased {
             });
             Self::unroll(&artifacts.choice, tail, n - tail, &mut groups);
         }
-
-        let mut plan = DecompositionPlan::empty(self.name());
-        for group in &groups {
-            Self::emit_group(group, &artifacts.pool, bins, &mut plan);
-        }
-        plan
+        groups
     }
 
     /// Gathers the candidate combination pool: the `pool_size` cheapest
@@ -597,5 +600,96 @@ mod tests {
         let best_price = opq.pop_feasible().unwrap().price();
         assert!(plan.total_cost() >= 37.0 * best_price - 1e-9);
         assert!(plan.validate(&w, &bins).unwrap().feasible);
+    }
+
+    /// The nested-`Vec` round-robin placement the flat `emit_group`
+    /// replaced: one task list per physical bin, filled entry by entry.
+    /// Kept as the reference the flat placement must reproduce exactly.
+    fn reference_emit_group(
+        group: &Group,
+        pool: &[Combination],
+        bins: &BinSet,
+        out: &mut Vec<(u32, Vec<TaskId>)>,
+    ) {
+        let q = &pool[group.combo];
+        let g = group.size as u64;
+        for (i, &k) in q.counts().iter().enumerate() {
+            if k == 0 {
+                continue;
+            }
+            let bin = &bins.bins()[i];
+            let n_bins = bins_needed(g, k, bin.cardinality()) as usize;
+            let mut members: Vec<Vec<TaskId>> = vec![Vec::new(); n_bins];
+            for t in 0..g {
+                for j in 0..u64::from(k) {
+                    let slot = (t * u64::from(k) + j) as usize % n_bins;
+                    members[slot].push(group.base + t as TaskId);
+                }
+            }
+            out.extend(members.into_iter().map(|tasks| (bin.cardinality(), tasks)));
+        }
+    }
+
+    /// The fig6 menus: the paper's Table 1 and the synthetic `|B|` sweep
+    /// menus of widths 2–32 (`slade-bench`'s `instances::synthetic_bins`).
+    fn fig6_menus() -> Vec<BinSet> {
+        let synthetic = |m: u32| {
+            BinSet::new((1..=m).map(|l| {
+                let lf = f64::from(l);
+                let confidence = 0.92 - 0.04 * (lf - 1.0) / (1.0 + 0.2 * (lf - 1.0));
+                let cost = 0.10 * lf * (1.0 - 0.05 * (lf - 1.0).min(8.0) / 8.0);
+                (l, confidence, cost)
+            }))
+            .unwrap()
+        };
+        let mut menus = vec![BinSet::paper_example()];
+        menus.extend([2, 4, 8, 16, 32].map(synthetic));
+        menus
+    }
+
+    /// Checks every fig6 threshold and the pinned sizes on one menu.
+    fn check_round_robin_against_reference(bins: &BinSet) {
+        let solver = OpqBased::default();
+        let sizes = (1..=300).chain([5_000, 100_000]);
+        for t in [0.85, 0.90, 0.95, 0.99] {
+            let artifacts = solver.artifacts(bins, reliability::theta(t)).unwrap();
+            for n in sizes.clone() {
+                let plan = solver.solve_with_artifacts(n, &artifacts, bins);
+                let mut nested = Vec::new();
+                for group in &OpqBased::groups(n, &artifacts, bins) {
+                    reference_emit_group(group, &artifacts.pool, bins, &mut nested);
+                }
+                let at = || format!("|B| = {}, t = {t}, n = {n}", bins.len());
+                assert_eq!(plan.num_bins(), nested.len(), "{}", at());
+                for (posted, (cardinality, tasks)) in plan.bins().zip(&nested) {
+                    assert_eq!(posted.cardinality(), *cardinality, "{}", at());
+                    assert_eq!(posted.tasks(), &tasks[..], "{}", at());
+                }
+                // Pushed in the same order, the reference's cost sums
+                // identically, so the whole plans agree bit for bit.
+                let mut reference = DecompositionPlan::empty(solver.name());
+                for (cardinality, tasks) in nested {
+                    reference.push(bins.get(cardinality).unwrap(), tasks);
+                }
+                assert_eq!(plan, reference, "{}", at());
+                assert_eq!(
+                    plan.total_cost().to_bits(),
+                    reference.total_cost().to_bits(),
+                    "{}",
+                    at()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_round_robin_matches_nested_reference_exactly() {
+        // n = 1..=300 crosses the default `dp_cap` (256) into bulk groups.
+        let menus = fig6_menus();
+        std::thread::scope(|scope| {
+            for bins in &menus {
+                scope.spawn(move || check_round_robin_against_reference(bins));
+            }
+        });
     }
 }

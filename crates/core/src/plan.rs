@@ -14,22 +14,15 @@ use crate::reliability;
 use crate::task::{TaskId, Workload};
 
 /// One posted bin: a bin type (identified by cardinality) plus the atomic
-/// tasks assigned to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannedBin {
+/// tasks assigned to it — a borrowed view into its
+/// [`DecompositionPlan`]'s flat task array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedBin<'a> {
     cardinality: u32,
-    tasks: Vec<TaskId>,
+    tasks: &'a [TaskId],
 }
 
-impl PlannedBin {
-    /// Creates a posted bin of the given type holding `tasks`.
-    ///
-    /// Validation (capacity, duplicates, unknown cardinality) is deferred to
-    /// [`DecompositionPlan::validate`] so solvers can build plans cheaply.
-    pub fn new(cardinality: u32, tasks: Vec<TaskId>) -> Self {
-        PlannedBin { cardinality, tasks }
-    }
-
+impl<'a> PlannedBin<'a> {
     /// Cardinality of the bin type this instance was posted as.
     #[inline]
     pub fn cardinality(&self) -> u32 {
@@ -38,55 +31,85 @@ impl PlannedBin {
 
     /// Tasks assigned to this bin instance.
     #[inline]
-    pub fn tasks(&self) -> &[TaskId] {
-        &self.tasks
+    pub fn tasks(&self) -> &'a [TaskId] {
+        self.tasks
     }
+}
+
+/// Where one posted bin lives in its plan: its type, and the offset one
+/// past its last task in the plan's flat task array (it starts where the
+/// previous bin ends).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BinHeader {
+    cardinality: u32,
+    end: u32,
 }
 
 /// A complete decomposition: the multiset of posted bins plus the
 /// task-to-bin assignment, as produced by one solver run.
+///
+/// Storage is flat — one task array holding every bin's tasks back to
+/// back, plus one `(cardinality, end offset)` header per posted bin — so
+/// building a plan allocates a handful of times however many bins it
+/// posts. [`DecompositionPlan::bins`] yields borrowed [`PlannedBin`] views.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecompositionPlan {
     algorithm: &'static str,
-    bins: Vec<PlannedBin>,
+    tasks: Vec<TaskId>,
+    headers: Vec<BinHeader>,
     total_cost: f64,
 }
 
 impl DecompositionPlan {
     /// Creates an empty plan attributed to `algorithm`.
     pub fn empty(algorithm: &'static str) -> Self {
-        DecompositionPlan {
-            algorithm,
-            bins: Vec::new(),
-            total_cost: 0.0,
-        }
+        Self::restored(algorithm, 0.0)
     }
 
-    /// Reassembles a plan from parts previously read off an existing plan —
-    /// the decode half of the engine's durable plan codec. `total_cost` is
-    /// restored verbatim (not recomputed) so a decoded plan is bit-identical
-    /// to the encoded one; [`DecompositionPlan::validate`] still audits the
-    /// recorded cost against the recomputed one like any other plan, so a
-    /// corrupted cost cannot slip through as valid.
-    pub fn from_parts(algorithm: &'static str, bins: Vec<PlannedBin>, total_cost: f64) -> Self {
+    /// Starts reassembling a plan read off an existing one — the decode
+    /// half of the engine's durable plan codec: an empty plan whose
+    /// `total_cost` is the recorded one, restored verbatim (not recomputed)
+    /// so a decoded plan is bit-identical to the encoded one. Fill it with
+    /// [`DecompositionPlan::push_restored`];
+    /// [`DecompositionPlan::validate`] still audits the recorded cost
+    /// against the recomputed one like any other plan, so a corrupted cost
+    /// cannot slip through as valid.
+    pub fn restored(algorithm: &'static str, total_cost: f64) -> Self {
         DecompositionPlan {
             algorithm,
-            bins,
+            tasks: Vec::new(),
+            headers: Vec::new(),
             total_cost,
         }
     }
 
     /// Appends one posted instance of `bin` holding `tasks`, accumulating its
     /// cost.
-    pub fn push(&mut self, bin: &TaskBin, tasks: Vec<TaskId>) {
+    ///
+    /// Validation (capacity, duplicates, unknown cardinality) is deferred to
+    /// [`DecompositionPlan::validate`] so solvers can build plans cheaply.
+    pub fn push(&mut self, bin: &TaskBin, tasks: impl IntoIterator<Item = TaskId>) {
+        let start = self.tasks.len();
+        self.push_restored(bin.cardinality(), tasks);
         debug_assert!(
-            tasks.len() <= bin.cardinality() as usize,
+            self.tasks.len() - start <= bin.cardinality() as usize,
             "bin of cardinality {} overfilled with {} tasks",
             bin.cardinality(),
-            tasks.len()
+            self.tasks.len() - start
         );
         self.total_cost += bin.cost();
-        self.bins.push(PlannedBin::new(bin.cardinality(), tasks));
+    }
+
+    /// Appends one posted bin of type `cardinality` holding `tasks` without
+    /// touching the recorded cost — the fill step after
+    /// [`DecompositionPlan::restored`].
+    ///
+    /// # Panics
+    /// Panics if the plan would hold more than `u32::MAX` task slots.
+    pub fn push_restored(&mut self, cardinality: u32, tasks: impl IntoIterator<Item = TaskId>) {
+        self.tasks.extend(tasks);
+        let end = slot_offset(self.tasks.len());
+        self.headers.push(BinHeader { cardinality, end });
     }
 
     /// Name of the solver that produced the plan.
@@ -95,16 +118,20 @@ impl DecompositionPlan {
         self.algorithm
     }
 
-    /// The posted bins.
+    /// The posted bins, in posting order, as views into the plan.
     #[inline]
-    pub fn bins(&self) -> &[PlannedBin] {
-        &self.bins
+    pub fn bins(&self) -> Bins<'_> {
+        Bins {
+            tasks: &self.tasks,
+            headers: self.headers.iter(),
+            start: 0,
+        }
     }
 
     /// Number of posted bins.
     #[inline]
     pub fn num_bins(&self) -> usize {
-        self.bins.len()
+        self.headers.len()
     }
 
     /// Total posting cost `Σ c_l` over all posted bins.
@@ -117,17 +144,36 @@ impl DecompositionPlan {
     /// back to global ids when merging per-bucket sub-plans, as
     /// [`OpqExtended`](crate::hetero::OpqExtended) does).
     pub fn remap_tasks(&mut self, map: impl Fn(TaskId) -> TaskId) {
-        for bin in &mut self.bins {
-            for t in &mut bin.tasks {
-                *t = map(*t);
-            }
+        for t in &mut self.tasks {
+            *t = map(*t);
         }
     }
 
     /// Absorbs all bins (and cost) of `other` into `self`.
     pub fn merge(&mut self, other: DecompositionPlan) {
+        self.merge_mapped(&other, |t| t);
+    }
+
+    /// Appends every bin of `other` with its task ids rewritten through
+    /// `map`, and adds `other`'s recorded cost — [`merge`] of a remapped
+    /// copy, in one pass and leaving `other` untouched (the engine merges
+    /// shared shard outputs this way).
+    ///
+    /// [`merge`]: DecompositionPlan::merge
+    ///
+    /// # Panics
+    /// Panics if the plan would hold more than `u32::MAX` task slots.
+    pub fn merge_mapped(&mut self, other: &DecompositionPlan, map: impl Fn(TaskId) -> TaskId) {
+        let base = slot_offset(self.tasks.len());
+        // Every shifted offset is at most the merged length, so one check
+        // of that length covers all of them.
+        slot_offset(self.tasks.len() + other.tasks.len());
+        self.tasks.extend(other.tasks.iter().map(|&t| map(t)));
+        self.headers.extend(other.headers.iter().map(|h| BinHeader {
+            cardinality: h.cardinality,
+            end: h.end + base,
+        }));
         self.total_cost += other.total_cost;
-        self.bins.extend(other.bins);
     }
 
     /// Audits the plan against an instance.
@@ -145,7 +191,7 @@ impl DecompositionPlan {
         let mut recomputed_cost = 0.0f64;
         let mut seen: Vec<u32> = vec![u32::MAX; n];
 
-        for (idx, posted) in self.bins.iter().enumerate() {
+        for (idx, posted) in self.bins().enumerate() {
             let Some(bin) = bins.get(posted.cardinality) else {
                 return Err(SladeError::InvalidPlan(format!(
                     "bin {idx} has cardinality {} which is not in the bin set",
@@ -160,7 +206,7 @@ impl DecompositionPlan {
                 )));
             }
             recomputed_cost += bin.cost();
-            for &t in &posted.tasks {
+            for &t in posted.tasks {
                 let Some(sum) = weight_sums.get_mut(t as usize) else {
                     return Err(SladeError::InvalidPlan(format!(
                         "bin {idx} references task {t}, but the workload has only {n} tasks"
@@ -196,12 +242,49 @@ impl DecompositionPlan {
         Ok(PlanAudit {
             feasible: unsatisfied.is_empty(),
             total_cost: recomputed_cost,
-            bins_posted: self.bins.len(),
+            bins_posted: self.num_bins(),
             min_slack,
             unsatisfied,
         })
     }
 }
+
+/// A task-array length as a header offset. Checked, never wrapped: a plan
+/// past `u32::MAX` task slots (16 GiB of ids) is a bug upstream.
+fn slot_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a plan holds at most u32::MAX task slots")
+}
+
+/// Iterator over a plan's posted bins; see [`DecompositionPlan::bins`].
+#[derive(Debug, Clone)]
+pub struct Bins<'a> {
+    tasks: &'a [TaskId],
+    headers: std::slice::Iter<'a, BinHeader>,
+    start: usize,
+}
+
+impl<'a> Iterator for Bins<'a> {
+    type Item = PlannedBin<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<PlannedBin<'a>> {
+        let header = self.headers.next()?;
+        let end = header.end as usize;
+        let tasks = &self.tasks[self.start..end];
+        self.start = end;
+        Some(PlannedBin {
+            cardinality: header.cardinality,
+            tasks,
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.headers.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Bins<'_> {}
 
 /// The result of auditing a [`DecompositionPlan`] against an instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,7 +357,7 @@ mod tests {
     fn unknown_cardinality_is_structural_error() {
         let (w, b) = instance();
         let mut plan = DecompositionPlan::empty("hand");
-        plan.bins.push(PlannedBin::new(7, vec![0]));
+        plan.push_restored(7, [0]);
         assert!(matches!(
             plan.validate(&w, &b),
             Err(SladeError::InvalidPlan(_))
@@ -285,7 +368,7 @@ mod tests {
     fn duplicate_task_in_one_bin_is_structural_error() {
         let (w, b) = instance();
         let mut plan = DecompositionPlan::empty("hand");
-        plan.bins.push(PlannedBin::new(3, vec![0, 0]));
+        plan.push_restored(3, [0, 0]);
         plan.total_cost = 0.24;
         let err = plan.validate(&w, &b).unwrap_err();
         assert!(err.to_string().contains("more than once"), "{err}");
@@ -316,7 +399,7 @@ mod tests {
     fn overfilled_bin_is_structural_error() {
         let (w, b) = instance();
         let mut plan = DecompositionPlan::empty("hand");
-        plan.bins.push(PlannedBin::new(1, vec![0, 1]));
+        plan.push_restored(1, [0, 1]);
         plan.total_cost = 0.10;
         assert!(matches!(
             plan.validate(&w, &b),

@@ -76,8 +76,7 @@ pub fn solve_relaxed(workload: &Workload, bins: &BinSet) -> Result<Decomposition
     while j > 0 {
         let bin = &bins.bins()[choice[j]];
         let take = (bin.cardinality() as usize).min(j);
-        let tasks: Vec<TaskId> = ((j - take)..j).map(|t| t as TaskId).collect();
-        plan.push(bin, tasks);
+        plan.push(bin, ((j - take)..j).map(|t| t as TaskId));
         j -= take;
     }
     Ok(plan)

@@ -35,7 +35,7 @@
 use crate::service::{EngineRequest, ResolvedPlan, ShardWork};
 use slade_core::bin_set::BinSet;
 use slade_core::fingerprint::KnobSink;
-use slade_core::plan::{DecompositionPlan, PlannedBin};
+use slade_core::plan::DecompositionPlan;
 use slade_core::solver::Algorithm;
 use slade_core::task::{TaskId, Workload};
 use slade_json::{member, Json};
@@ -261,7 +261,6 @@ fn encode_plan(plan: &DecompositionPlan) -> Json {
             "bins",
             Json::Array(
                 plan.bins()
-                    .iter()
                     .map(|bin| {
                         Json::Array(vec![
                             Json::number(f64::from(bin.cardinality())),
@@ -282,20 +281,31 @@ fn encode_plan(plan: &DecompositionPlan) -> Json {
 fn decode_plan(json: &Json) -> Result<DecompositionPlan, String> {
     let label = plan_label(str_of(req(json, "algorithm")?, "plan `algorithm`")?)?;
     let cost = f64_of(req(json, "cost")?, "plan `cost`")?;
-    let mut bins: Vec<PlannedBin> = Vec::new();
+    let mut plan = DecompositionPlan::restored(label, cost);
     for posted in array_of(req(json, "bins")?, "plan `bins`")? {
         let pair = array_of(posted, "posted bin")?;
         if pair.len() != 2 {
             return Err("posted bin must be [cardinality, [tasks…]]".into());
         }
         let cardinality = u32_of(&pair[0], "posted-bin cardinality")?;
+        // Task ids go straight into the plan; the first bad one stops the
+        // bin short and fails the whole decode.
+        let mut bad = None;
         let tasks = array_of(&pair[1], "posted-bin tasks")?
             .iter()
-            .map(|t| u32_of(t, "task id").map(|id| id as TaskId))
-            .collect::<Result<Vec<TaskId>, String>>()?;
-        bins.push(PlannedBin::new(cardinality, tasks));
+            .map_while(|t| match u32_of(t, "task id") {
+                Ok(id) => Some(id as TaskId),
+                Err(e) => {
+                    bad = Some(e);
+                    None
+                }
+            });
+        plan.push_restored(cardinality, tasks);
+        if let Some(e) = bad {
+            return Err(e);
+        }
     }
-    Ok(DecompositionPlan::from_parts(label, bins, cost))
+    Ok(plan)
 }
 
 /// Maps a stored plan label back to the `&'static str` the solver registry

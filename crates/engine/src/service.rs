@@ -8,7 +8,7 @@ use slade_core::bin_set::BinSet;
 use slade_core::fingerprint::Fingerprint;
 use slade_core::hetero;
 use slade_core::opq_based::OpqBased;
-use slade_core::plan::{DecompositionPlan, PlannedBin};
+use slade_core::plan::DecompositionPlan;
 use slade_core::reliability;
 use slade_core::solver::{Algorithm, PreparedSolver};
 use slade_core::task::{TaskId, Workload};
@@ -307,19 +307,7 @@ fn merge_subs(
 ) -> DecompositionPlan {
     let mut plan = DecompositionPlan::empty(label);
     for (sub, remap) in subs.iter().zip(remaps) {
-        let bins = sub
-            .bins()
-            .iter()
-            .map(|bin| {
-                let tasks = bin.tasks().iter().map(|&t| remap.global(t)).collect();
-                PlannedBin::new(bin.cardinality(), tasks)
-            })
-            .collect();
-        plan.merge(DecompositionPlan::from_parts(
-            sub.algorithm(),
-            bins,
-            sub.total_cost(),
-        ));
+        plan.merge_mapped(sub, |t| remap.global(t));
     }
     plan
 }
@@ -1551,7 +1539,8 @@ mod tests {
     }
 
     /// Polls `handle` once per ping until it delivers, then checks that
-    /// every queued shard pinged exactly once and that the handle is spent.
+    /// every queued shard pinged exactly once — no ping missing, and none
+    /// extra within a grace period — and that the handle is spent.
     fn poll_on_pings(
         handle: &mut ResolvedHandle,
         pings: &std::sync::mpsc::Receiver<()>,
@@ -1578,6 +1567,10 @@ mod tests {
                 count += 1;
             }
             assert_eq!(count, queued, "one notification per queued shard");
+            assert!(
+                pings.recv_timeout(Duration::from_millis(50)).is_err(),
+                "a shard notified more than once"
+            );
         }
         result
     }
@@ -1779,18 +1772,12 @@ mod tests {
             notify: Some(notify),
         };
         let mut handle = engine.submit(request, options);
-        let mut pings = 0;
-        let result = loop {
-            ping_rx
-                .recv_timeout(Duration::from_secs(20))
-                .expect("a shard must notify");
-            pings += 1;
-            if let Some(result) = handle.try_wait() {
-                break result;
-            }
-        };
-        assert!(result.is_ok());
-        assert_eq!(pings, 4, "one notification per threshold bucket");
+        // The last shards notify after sending their result, so the result
+        // can be drained before their pings land: the helper waits for all
+        // of them, then checks exactly one per shard.
+        let resolved = poll_on_pings(&mut handle, &ping_rx).unwrap();
+        assert_eq!(resolved.shards(), 4, "one shard per threshold bucket");
+        assert_eq!(resolved.reused_shards(), 0);
     }
 
     #[test]

@@ -278,6 +278,13 @@ fn config(threads: usize, cache_impl: CacheImpl) -> EngineConfig {
     }
 }
 
+/// Cold passes `plans_are_byte_identical_across_impls_threads_and_warmth`
+/// may spend waiting for a single-flight pile-up. A pass misses one when
+/// the first worker finishes the cold prepare before any other reaches the
+/// key — up to about two passes in five on a 2-core host — so this many
+/// misses in a row means single-flight is broken, not unlucky.
+const MAX_COLD_PASSES: usize = 50;
+
 #[test]
 fn plans_are_byte_identical_across_impls_threads_and_warmth() {
     let bins = Arc::new(BinSet::paper_example());
@@ -291,37 +298,54 @@ fn plans_are_byte_identical_across_impls_threads_and_warmth() {
             .collect()
     };
 
-    for cache_impl in BOTH_IMPLS {
-        let engine = Engine::new(config(8, cache_impl));
-        // Cold, 8 threads: the chunked request forces 11 same-fingerprint
-        // shards through the cold path at once — under the sharded impl
-        // that is a guaranteed single-flight pile-up.
-        let cold: Vec<DecompositionPlan> = submit_all(&engine, mixed_batch(&bins))
+    let solve_batch = |engine: &Engine| -> Vec<DecompositionPlan> {
+        submit_all(engine, mixed_batch(&bins))
             .into_iter()
             .map(|h| h.wait().unwrap().into_plan())
-            .collect();
-        // Warm: same batch again, artifacts now resident.
-        let warm: Vec<DecompositionPlan> = submit_all(&engine, mixed_batch(&bins))
-            .into_iter()
-            .map(|h| h.wait().unwrap().into_plan())
-            .collect();
-
-        for (i, ((cold, warm), reference)) in cold.iter().zip(&warm).zip(&reference).enumerate() {
-            assert_eq!(cold, reference, "{cache_impl:?} request {i} cold");
-            assert_eq!(warm, reference, "{cache_impl:?} request {i} warm");
+            .collect()
+    };
+    let check = |plans: &[DecompositionPlan], what: &str| {
+        assert_eq!(plans.len(), reference.len());
+        for (i, (plan, reference)) in plans.iter().zip(&reference).enumerate() {
+            assert_eq!(plan, reference, "{what} request {i}");
             assert_eq!(
-                format!("{cold:?}"),
+                format!("{plan:?}"),
                 format!("{reference:?}"),
-                "{cache_impl:?} request {i} bytes"
+                "{what} request {i} bytes"
             );
         }
+    };
+
+    for cache_impl in BOTH_IMPLS {
+        // Cold, 8 threads: the chunked request sends 11 same-fingerprint
+        // shards through the cold path at once. Under the sharded impl the
+        // pile-up is only as likely as the workers are to reach the key
+        // while the first one is still computing it, so retry the cold pass
+        // on a fresh engine until a single-flight wait is seen — every
+        // pass's plans checked against the reference.
+        let mut passes = 0;
+        let engine = loop {
+            passes += 1;
+            let engine = Engine::new(config(8, cache_impl));
+            check(
+                &solve_batch(&engine),
+                &format!("{cache_impl:?} cold pass {passes}"),
+            );
+            let raced = engine.cache_stats().singleflight_waits > 0;
+            if raced || cache_impl != CacheImpl::Sharded || passes == MAX_COLD_PASSES {
+                break engine;
+            }
+        };
+        // Warm: same batch again, artifacts now resident.
+        check(&solve_batch(&engine), &format!("{cache_impl:?} warm"));
 
         let stats = engine.cache_stats();
         assert_eq!(stats.cache_impl, cache_impl);
         if cache_impl == CacheImpl::Sharded {
             assert!(
                 stats.singleflight_waits > 0,
-                "the chunked request must have raced the cold key: {stats:?}"
+                "the chunked request must have raced the cold key within \
+                 {MAX_COLD_PASSES} cold passes: {stats:?}"
             );
         }
     }

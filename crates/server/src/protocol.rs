@@ -524,7 +524,6 @@ pub fn plan_to_json(plan: &DecompositionPlan) -> Json {
             "bins",
             Json::Array(
                 plan.bins()
-                    .iter()
                     .map(|bin| {
                         Json::Object(vec![
                             member("cardinality", Json::number(f64::from(bin.cardinality()))),
