@@ -68,6 +68,31 @@ fn main() {
     });
     record("core/opq-based-solve-with", n, &r);
 
+    // The widest key in the service benchmark's traffic: the 6-type
+    // synthetic menu at t = 0.99, where `prepare` fills the largest pool's
+    // DP and a solve above `dp_cap` takes the bulk path.
+    let wide_bins = instances::synthetic_bins(6);
+    let wide_theta = reliability::theta(0.99);
+    let r = harness.bench("opq_based::prepare(|B|=6, t=0.99)", || {
+        black_box(solver.prepare(black_box(&wide_bins), wide_theta)).unwrap();
+    });
+    record("core/opq-based-prepare-wide", solver.dp_cap, &r);
+    let wide_artifacts = solver.prepare(&wide_bins, wide_theta).unwrap();
+    let wide_n = 5_000;
+    let wide_workload = instances::homogeneous(wide_n, 0.99);
+    let r = harness.bench(
+        &format!("opq_based::solve_with(|B|=6, t=0.99, n={wide_n})"),
+        || {
+            black_box(solver.solve_with(
+                black_box(wide_artifacts.as_ref()),
+                &wide_workload,
+                &wide_bins,
+            ))
+            .unwrap();
+        },
+    );
+    record("core/opq-based-solve-with-wide", wide_n, &r);
+
     // Pins the DESIGN.md seam-#1 rework: the lazy max-heap greedy runs the
     // full grid (the old full-re-sort loop was ~68 ms at n = 2 000; the heap
     // version is ~n log n and still caps at QUADRATIC_SOLVER_MAX_N only as a

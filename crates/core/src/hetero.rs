@@ -76,15 +76,16 @@ pub fn partition(workload: &Workload) -> Vec<ThresholdBucket> {
         }];
     }
 
-    let theta_max = workload.thetas().fold(f64::MIN, f64::max);
-    let theta_min = workload.thetas().fold(f64::MAX, f64::min);
+    let thetas: Vec<f64> = workload.thetas().collect();
+    let theta_max = thetas.iter().copied().fold(f64::MIN, f64::max);
+    let theta_min = thetas.iter().copied().fold(f64::MAX, f64::min);
     // Bucket k collects tasks with θ ∈ (θ_max/2^{k+1}, θ_max/2^k]; every
     // task lands in 0..=last_bucket.
     let last_bucket = (theta_max / theta_min).log2().ceil() as u32;
 
     let mut buckets: Vec<Vec<TaskId>> = vec![Vec::new(); last_bucket as usize + 1];
-    for i in 0..workload.len() {
-        let k = bucket_of(workload.theta(i), theta_max, last_bucket);
+    for (i, &theta) in (0..).zip(&thetas) {
+        let k = bucket_of(theta, theta_max, last_bucket);
         buckets[k as usize].push(i);
     }
 

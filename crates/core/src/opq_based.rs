@@ -146,21 +146,60 @@ impl OpqBased {
     /// Runs the exact group DP for `cap` tasks over the candidate `pool`.
     /// Returns per-size best costs `R[0..=cap]` and the `(group size, combo)`
     /// choice realizing each.
+    ///
+    /// `R(j)` takes the smallest `(value, qi, g)` over the candidates
+    /// `R(j − g) + cost(g, q_qi)`: the pick of a `qi`-major, `g`-minor scan
+    /// that keeps the first strict minimum. Each group size's costs are
+    /// computed once, keeping the least cost, the first `qi` attaining it,
+    /// and the least cost above it. Float addition is monotone, so for every
+    /// `j` the least cost attains row `g`'s least sum and the first `qi`
+    /// wins the row, unless the next cost up rounds to the same sum; only
+    /// then is the row recomputed to find its first entry with that sum.
+    /// That is `O(cap²)` additions instead of `O(cap² · |pool|)`
+    /// `group_cost` calls, in `O(cap)` memory.
     fn group_dp(pool: &[Combination], bins: &BinSet, cap: u32) -> (Vec<f64>, Vec<(u32, usize)>) {
         let cap = cap as usize;
+        // Per group size g: (least cost, first qi attaining it, least cost
+        // above it).
+        let rows: Vec<(f64, usize, f64)> = (1..=cap as u64)
+            .map(|g| {
+                let mut row = (f64::INFINITY, 0, f64::INFINITY);
+                for (qi, q) in pool.iter().enumerate() {
+                    let cost = Self::group_cost(q, bins, g);
+                    if cost < row.0 {
+                        row = (cost, qi, row.0);
+                    } else if cost > row.0 && cost < row.2 {
+                        row.2 = cost;
+                    }
+                }
+                row
+            })
+            .collect();
         let mut best = vec![f64::INFINITY; cap + 1];
         let mut choice = vec![(0u32, 0usize); cap + 1];
         best[0] = 0.0;
         for j in 1..=cap {
-            for (qi, q) in pool.iter().enumerate() {
-                for g in 1..=j {
-                    let c = best[j - g] + Self::group_cost(q, bins, g as u64);
-                    if c < best[j] {
-                        best[j] = c;
-                        choice[j] = (g as u32, qi);
-                    }
+            let (mut value, mut pick) = (f64::INFINITY, (0u32, 0usize));
+            for (g, &(least, first, next)) in (1..=j).zip(&rows) {
+                let rest = best[j - g];
+                let sum = rest + least;
+                if sum > value {
+                    continue;
+                }
+                let qi = if rest + next == sum {
+                    pool.iter()
+                        .position(|q| rest + Self::group_cost(q, bins, g as u64) == sum)
+                        .expect("the least cost attains the row's least sum")
+                } else {
+                    first
+                };
+                if sum < value || qi < pick.1 {
+                    value = sum;
+                    pick = (g as u32, qi);
                 }
             }
+            best[j] = value;
+            choice[j] = pick;
         }
         (best, choice)
     }
@@ -267,20 +306,8 @@ impl OpqBased {
         if n <= cap {
             Self::unroll(&artifacts.choice, n, 0, &mut groups);
         } else {
-            // One bulk group of n - j tasks plus the best DP tail of j tasks.
-            let mut best_total = f64::INFINITY;
-            let mut pick = (0u32, 0usize);
-            for j in 0..=cap {
-                let bulk = u64::from(n - j);
-                for (qi, q) in artifacts.pool.iter().enumerate() {
-                    let total = artifacts.best[j as usize] + Self::group_cost(q, bins, bulk);
-                    if total < best_total {
-                        best_total = total;
-                        pick = (j, qi);
-                    }
-                }
-            }
-            let (tail, qi) = pick;
+            // One bulk group of n - tail tasks plus the best DP tail.
+            let (tail, qi) = Self::bulk_pick(n, artifacts, bins);
             groups.push(Group {
                 base: 0,
                 size: n - tail,
@@ -289,6 +316,48 @@ impl OpqBased {
             Self::unroll(&artifacts.choice, tail, n - tail, &mut groups);
         }
         groups
+    }
+
+    /// The bulk split for `n > dp_cap` tasks: the `(tail, qi)` minimizing
+    /// `R(tail) + cost(n − tail, q_qi)`, the first strict minimum in
+    /// `(tail, qi)` order.
+    ///
+    /// Each bin's cost splits over at most `l` tasks, so `cost(g, q) ≥
+    /// g · p(q)`, and `R(j) + (n − j) · p(q) · (1 − 1e-9)` bounds a
+    /// candidate's total from below (the margin absorbs the rounding in
+    /// `p(q)` and in `group_cost`; float addition is monotone). A candidate
+    /// whose bound already exceeds the running best could never be a strict
+    /// improvement, nor could a row `j` whose bound at the pool's least
+    /// price does, so both are skipped unevaluated. Survivors are evaluated
+    /// by the same expression in the same order, so the pick is the
+    /// exhaustive scan's.
+    fn bulk_pick(n: u32, artifacts: &OpqArtifacts, bins: &BinSet) -> (u32, usize) {
+        const MARGIN: f64 = 1.0 - 1e-9;
+        let pool = &artifacts.pool;
+        let least_price = pool
+            .iter()
+            .map(Combination::price)
+            .fold(f64::INFINITY, f64::min);
+        let mut best_total = f64::INFINITY;
+        let mut pick = (0u32, 0usize);
+        for (j, &rest) in (0u32..).zip(&artifacts.best) {
+            let bulk = u64::from(n - j);
+            let scale = bulk as f64 * MARGIN;
+            if rest + scale * least_price > best_total {
+                continue;
+            }
+            for (qi, q) in pool.iter().enumerate() {
+                if rest + scale * q.price() > best_total {
+                    continue;
+                }
+                let total = rest + Self::group_cost(q, bins, bulk);
+                if total < best_total {
+                    best_total = total;
+                    pick = (j, qi);
+                }
+            }
+        }
+        pick
     }
 
     /// Gathers the candidate combination pool: the `pool_size` cheapest
@@ -691,5 +760,191 @@ mod tests {
                 scope.spawn(move || check_round_robin_against_reference(bins));
             }
         });
+    }
+
+    /// The exhaustive group DP that [`OpqBased::group_dp`] replaced: a
+    /// `qi`-major, `g`-minor scan calling `group_cost` per candidate and
+    /// keeping the first strict minimum. Kept as the reference the tabulated
+    /// DP must reproduce bit for bit.
+    fn reference_group_dp(
+        pool: &[Combination],
+        bins: &BinSet,
+        cap: u32,
+    ) -> (Vec<f64>, Vec<(u32, usize)>) {
+        let cap = cap as usize;
+        let mut best = vec![f64::INFINITY; cap + 1];
+        let mut choice = vec![(0u32, 0usize); cap + 1];
+        best[0] = 0.0;
+        for j in 1..=cap {
+            for (qi, q) in pool.iter().enumerate() {
+                for g in 1..=j {
+                    let c = best[j - g] + OpqBased::group_cost(q, bins, g as u64);
+                    if c < best[j] {
+                        best[j] = c;
+                        choice[j] = (g as u32, qi);
+                    }
+                }
+            }
+        }
+        (best, choice)
+    }
+
+    /// The exhaustive bulk scan that [`OpqBased::bulk_pick`] replaced: every
+    /// `(tail, qi)` evaluated, first strict minimum kept.
+    fn reference_bulk_pick(n: u32, artifacts: &OpqArtifacts, bins: &BinSet) -> (u32, usize) {
+        let cap = artifacts.dp_cap();
+        let mut best_total = f64::INFINITY;
+        let mut pick = (0u32, 0usize);
+        for j in 0..=cap {
+            let bulk = u64::from(n - j);
+            for (qi, q) in artifacts.pool.iter().enumerate() {
+                let total = artifacts.best[j as usize] + OpqBased::group_cost(q, bins, bulk);
+                if total < best_total {
+                    best_total = total;
+                    pick = (j, qi);
+                }
+            }
+        }
+        pick
+    }
+
+    /// Release runs (the CI reference step) sweep everything; debug runs a
+    /// share that keeps the default test suite fast.
+    const FULL_SWEEP: bool = !cfg!(debug_assertions);
+
+    /// Seeded random menus with coarse prices and confidences, so equal
+    /// group costs (and equal DP sums) are common: 1–5 distinct
+    /// cardinalities from 1..=8, confidences on a 0.05 grid, costs on a
+    /// 0.05 grid.
+    fn coarse_random_menus(count: usize) -> Vec<(BinSet, f64)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0DD5_EED5);
+        (0..count)
+            .map(|_| {
+                let m = rng.random_range(1..6usize);
+                let mut cards: Vec<u32> = Vec::new();
+                while cards.len() < m {
+                    let c = rng.random_range(1..9u32);
+                    if !cards.contains(&c) {
+                        cards.push(c);
+                    }
+                }
+                let bins = BinSet::new(cards.into_iter().map(|c| {
+                    let confidence = 0.05 * f64::from(rng.random_range(12..20u32));
+                    let cost = 0.05 * f64::from(rng.random_range(1..4 * c + 2));
+                    (c, confidence, cost)
+                }))
+                .expect("coarse menus are valid by construction");
+                let t = [0.85, 0.90, 0.95, 0.99][rng.random_range(0..4usize)];
+                (bins, t)
+            })
+            .collect()
+    }
+
+    /// Bulk-path sizes: every `n` just past the default cap up to 700 plus
+    /// a few large ones (debug runs the first few and the large ones).
+    fn bulk_sizes() -> Vec<u32> {
+        let last = if FULL_SWEEP { 700 } else { 262 };
+        (257..=last).chain([1_000, 2_345, 5_000, 100_000]).collect()
+    }
+
+    /// Checks the tabulated DP and the price-bounded bulk pick against
+    /// their exhaustive references on one `(menu, t)`; returns the number
+    /// of bulk picks compared.
+    ///
+    /// The DP is bottom-up, so a reference table shorter than the default
+    /// `dp_cap` checks a prefix of the artifacts' table.
+    fn check_against_references(bins: &BinSet, t: f64, cap: u32) -> usize {
+        let solver = OpqBased::default();
+        let theta = reliability::theta(t);
+        let artifacts = solver.artifacts(bins, theta).unwrap();
+        let (best, choice) = reference_group_dp(&artifacts.pool, bins, cap);
+        let (fast_best, fast_choice) = OpqBased::group_dp(&artifacts.pool, bins, cap);
+        let at = || format!("|B| = {}, t = {t}", bins.len());
+        assert_eq!(fast_choice, choice, "{}", at());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast_best), bits(&best), "{}", at());
+        assert_eq!(
+            bits(&artifacts.best[..=cap as usize]),
+            bits(&best),
+            "{}",
+            at()
+        );
+        let sizes = bulk_sizes();
+        for &n in &sizes {
+            assert_eq!(
+                OpqBased::bulk_pick(n, &artifacts, bins),
+                reference_bulk_pick(n, &artifacts, bins),
+                "{}, n = {n}",
+                at()
+            );
+        }
+        sizes.len()
+    }
+
+    /// Runs `check` over `cases` on four scoped threads; sums the counts.
+    fn sweep<T: Sync>(cases: &[T], check: impl Fn(&T) -> usize + Sync) -> usize {
+        let check = &check;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = cases
+                .chunks(cases.len().div_ceil(4))
+                .map(|chunk| scope.spawn(move || chunk.iter().map(check).sum::<usize>()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        })
+    }
+
+    #[test]
+    fn fast_kernels_match_the_references_on_fig6_menus() {
+        let cases: Vec<(BinSet, f64)> = fig6_menus()
+            .into_iter()
+            .flat_map(|bins| [0.85, 0.90, 0.95, 0.99].map(|t| (bins.clone(), t)))
+            .collect();
+        // The widest menus make the reference DP slow in debug builds.
+        let cap = if FULL_SWEEP { 256 } else { 48 };
+        let picks = sweep(&cases, |(bins, t)| check_against_references(bins, *t, cap));
+        assert_eq!(picks, cases.len() * bulk_sizes().len());
+    }
+
+    #[test]
+    fn fast_kernels_match_the_references_on_tie_prone_random_menus() {
+        let cases = coarse_random_menus(if FULL_SWEEP { 160 } else { 80 });
+        let picks = sweep(&cases, |(bins, t)| check_against_references(bins, *t, 256));
+        assert_eq!(picks, cases.len() * bulk_sizes().len());
+    }
+
+    #[test]
+    fn bulk_plans_stay_within_one_posting_of_the_price_bound() {
+        // Algorithm 3's bound for n > dp_cap: n·p(q*) ≤ OPT ≤ cost ≤
+        // n·p(q*) + c(q*), where q* is the per-task-price OPQ's first pop
+        // (the bulk pick can always take q* alone for all n tasks).
+        let solver = OpqBased::default();
+        let menus = coarse_random_menus(if FULL_SWEEP { 160 } else { 24 });
+        for (m, (bins, t)) in menus.iter().enumerate() {
+            let theta = reliability::theta(*t);
+            let artifacts = solver.artifacts(bins, theta).unwrap();
+            let mut opq = OptimalPriorityQueue::new(
+                bins,
+                theta,
+                CombinationKey::PerTaskPrice,
+                solver.opq.clone(),
+            );
+            let q_star = opq.pop_feasible().unwrap();
+            for n in [solver.dp_cap + 1, 700, 5_000, 100_000] {
+                let cost = solver
+                    .solve_with_artifacts(n, &artifacts, bins)
+                    .total_cost();
+                let lower = f64::from(n) * q_star.price();
+                let upper = lower + q_star.total_cost();
+                let tol = 1e-9 * upper;
+                let at = format!("menu {m} (|B| = {}), t = {t}, n = {n}", bins.len());
+                assert!(cost >= lower - tol, "{at}: {cost} < n·p(q*) = {lower}");
+                assert!(
+                    cost <= upper + tol,
+                    "{at}: {cost} > n·p(q*) + c(q*) = {upper}"
+                );
+            }
+        }
     }
 }

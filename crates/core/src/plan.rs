@@ -231,10 +231,9 @@ impl DecompositionPlan {
 
         let mut unsatisfied = Vec::new();
         let mut min_slack = f64::INFINITY;
-        for i in 0..workload.len() {
-            let slack = weight_sums[i as usize] - workload.theta(i);
-            min_slack = min_slack.min(slack);
-            if !reliability::satisfies(weight_sums[i as usize], workload.theta(i)) {
+        for ((i, &sum), theta) in (0..).zip(&weight_sums).zip(workload.thetas()) {
+            min_slack = min_slack.min(sum - theta);
+            if !reliability::satisfies(sum, theta) {
                 unsatisfied.push(i);
             }
         }

@@ -112,9 +112,20 @@ impl Workload {
         reliability::theta(self.threshold(i))
     }
 
-    /// Iterator over all transformed thresholds, in task order.
+    /// Iterator over all transformed thresholds, in task order. A
+    /// homogeneous workload computes its one `θ` once and repeats it; each
+    /// item equals [`Workload::theta`] of its task bit for bit.
     pub fn thetas(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len()).map(move |i| self.theta(i))
+        // One iterator type for both storages: the repeated shared θ of a
+        // homogeneous workload chained with the per-task θs of a
+        // heterogeneous one; the other half is always empty.
+        let (shared, repeats, per_task): (f64, usize, &[f64]) = match &self.spec {
+            Spec::Homogeneous { n, t } => (reliability::theta(*t), *n as usize, &[]),
+            Spec::Heterogeneous { thresholds } => (0.0, 0, thresholds),
+        };
+        std::iter::repeat(shared)
+            .take(repeats)
+            .chain(per_task.iter().map(|&t| reliability::theta(t)))
     }
 
     /// A stable content signature of the workload: FNV-1a over `n` followed
@@ -196,6 +207,18 @@ mod tests {
         let thetas: Vec<f64> = w.thetas().collect();
         assert_eq!(thetas.len(), 4);
         assert!(thetas[3] > thetas[0]);
+    }
+
+    #[test]
+    fn thetas_match_per_task_theta_bit_for_bit() {
+        for w in [
+            Workload::homogeneous(5, 0.95).unwrap(),
+            Workload::heterogeneous(vec![0.5, 0.6, 0.7, 0.86, 0.3]).unwrap(),
+        ] {
+            let thetas: Vec<u64> = w.thetas().map(f64::to_bits).collect();
+            let per_task: Vec<u64> = (0..w.len()).map(|i| w.theta(i).to_bits()).collect();
+            assert_eq!(thetas, per_task);
+        }
     }
 
     #[test]

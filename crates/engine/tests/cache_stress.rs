@@ -268,21 +268,34 @@ fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     ]
 }
 
+/// The OPQ solver's DP cap in the byte-identity test. The cold `prepare`
+/// fills the exact group DP for every size up to the cap, each size a
+/// minimum over all smaller ones, so it is Θ(cap²) work whatever the
+/// kernel's speed: at this cap it takes milliseconds (tens in release,
+/// hundreds in debug), far longer than the few hand-offs the chunked
+/// request needs to pile its shards up on the leader's flight.
+const PILE_UP_DP_CAP: u32 = 4_096;
+
 fn config(threads: usize, cache_impl: CacheImpl) -> EngineConfig {
     EngineConfig {
         threads,
         cache_capacity: 16,
         cache_impl,
         homogeneous_shard: Some(64),
+        solver: slade_core::opq_based::OpqBased {
+            dp_cap: PILE_UP_DP_CAP,
+            ..slade_core::opq_based::OpqBased::default()
+        },
         ..EngineConfig::default()
     }
 }
 
 /// Cold passes `plans_are_byte_identical_across_impls_threads_and_warmth`
-/// may spend waiting for a single-flight pile-up. A pass misses one when
-/// the first worker finishes the cold prepare before any other reaches the
-/// key — up to about two passes in five on a 2-core host — so this many
-/// misses in a row means single-flight is broken, not unlucky.
+/// may spend waiting for a single-flight pile-up. A pass misses one only
+/// if the first worker finishes the cold prepare before any other reaches
+/// the key, which [`PILE_UP_DP_CAP`] makes rare (none in 50 release runs on
+/// a 2-core host), so this many misses in a row means single-flight is
+/// broken, not unlucky.
 const MAX_COLD_PASSES: usize = 50;
 
 #[test]

@@ -61,6 +61,47 @@ fn opq_extended() -> EngineRequest {
     )
 }
 
+/// The 6-type synthetic menu of the `|B|` sweeps (`slade-bench`'s
+/// `instances::synthetic_bins(6)`).
+fn synthetic_bins6() -> Arc<BinSet> {
+    Arc::new(
+        BinSet::new((1..=6).map(|l: u32| {
+            let lf = f64::from(l);
+            let confidence = 0.92 - 0.04 * (lf - 1.0) / (1.0 + 0.2 * (lf - 1.0));
+            let cost = 0.10 * lf * (1.0 - 0.05 * (lf - 1.0).min(8.0) / 8.0);
+            (l, confidence, cost)
+        }))
+        .unwrap(),
+    )
+}
+
+/// An `opq-based` shard above the default `dp_cap` (256): one bulk group
+/// plus a DP tail, the path a plain DP-sized fixture never reaches.
+fn opq_based_bulk() -> EngineRequest {
+    EngineRequest::new(
+        Algorithm::OpqBased,
+        Workload::homogeneous(600, 0.99).unwrap(),
+        synthetic_bins6(),
+    )
+}
+
+/// Three threshold buckets, the 0.99 one holding 300 tasks, so that
+/// bucket's sub-plan takes the bulk path.
+fn opq_extended_bulk() -> EngineRequest {
+    let thresholds = (0..400)
+        .map(|i| match i % 8 {
+            3 => 0.7,
+            6 => 0.5,
+            _ => 0.99,
+        })
+        .collect();
+    EngineRequest::new(
+        Algorithm::OpqExtended,
+        Workload::heterogeneous(thresholds).unwrap(),
+        paper_bins(),
+    )
+}
+
 /// A prepared pass-through shard from the greedy.
 fn greedy() -> EngineRequest {
     EngineRequest::new(
@@ -70,7 +111,7 @@ fn greedy() -> EngineRequest {
     )
 }
 
-const GOLDENS: [Golden; 3] = [
+const GOLDENS: [Golden; 5] = [
     Golden {
         name: "opq_based",
         request: opq_based,
@@ -82,6 +123,18 @@ const GOLDENS: [Golden; 3] = [
         request: opq_extended,
         record: include_str!("golden/opq_extended.record.json"),
         plan: include_str!("golden/opq_extended.plan.json"),
+    },
+    Golden {
+        name: "opq_based_bulk",
+        request: opq_based_bulk,
+        record: include_str!("golden/opq_based_bulk.record.json"),
+        plan: include_str!("golden/opq_based_bulk.plan.json"),
+    },
+    Golden {
+        name: "opq_extended_bulk",
+        request: opq_extended_bulk,
+        record: include_str!("golden/opq_extended_bulk.record.json"),
+        plan: include_str!("golden/opq_extended_bulk.plan.json"),
     },
     Golden {
         name: "greedy",
