@@ -18,7 +18,7 @@ use slade_bench::harness::full_sweep;
 use slade_bench::report::{write_json, BenchRecord};
 use slade_bench::{instances, sweeps};
 use slade_core::prelude::*;
-use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, SchedulerMode, Submit};
+use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, Submit};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -190,74 +190,6 @@ fn warm_cold_grid(
     ]
 }
 
-/// A/B of the two schedulers on shard-level load shapes:
-///
-/// * **balanced** — one homogeneous request split into 16 equal chunks;
-///   round-robin placement spreads them evenly, so stealing should match
-///   the shared queue (its no-regression case);
-/// * **imbalanced** — one heterogeneous request whose buckets are one
-///   heavy shard (512 tasks at one threshold) plus 32 light ones (4 tasks
-///   each); whichever deque the heavy shard lands in, the other workers
-///   must steal the light shards queued behind it to keep busy. On a
-///   multi-core host this is where stealing pulls ahead of the old shared
-///   queue; on a single-core runner both degenerate to sequential drain
-///   and the records simply track that honestly.
-fn scheduler_ab(threads: usize) -> Vec<BenchRecord> {
-    let bins = Arc::new(instances::paper_bins());
-    let balanced_config = |mode: SchedulerMode| EngineConfig {
-        threads,
-        scheduler: mode,
-        cache_capacity: 0,
-        homogeneous_shard: Some(64),
-        ..EngineConfig::default()
-    };
-    let balanced = vec![EngineRequest::new(
-        Algorithm::OpqBased,
-        instances::homogeneous(16 * 64, 0.95),
-        Arc::clone(&bins),
-    )];
-
-    // One heavy bucket plus 32 light ones, all under θ_max.
-    let mut thresholds = vec![0.95; 512];
-    for i in 0..32u32 {
-        let level = 0.10 + 0.025 * f64::from(i);
-        thresholds.extend(std::iter::repeat(level).take(4));
-    }
-    let imbalanced = vec![EngineRequest::new(
-        Algorithm::OpqExtended,
-        Workload::heterogeneous(thresholds).unwrap(),
-        Arc::clone(&bins),
-    )];
-
-    let mut records = Vec::new();
-    for (scenario, shards, batch) in [
-        ("balanced", 16u64, &balanced),
-        ("imbalanced", 33u64, &imbalanced),
-    ] {
-        let old = best_batch_time(&balanced_config(SchedulerMode::SharedQueue), batch);
-        let new = best_batch_time(&balanced_config(SchedulerMode::WorkSteal), batch);
-        let speedup = old.as_secs_f64() / new.as_secs_f64();
-        println!(
-            "{scenario:<11} shared-queue {old:>9.1?}   work-steal {new:>9.1?}   \
-             steal/shared speedup {speedup:.2}x  ({shards} shards)"
-        );
-        records.push(BenchRecord::per_item(
-            format!("engine/{scenario}/shared-queue"),
-            shards,
-            per_request_ns(shards as usize, old),
-        ));
-        records.push(
-            BenchRecord::per_item(
-                format!("engine/{scenario}/work-steal"),
-                shards,
-                per_request_ns(shards as usize, new),
-            )
-            .with_speedup(speedup),
-        );
-    }
-    records
-}
-
 fn main() {
     let full = full_sweep();
     let bins = Arc::new(instances::paper_bins());
@@ -315,9 +247,6 @@ fn main() {
     ] {
         records.extend(warm_cold_grid(algorithm, full, &bins, n_threads));
     }
-
-    // Old-vs-new scheduler A/B on balanced and imbalanced shard shapes.
-    records.extend(scheduler_ab(n_threads));
 
     write_json("BENCH_engine.json", &records).expect("writing BENCH_engine.json");
 }

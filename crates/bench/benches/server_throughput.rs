@@ -12,14 +12,7 @@
 //!   saturation throughput instead of being round-trip-bound. Reported
 //!   cold (same work as the cold grid, minus the waiting) and warm (the
 //!   steady-state serving rate); both speedups are against the cold
-//!   sequential baseline, the number the sequential protocol pinned us to;
-//! * **contention** — N pipelined connections (N = 1/2/4/8) hammering the
-//!   **warm** cache concurrently, once per [`CacheImpl`]: the A/B pair for
-//!   the sharded lock-free-read cache. The `sharded` record's speedup is
-//!   sharded/mutex-lru aggregate throughput at the same N — the number the
-//!   CI perf gate (`bench_check`) holds at ≥ parity. On a 1-CPU container
-//!   the warm hit path is rarely the bottleneck, so parity (not scaling)
-//!   is the honest expectation; the scaling story needs real cores.
+//!   sequential baseline, the number the sequential protocol pinned us to.
 //!
 //! Requests go through a real TCP connection on 127.0.0.1. Quick mode
 //! keeps the grid small for the CI smoke step; `SLADE_BENCH_FULL=1` sweeps
@@ -29,7 +22,7 @@
 use slade_bench::harness::full_sweep;
 use slade_bench::report::{write_json, BenchRecord};
 use slade_bench::sweeps;
-use slade_engine::{CacheImpl, EngineConfig};
+use slade_engine::EngineConfig;
 use slade_server::{Client, ObsOptions, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -47,31 +40,11 @@ fn request_lines(full: bool) -> Vec<String> {
     lines
 }
 
-fn start_server(cache: usize) -> (Server, std::net::SocketAddr) {
-    start_server_obs(cache, true)
-}
-
-fn start_server_obs(cache: usize, obs_enabled: bool) -> (Server, std::net::SocketAddr) {
-    start_server_impl(
-        cache,
-        ObsOptions {
-            enabled: obs_enabled,
-            ..ObsOptions::default()
-        },
-        CacheImpl::default(),
-    )
-}
-
-fn start_server_impl(
-    cache: usize,
-    obs: ObsOptions,
-    cache_impl: CacheImpl,
-) -> (Server, std::net::SocketAddr) {
+fn start_server(cache: usize, obs: ObsOptions) -> (Server, std::net::SocketAddr) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         engine: EngineConfig {
             cache_capacity: cache,
-            cache_impl,
             ..EngineConfig::default()
         },
         request_timeout: Duration::from_secs(600),
@@ -85,7 +58,7 @@ fn start_server_impl(
 
 /// Requests/sec of the given mode, best of [`RUNS`] timed passes.
 fn bench_mode(cache: usize, warm: bool, lines: &[String]) -> f64 {
-    let (server, addr) = start_server(cache);
+    let (server, addr) = start_server(cache, ObsOptions::default());
     let shutdown = server.shutdown_handle();
     let running = std::thread::spawn(move || server.run());
 
@@ -122,7 +95,7 @@ fn bench_mode(cache: usize, warm: bool, lines: &[String]) -> f64 {
 
 /// Requests/sec with the whole grid sent as a single `batch` verb.
 fn bench_batch_verb(lines: &[String]) -> f64 {
-    let (server, addr) = start_server(64);
+    let (server, addr) = start_server(64, ObsOptions::default());
     let shutdown = server.shutdown_handle();
     let running = std::thread::spawn(move || server.run());
 
@@ -190,7 +163,7 @@ fn bench_pipelined_opts(
     window: usize,
     obs: ObsOptions,
 ) -> f64 {
-    let (server, addr) = start_server_impl(cache, obs, CacheImpl::default());
+    let (server, addr) = start_server(cache, obs);
     let shutdown = server.shutdown_handle();
     let running = std::thread::spawn(move || server.run());
 
@@ -229,99 +202,6 @@ fn bench_pipelined_opts(
         .expect("server thread must not panic")
         .expect("server must shut down cleanly");
     best_rps
-}
-
-/// Timed passes per cache implementation in the contention A/B. Higher than
-/// [`RUNS`]: the A/B ratio is the gated number, and on a shared (often
-/// 1-CPU) container a single slow pass on one side would swing it.
-const CONTENTION_RUNS: u32 = 5;
-
-/// One timed contention pass: `connections` barrier-released pipelined
-/// clients drive the full grid against an already-warm server at `addr`.
-/// Connections are established outside the timed region.
-fn contention_pass(addr: std::net::SocketAddr, connections: usize, lines: &[String]) -> f64 {
-    let barrier = std::sync::Barrier::new(connections + 1);
-    let elapsed = std::thread::scope(|scope| {
-        for _ in 0..connections {
-            let barrier = &barrier;
-            let mut client = Client::connect(addr).expect("contention connection");
-            client
-                .set_read_timeout(Some(Duration::from_secs(600)))
-                .unwrap();
-            scope.spawn(move || {
-                barrier.wait();
-                let responses = client
-                    .pipeline(lines, PIPELINE_WINDOW)
-                    .expect("contention round trips");
-                assert!(
-                    responses.iter().all(|r| r.contains("\"ok\":true")),
-                    "contention responses must succeed"
-                );
-            });
-        }
-        barrier.wait();
-        let start = Instant::now();
-        // The scope joins every client before returning.
-        start
-    })
-    .elapsed();
-    (connections * lines.len()) as f64 / elapsed.as_secs_f64()
-}
-
-/// Aggregate requests/sec of `connections` concurrent pipelined clients
-/// against a pre-warmed cache, measured for **both** cache implementations
-/// in one interleaved session — the cache-contention A/B. Every client
-/// drives the full grid with a window in flight, so with the prepare work
-/// cached the server spends its time on exactly the path the sharded cache
-/// rebuilt: lookup, `solve_with`, serialize. Both servers stay up for the
-/// whole measurement and the timed passes alternate mutex-lru / sharded,
-/// so machine drift lands on both sides of the ratio instead of biasing
-/// whichever implementation happened to run during a noisy window.
-/// Returns `(mutex_lru_rps, sharded_rps)`, each the **median** of
-/// [`CONTENTION_RUNS`] passes — the other scenarios report best-of-N,
-/// but the contention numbers feed a gated ratio, and a median won't let
-/// one lucky (or unlucky) pass on one side swing it.
-fn bench_contention_pair(connections: usize, lines: &[String]) -> (f64, f64) {
-    let impls = [CacheImpl::MutexLru, CacheImpl::Sharded];
-    let mut addrs = Vec::new();
-    let mut shutdowns = Vec::new();
-    let mut running = Vec::new();
-    for cache_impl in impls {
-        let (server, addr) = start_server_impl(64, ObsOptions::default(), cache_impl);
-        shutdowns.push(server.shutdown_handle());
-        running.push(std::thread::spawn(move || server.run()));
-        addrs.push(addr);
-
-        // One untimed pass fills this server's cache for everyone.
-        let mut warmer = Client::connect(addr).expect("connecting to the bench server");
-        warmer
-            .set_read_timeout(Some(Duration::from_secs(600)))
-            .unwrap();
-        for line in lines {
-            let response = warmer.roundtrip(line).expect("warm-up round trip");
-            assert!(response.contains("\"ok\":true"), "{response}");
-        }
-    }
-
-    let mut passes: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for _ in 0..CONTENTION_RUNS {
-        for (slot, &addr) in addrs.iter().enumerate() {
-            passes[slot].push(contention_pass(addr, connections, lines));
-        }
-    }
-
-    for (shutdown, handle) in shutdowns.into_iter().zip(running) {
-        shutdown.shutdown();
-        handle
-            .join()
-            .expect("server thread must not panic")
-            .expect("server must shut down cleanly");
-    }
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    (median(&mut passes[0]), median(&mut passes[1]))
 }
 
 fn record(name: &str, n: u64, rps: f64) -> BenchRecord {
@@ -389,7 +269,7 @@ fn main() {
         pipelined / window_off
     );
 
-    let mut records = vec![
+    let records = vec![
         record("server/solve/cold", n, cold),
         record("server/solve/warm", n, warm).with_speedup(warm / cold),
         record("server/batch/warm", n, batch).with_speedup(batch / cold),
@@ -408,55 +288,6 @@ fn main() {
         record("server/solve/pipelined-window-on", n, pipelined)
             .with_speedup(pipelined / window_off),
     ];
-
-    // The cache-contention A/B: N warm pipelined connections under each
-    // cache implementation. Each sharded record's speedup is sharded /
-    // mutex-lru at the same N; the gated number is their geometric mean
-    // across the sweep (one noisy N out of four must not flap the gate —
-    // averaging four within-run ratios roughly halves the run noise).
-    let mut ratio_product = 1.0_f64;
-    let mut sharded_rps_product = 1.0_f64;
-    let sweep = [1usize, 2, 4, 8];
-    for connections in sweep {
-        let (mutex_lru, sharded) = bench_contention_pair(connections, &lines);
-        println!(
-            "server/contention/c{connections} mutex-lru {mutex_lru:>10.0} req/s, \
-             sharded {sharded:>10.0} req/s (sharded/mutex {:.3}x)",
-            sharded / mutex_lru
-        );
-        // The impl segment comes before the connection count so the CI
-        // gate can select `server/contention/sharded/` by prefix: those
-        // records carry the within-run sharded/mutex ratio (machine-
-        // independent), while the mutex-lru records carry only absolute
-        // throughput (context, not gateable across machines).
-        let total = connections as u64 * n;
-        records.push(record(
-            &format!("server/contention/mutex-lru/c{connections}"),
-            total,
-            mutex_lru,
-        ));
-        records.push(
-            record(
-                &format!("server/contention/sharded/c{connections}"),
-                total,
-                sharded,
-            )
-            .with_speedup(sharded / mutex_lru),
-        );
-        ratio_product *= sharded / mutex_lru;
-        sharded_rps_product *= sharded;
-    }
-    let geomean_ratio = ratio_product.powf(1.0 / sweep.len() as f64);
-    let geomean_rps = sharded_rps_product.powf(1.0 / sweep.len() as f64);
-    println!("server/contention geomean sharded/mutex {geomean_ratio:.3}x over the sweep");
-    records.push(
-        record(
-            "server/contention/sharded/geomean",
-            sweep.iter().map(|&c| c as u64 * n).sum(),
-            geomean_rps,
-        )
-        .with_speedup(geomean_ratio),
-    );
 
     write_json("BENCH_server.json", &records).expect("writing BENCH_server.json");
 }

@@ -115,7 +115,7 @@ mod tests {
     }
 
     const BASE: &str = r#"[
-  {"name": "server/contention/sharded/c4", "n": 4, "median_ns": 100.0, "throughput": 1000.0, "speedup": 2.0},
+  {"name": "server/solve/pipelined", "n": 4, "median_ns": 100.0, "throughput": 1000.0, "speedup": 2.0},
   {"name": "server/solve/warm", "n": 12, "median_ns": 100.0, "throughput": 1000.0, "speedup": 7.0}
 ]"#;
 
@@ -141,7 +141,7 @@ mod tests {
 
         let bad_fresh = write_temp("bench_check_bad.json", &BASE.replace("2.0", "1.5"));
         let err = run(&argv(&bad_fresh)).expect_err("25% speedup drop must fail");
-        assert!(err.contains("server/contention/sharded/c4"), "{err}");
+        assert!(err.contains("server/solve/pipelined"), "{err}");
         assert!(!err.contains("server/solve/warm"), "{err}");
     }
 

@@ -558,12 +558,12 @@ mod tests {
     fn bench_records_round_trip_through_parse() {
         use super::report::{parse_records, to_json, BenchRecord};
         let records = vec![
-            BenchRecord::per_item("server/contention/sharded/c4", 4, 2_000.0).with_speedup(1.25),
+            BenchRecord::per_item("server/solve/pipelined", 4, 2_000.0).with_speedup(1.25),
             BenchRecord::per_item("server/solve/cold", 12, 950_000.0),
         ];
         let parsed = parse_records(&to_json(&records)).unwrap();
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].name, "server/contention/sharded/c4");
+        assert_eq!(parsed[0].name, "server/solve/pipelined");
         assert_eq!(parsed[0].speedup, Some(1.25));
         assert_eq!(parsed[1].speedup, None);
         assert!((parsed[1].median_ns - 950_000.0).abs() < 0.5);
@@ -575,7 +575,7 @@ mod tests {
     fn bench_check_gates_on_ratio_and_reports_unmatched() {
         use super::report::{bench_check, BenchRecord};
         let baseline = vec![
-            BenchRecord::per_item("server/contention/sharded/c4", 4, 100.0).with_speedup(2.0),
+            BenchRecord::per_item("server/solve/pipelined", 4, 100.0).with_speedup(2.0),
             // Throughput-only record: compared on throughput when gated.
             BenchRecord::per_item("server/solve/cold", 12, 100.0),
             BenchRecord::per_item("server/gone", 1, 100.0),
@@ -589,7 +589,7 @@ mod tests {
         let gates = vec!["server/".to_string()];
         let report = bench_check(&baseline, &fresh, 10.0, &gates);
         assert_eq!(report.regressions.len(), 1, "{report:?}");
-        assert_eq!(report.regressions[0].name, "server/contention/sharded/c4");
+        assert_eq!(report.regressions[0].name, "server/solve/pipelined");
         assert_eq!(report.regressions[0].metric, "speedup");
         assert!(report.regressions[0].change_pct < -39.0);
         assert_eq!(report.unmatched, vec!["server/gone".to_string()]);

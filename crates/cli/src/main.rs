@@ -6,8 +6,7 @@
 //! slade-cli simulate [same flags] [--trials K] [--seed S]
 //! slade-cli batch    [--threads N] [--cache N]   (JSONL requests on stdin)
 //! slade-cli serve    [--addr HOST:PORT] [--threads N] [--cache N]
-//!                    [--max-inflight N] [--scheduler MODE]
-//!                    [--cache-impl IMPL] [--trace-log FILE] [--slow-ms N]
+//!                    [--max-inflight N] [--trace-log FILE] [--slow-ms N]
 //! slade-cli client   --connect HOST:PORT [--pipeline N]
 //!                                                 (JSONL requests on stdin)
 //! slade-cli top      --connect HOST:PORT [--interval-ms N] [--iterations N]
@@ -75,13 +74,6 @@ OPTIONS (serve):
     --max-inflight N        Cap on seq-tagged (pipelined) requests one
                             session may have in flight; the reader blocks
                             at the cap (TCP backpressure) [default: 32]
-    --scheduler MODE        Engine worker scheduler: work-steal (per-worker
-                            deques with stealing) or shared-queue (one
-                            FIFO, for A/B comparison) [default: work-steal]
-    --cache-impl IMPL       Artifact-cache implementation: sharded (lock-free
-                            warm hits, single-flight misses) or mutex-lru
-                            (one exact-LRU mutex, for A/B comparison)
-                            [default: sharded]
     --trace-log FILE        Append every completed traced span (requests
                             sent with \"trace\":true) to FILE as JSON lines
     --slow-ms N             Log any traced request slower than N ms
@@ -333,8 +325,6 @@ fn parse_serve_options(args: &[String]) -> Result<ServerConfig, CliError> {
     let mut cache = defaults.cache_capacity;
     let mut timeout_secs: u64 = 60;
     let mut max_inflight = ServerConfig::default().max_inflight;
-    let mut scheduler = defaults.scheduler;
-    let mut cache_impl = defaults.cache_impl;
     let mut obs = slade_server::ObsOptions::default();
     let mut metrics_addr: Option<String> = None;
     let mut journal: Option<std::path::PathBuf> = None;
@@ -367,16 +357,6 @@ fn parse_serve_options(args: &[String]) -> Result<ServerConfig, CliError> {
                     return Err(CliError::Usage("--max-inflight must be at least 1".into()));
                 }
             }
-            "--scheduler" => {
-                scheduler = value("--scheduler")?
-                    .parse()
-                    .map_err(|e: String| CliError::Usage(format!("--scheduler: {e}")))?;
-            }
-            "--cache-impl" => {
-                cache_impl = value("--cache-impl")?
-                    .parse()
-                    .map_err(|e: String| CliError::Usage(format!("--cache-impl: {e}")))?;
-            }
             "--trace-log" => {
                 obs.trace_log = Some(std::path::PathBuf::from(value("--trace-log")?));
             }
@@ -407,8 +387,6 @@ fn parse_serve_options(args: &[String]) -> Result<ServerConfig, CliError> {
         engine: EngineConfig {
             threads,
             cache_capacity: cache,
-            scheduler,
-            cache_impl,
             ..EngineConfig::default()
         },
         request_timeout: Duration::from_secs(timeout_secs),
@@ -1203,10 +1181,8 @@ mod tests {
             "serve --threads 0",
             "serve --timeout-secs 0",
             "serve --max-inflight 0",
-            "serve --scheduler bogus",
-            "serve --scheduler",
-            "serve --cache-impl bogus",
-            "serve --cache-impl",
+            "serve --cache-impl sharded",
+            "serve --scheduler work-steal",
             "serve --addr",
             "serve --trace-log",
             "serve --slow-ms",

@@ -1,10 +1,9 @@
 //! The artifact cache: a sharded, lock-free-on-the-read-path table of
-//! `Arc`-shared solve artifacts with single-flight cold misses, plus the
-//! original mutex LRU kept selectable for A/B benchmarking.
+//! `Arc`-shared solve artifacts with single-flight cold misses.
 
 use slade_core::fingerprint::Fingerprint;
 use slade_core::solver::{Algorithm, SolveArtifacts};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -21,50 +20,7 @@ pub struct CacheKey {
     pub fingerprint: Fingerprint,
 }
 
-/// Which concurrent table implementation an [`ArtifactCache`] runs.
-///
-/// The default, [`CacheImpl::Sharded`], is the scalable design: warm hits
-/// touch only their shard's `RwLock` read half plus relaxed atomics, so N
-/// workers hitting the cache never serialize behind one process-global
-/// mutex. [`CacheImpl::MutexLru`] is the engine's original single
-/// `Mutex<HashMap + BTreeMap>` exact LRU, kept selectable (engine config,
-/// `slade serve --cache-impl`) for honest A/B comparison — the same
-/// precedent as [`SchedulerMode`](crate::SchedulerMode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheImpl {
-    /// Fixed-array sharded table, per-entry atomic recency stamps,
-    /// shard-local approximate-LRU eviction, single-flight cold misses.
-    #[default]
-    Sharded,
-    /// One mutex around an exact-LRU map — the pre-sharding implementation.
-    MutexLru,
-}
-
-impl CacheImpl {
-    /// The flag spelling, e.g. for `--cache-impl`.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheImpl::Sharded => "sharded",
-            CacheImpl::MutexLru => "mutex-lru",
-        }
-    }
-}
-
-impl std::str::FromStr for CacheImpl {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sharded" => Ok(CacheImpl::Sharded),
-            "mutex-lru" => Ok(CacheImpl::MutexLru),
-            other => Err(format!(
-                "unknown cache impl `{other}` (expected `sharded` or `mutex-lru`)"
-            )),
-        }
-    }
-}
-
-/// Shards of the [`CacheImpl::Sharded`] table. A small fixed power of two:
+/// Shards of the [`ArtifactCache`] table. A small fixed power of two:
 /// shard choice is the fingerprint digest's low bits, and 16 independent
 /// locks already out-number the worker pool on every deployment target.
 pub const CACHE_SHARDS: usize = 16;
@@ -79,7 +35,7 @@ pub const CACHE_SHARDS: usize = 16;
 /// the mismatched key and the second instance simply computes its own
 /// artifacts.
 ///
-/// ## The sharded design (default)
+/// ## Design
 ///
 /// * **Warm hits take no process-global lock.** The shard is chosen from
 ///   the fingerprint digest, the lookup takes that shard's `RwLock` *read*
@@ -133,35 +89,27 @@ pub struct ArtifactCache {
     entries: AtomicU64,
     evictions: AtomicU64,
     singleflight_waits: AtomicU64,
-    backend: Backend,
+    shards: Vec<Shard>,
+    /// Monotone logical clock stamping every access. Relaxed: ties or
+    /// slightly stale stamps only blur *which* cold entry eviction picks,
+    /// never correctness.
+    clock: AtomicU64,
 }
 
-#[derive(Debug)]
-enum Backend {
-    Sharded {
-        shards: Vec<Shard>,
-        /// Monotone logical clock stamping every access. Relaxed: ties or
-        /// slightly stale stamps only blur *which* cold entry eviction
-        /// picks, never correctness.
-        clock: AtomicU64,
-    },
-    MutexLru(Mutex<LruInner>),
-}
-
-/// One shard of the sharded table. The `map` lock is the only thing a warm
+/// One shard of the table. The `map` lock is the only thing a warm
 /// hit takes (read half); `flights` is a cold-miss-only side table.
 #[derive(Debug, Default)]
 struct Shard {
-    map: RwLock<HashMap<CacheKey, ShardedSlot>>,
+    map: RwLock<HashMap<CacheKey, Slot>>,
     /// In-flight cold computations, keyed like `map`. Only missing lookups
     /// touch this mutex, so it cannot contend with warm hits.
     flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
 }
 
 #[derive(Debug)]
-struct ShardedSlot {
+struct Slot {
     artifacts: Arc<dyn SolveArtifacts>,
-    /// Last-access stamp from the backend clock, stored relaxed on every
+    /// Last-access stamp from the cache clock, stored relaxed on every
     /// hit — the entire recency bookkeeping of the hot path.
     stamp: AtomicU64,
 }
@@ -215,24 +163,6 @@ impl Flight {
     }
 }
 
-#[derive(Debug)]
-struct LruInner {
-    map: HashMap<CacheKey, LruSlot>,
-    /// Recency index: `last_used` stamp → key, mirroring `map` one-to-one
-    /// (stamps are unique — the clock only ticks under the lock), so
-    /// eviction pops the smallest stamp in `O(log entries)` instead of
-    /// scanning the whole map.
-    order: BTreeMap<u64, CacheKey>,
-    /// Monotone logical clock stamping every access, for LRU eviction.
-    clock: u64,
-}
-
-#[derive(Debug)]
-struct LruSlot {
-    artifacts: Arc<dyn SolveArtifacts>,
-    last_used: u64,
-}
-
 /// A point-in-time snapshot of cache effectiveness. Every field is read
 /// from relaxed atomics — taking a snapshot never contends with the solve
 /// path on any lock.
@@ -246,18 +176,15 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Maximum resident entries (`0` = caching disabled). The sharded
-    /// implementation enforces it approximately — occupancy may overshoot
-    /// by up to [`CACHE_SHARDS`]` − 1` when residents spread one-per-shard.
+    /// Maximum resident entries (`0` = caching disabled), enforced
+    /// approximately — occupancy may overshoot by up to
+    /// [`CACHE_SHARDS`]` − 1` when residents spread one-per-shard.
     pub capacity: usize,
     /// Entries evicted to stay within capacity since construction.
     pub evictions: u64,
     /// Times a lookup parked on another worker's in-flight computation
-    /// instead of redundantly computing (always 0 under
-    /// [`CacheImpl::MutexLru`], which has no single-flight).
+    /// instead of redundantly computing.
     pub singleflight_waits: u64,
-    /// Which implementation produced this snapshot.
-    pub cache_impl: CacheImpl,
 }
 
 impl CacheStats {
@@ -282,25 +209,8 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl ArtifactCache {
-    /// Creates a cache holding at most `capacity` artifact sets, on the
-    /// default [`CacheImpl::Sharded`] backend.
+    /// Creates a cache holding at most `capacity` artifact sets.
     pub fn new(capacity: usize) -> Self {
-        Self::with_impl(CacheImpl::default(), capacity)
-    }
-
-    /// Creates a cache on an explicit backend implementation.
-    pub fn with_impl(cache_impl: CacheImpl, capacity: usize) -> Self {
-        let backend = match cache_impl {
-            CacheImpl::Sharded => Backend::Sharded {
-                shards: (0..CACHE_SHARDS).map(|_| Shard::default()).collect(),
-                clock: AtomicU64::new(0),
-            },
-            CacheImpl::MutexLru => Backend::MutexLru(Mutex::new(LruInner {
-                map: HashMap::new(),
-                order: BTreeMap::new(),
-                clock: 0,
-            })),
-        };
         ArtifactCache {
             capacity,
             hits: AtomicU64::new(0),
@@ -308,15 +218,8 @@ impl ArtifactCache {
             entries: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
-            backend,
-        }
-    }
-
-    /// Which implementation this cache runs.
-    pub fn cache_impl(&self) -> CacheImpl {
-        match &self.backend {
-            Backend::Sharded { .. } => CacheImpl::Sharded,
-            Backend::MutexLru(_) => CacheImpl::MutexLru,
+            shards: (0..CACHE_SHARDS).map(|_| Shard::default()).collect(),
+            clock: AtomicU64::new(0),
         }
     }
 
@@ -345,36 +248,30 @@ impl ArtifactCache {
             capacity: self.capacity,
             evictions: self.evictions.load(Ordering::Relaxed),
             singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
-            cache_impl: self.cache_impl(),
         }
     }
 
-    /// Resident entries per shard (a single `[len]` for the mutex LRU,
-    /// which has one logical shard). Diagnostic — takes each shard's read
+    /// Resident entries per shard. Diagnostic — takes each shard's read
     /// lock briefly, so it belongs on the `metrics` path, not the hot one.
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        match &self.backend {
-            Backend::Sharded { shards, .. } => shards
-                .iter()
-                .map(|shard| {
-                    shard
-                        .map
-                        .read()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .len()
-                })
-                .collect(),
-            Backend::MutexLru(inner) => vec![lock(inner).map.len()],
-        }
+        self.shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .map
+                    .read()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .len()
+            })
+            .collect()
     }
 
     /// Returns the artifacts for `key`, computing and caching them with
     /// `compute` on a miss. Errors from `compute` are passed through and
     /// nothing is cached; non-[`cacheable`](SolveArtifacts::cacheable)
-    /// results are returned without being inserted. Under the sharded
-    /// backend, concurrent misses on the same key compute **once**
-    /// (single-flight); `compute` runs outside every table lock on either
-    /// backend.
+    /// results are returned without being inserted. Concurrent misses on
+    /// the same key compute **once** (single-flight); `compute` runs
+    /// outside every table lock.
     pub fn get_or_try_insert_with<E>(
         &self,
         key: CacheKey,
@@ -384,30 +281,10 @@ impl ArtifactCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return compute();
         }
-        match &self.backend {
-            Backend::Sharded { shards, clock } => self.sharded_lookup(shards, clock, key, compute),
-            Backend::MutexLru(inner) => self.lru_lookup(inner, key, compute),
-        }
-    }
-
-    /// The shard `key` lives in: the fingerprint digest's low bits (the
-    /// digest already mixes every key component except the algorithm, whose
-    /// co-residence in one shard is harmless).
-    fn shard_of<'s>(shards: &'s [Shard], key: &CacheKey) -> &'s Shard {
-        &shards[(key.fingerprint.as_u64() as usize) % shards.len()]
-    }
-
-    /// The sharded read path. Warm hit = shard read lock + relaxed atomics;
-    /// see the type-level docs for the full protocol.
-    fn sharded_lookup<E>(
-        &self,
-        shards: &[Shard],
-        clock: &AtomicU64,
-        key: CacheKey,
-        compute: impl FnOnce() -> Result<Arc<dyn SolveArtifacts>, E>,
-    ) -> Result<Arc<dyn SolveArtifacts>, E> {
-        let shard = Self::shard_of(shards, &key);
-        if let Some(found) = Self::probe(shard, clock, &key) {
+        // Warm hit = shard read lock + relaxed atomics; see the type-level
+        // docs for the full protocol.
+        let shard = self.shard_of(&key);
+        if let Some(found) = self.probe(shard, &key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(found);
         }
@@ -417,7 +294,7 @@ impl ArtifactCache {
             let mut flights = lock(&shard.flights);
             // Re-probe under the flights lock: a leader that just published
             // has already left `flights`, so only the map can answer.
-            if let Some(found) = Self::probe(shard, clock, &key) {
+            if let Some(found) = self.probe(shard, &key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(found);
             }
@@ -443,23 +320,27 @@ impl ArtifactCache {
                 // The leader failed; compute individually so this caller
                 // gets its own error (or its own success — transient
                 // failures must not infect unrelated requests).
-                FlightState::Failed => {
-                    return self.sharded_compute(shard, None, clock, key, compute)
-                }
+                FlightState::Failed => return self.compute_and_publish(shard, None, key, compute),
                 FlightState::Pending => unreachable!("wait() only returns resolved states"),
             }
         }
 
-        self.sharded_compute(shard, Some(flight), clock, key, compute)
+        self.compute_and_publish(shard, Some(flight), key, compute)
+    }
+
+    /// The shard `key` lives in: the fingerprint digest's low bits (the
+    /// digest already mixes every key component except the algorithm, whose
+    /// co-residence in one shard is harmless).
+    fn shard_of(&self, key: &CacheKey) -> &Shard {
+        &self.shards[(key.fingerprint.as_u64() as usize) % self.shards.len()]
     }
 
     /// Leader (or post-failure fallback) compute: run `compute` outside all
     /// locks, publish to the map and to any waiters.
-    fn sharded_compute<E>(
+    fn compute_and_publish<E>(
         &self,
         shard: &Shard,
         flight: Option<Arc<Flight>>,
-        clock: &AtomicU64,
         key: CacheKey,
         compute: impl FnOnce() -> Result<Arc<dyn SolveArtifacts>, E>,
     ) -> Result<Arc<dyn SolveArtifacts>, E> {
@@ -481,13 +362,13 @@ impl ArtifactCache {
                 .write()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             // A fallback (non-leader) compute may race another fallback;
-            // first insert wins, as in the pre-sharding design.
+            // first insert wins.
             if !map.contains_key(&key) {
                 map.insert(
                     key.clone(),
-                    ShardedSlot {
+                    Slot {
                         artifacts: Arc::clone(&computed),
-                        stamp: AtomicU64::new(clock.fetch_add(1, Ordering::Relaxed)),
+                        stamp: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
                     },
                 );
                 self.entries.fetch_add(1, Ordering::Relaxed);
@@ -524,87 +405,17 @@ impl ArtifactCache {
     }
 
     /// One warm probe: shard read lock, stamp bump, `Arc` clone.
-    fn probe(shard: &Shard, clock: &AtomicU64, key: &CacheKey) -> Option<Arc<dyn SolveArtifacts>> {
+    fn probe(&self, shard: &Shard, key: &CacheKey) -> Option<Arc<dyn SolveArtifacts>> {
         let map = shard
             .map
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let slot = map.get(key)?;
-        slot.stamp
-            .store(clock.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        slot.stamp.store(
+            self.clock.fetch_add(1, Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
         Some(Arc::clone(&slot.artifacts))
-    }
-
-    /// The original exact-LRU path, unchanged in semantics: both racers of
-    /// a cold key compute (no single-flight), first insert wins.
-    fn lru_lookup<E>(
-        &self,
-        inner: &Mutex<LruInner>,
-        key: CacheKey,
-        compute: impl FnOnce() -> Result<Arc<dyn SolveArtifacts>, E>,
-    ) -> Result<Arc<dyn SolveArtifacts>, E> {
-        if let Some(found) = Self::lru_touch(inner, &key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(found);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
-        // Compute outside the lock; see the type-level docs for the race.
-        let computed = compute()?;
-        if !computed.cacheable() {
-            return Ok(computed);
-        }
-
-        let mut inner = lock(inner);
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let result = match inner.map.get_mut(&key) {
-            // Another worker inserted first: hand out ITS value so every
-            // caller from here on shares one allocation.
-            Some(slot) => {
-                let stale = slot.last_used;
-                slot.last_used = stamp;
-                let shared = Arc::clone(&slot.artifacts);
-                inner.order.remove(&stale);
-                inner.order.insert(stamp, key);
-                shared
-            }
-            None => {
-                inner.map.insert(
-                    key.clone(),
-                    LruSlot {
-                        artifacts: Arc::clone(&computed),
-                        last_used: stamp,
-                    },
-                );
-                inner.order.insert(stamp, key);
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                computed
-            }
-        };
-        while inner.map.len() > self.capacity {
-            let Some((_, coldest)) = inner.order.pop_first() else {
-                break;
-            };
-            inner.map.remove(&coldest);
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(result)
-    }
-
-    /// Looks `key` up in the LRU and refreshes its recency stamp.
-    fn lru_touch(inner: &Mutex<LruInner>, key: &CacheKey) -> Option<Arc<dyn SolveArtifacts>> {
-        let mut inner = lock(inner);
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let slot = inner.map.get_mut(key)?;
-        let stale = slot.last_used;
-        slot.last_used = stamp;
-        let shared = Arc::clone(&slot.artifacts);
-        inner.order.remove(&stale);
-        inner.order.insert(stamp, key.clone());
-        Some(shared)
     }
 }
 
@@ -616,8 +427,6 @@ mod tests {
     use slade_core::reliability::theta;
     use slade_core::solver::{PassThroughArtifacts, PreparedSolver};
     use slade_core::SladeError;
-
-    const BOTH_IMPLS: [CacheImpl; 2] = [CacheImpl::Sharded, CacheImpl::MutexLru];
 
     fn key_and_artifacts(t: f64) -> (CacheKey, Arc<dyn SolveArtifacts>) {
         let bins = Arc::new(BinSet::paper_example());
@@ -631,96 +440,50 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_the_cached_arc_under_both_impls() {
-        for cache_impl in BOTH_IMPLS {
-            let cache = ArtifactCache::with_impl(cache_impl, 4);
-            let (key, artifacts) = key_and_artifacts(0.95);
-            let first = cache
-                .get_or_try_insert_with::<SladeError>(key.clone(), || Ok(artifacts))
-                .unwrap();
-            let second = cache
-                .get_or_try_insert_with::<SladeError>(key, || panic!("must not recompute"))
-                .unwrap();
-            assert!(Arc::ptr_eq(&first, &second), "{cache_impl:?}");
-            let stats = cache.stats();
-            assert_eq!(
-                (stats.hits, stats.misses, stats.entries),
-                (1, 1, 1),
-                "{cache_impl:?}"
-            );
-            assert_eq!(stats.cache_impl, cache_impl);
-        }
+    fn hit_returns_the_cached_arc() {
+        let cache = ArtifactCache::new(4);
+        let (key, artifacts) = key_and_artifacts(0.95);
+        let first = cache
+            .get_or_try_insert_with::<SladeError>(key.clone(), || Ok(artifacts))
+            .unwrap();
+        let second = cache
+            .get_or_try_insert_with::<SladeError>(key, || panic!("must not recompute"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
     fn same_fingerprint_under_two_algorithms_is_two_entries() {
         // Greedy and OpqExtended can share a fingerprint digest shape; the
         // Algorithm component must still keep their artifacts apart.
-        for cache_impl in BOTH_IMPLS {
-            let cache = ArtifactCache::with_impl(cache_impl, 4);
-            let (key, artifacts) = key_and_artifacts(0.95);
-            let other_key = CacheKey {
-                algorithm: Algorithm::OpqExtended,
-                fingerprint: key.fingerprint.clone(),
-            };
-            cache
-                .get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
-                .unwrap();
-            let mut recomputed = false;
-            let (_, other) = key_and_artifacts(0.95);
-            cache
-                .get_or_try_insert_with::<SladeError>(other_key, || {
-                    recomputed = true;
-                    Ok(other)
-                })
-                .unwrap();
-            assert!(recomputed, "{cache_impl:?}");
-            assert_eq!(cache.len(), 2, "{cache_impl:?}");
-        }
-    }
-
-    #[test]
-    fn mutex_lru_evicts_the_exactly_coldest_entry() {
-        let cache = ArtifactCache::with_impl(CacheImpl::MutexLru, 2);
-        let (k1, a1) = key_and_artifacts(0.90);
-        let (k2, a2) = key_and_artifacts(0.95);
-        let (k3, a3) = key_and_artifacts(0.99);
+        let cache = ArtifactCache::new(4);
+        let (key, artifacts) = key_and_artifacts(0.95);
+        let other_key = CacheKey {
+            algorithm: Algorithm::OpqExtended,
+            fingerprint: key.fingerprint.clone(),
+        };
         cache
-            .get_or_try_insert_with::<SladeError>(k1.clone(), || Ok(Arc::clone(&a1)))
+            .get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
             .unwrap();
-        cache
-            .get_or_try_insert_with::<SladeError>(k2.clone(), || Ok(a2))
-            .unwrap();
-        // Touch k1 so k2 is now the coldest, then overflow with k3.
-        cache
-            .get_or_try_insert_with::<SladeError>(k1.clone(), || panic!("k1 is resident"))
-            .unwrap();
-        cache
-            .get_or_try_insert_with::<SladeError>(k3, || Ok(a3))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // k1 survived the eviction (it was touched after k2)...
-        cache
-            .get_or_try_insert_with::<SladeError>(k1, || panic!("k1 must survive"))
-            .unwrap();
-        // ...and k2, the coldest at overflow time, was the one evicted.
         let mut recomputed = false;
-        let (_, a2_again) = key_and_artifacts(0.95);
+        let (_, other) = key_and_artifacts(0.95);
         cache
-            .get_or_try_insert_with::<SladeError>(k2, || {
+            .get_or_try_insert_with::<SladeError>(other_key, || {
                 recomputed = true;
-                Ok(a2_again)
+                Ok(other)
             })
             .unwrap();
         assert!(recomputed);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn sharded_eviction_keeps_a_shard_within_budget_and_prefers_cold_entries() {
         // Capacity 1 with two keys in one shard: the insert that takes the
         // cache over capacity must shed the colder co-resident.
-        let cache = ArtifactCache::with_impl(CacheImpl::Sharded, 1);
+        let cache = ArtifactCache::new(1);
         // Find two thresholds whose fingerprints share a shard.
         let thresholds = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.99];
         let shard_of = |t: f64| {
@@ -769,7 +532,7 @@ mod tests {
         // Residents spread across shards can overshoot a tiny capacity
         // (each shard keeps at least its own fresh entry), but never beyond
         // one entry per shard — the approximation the docs pin.
-        let cache = ArtifactCache::with_impl(CacheImpl::Sharded, 1);
+        let cache = ArtifactCache::new(1);
         let thresholds = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.99];
         for t in thresholds {
             let (key, artifacts) = key_and_artifacts(t);
@@ -792,62 +555,56 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        for cache_impl in BOTH_IMPLS {
-            let cache = ArtifactCache::with_impl(cache_impl, 0);
-            let (key, artifacts) = key_and_artifacts(0.95);
-            let other = Arc::clone(&artifacts);
-            cache
-                .get_or_try_insert_with::<SladeError>(key.clone(), || Ok(artifacts))
-                .unwrap();
-            let mut recomputed = false;
-            cache
-                .get_or_try_insert_with::<SladeError>(key, || {
-                    recomputed = true;
-                    Ok(other)
-                })
-                .unwrap();
-            assert!(recomputed, "{cache_impl:?}");
-            assert!(cache.is_empty(), "{cache_impl:?}");
-            assert_eq!(cache.stats().misses, 2, "{cache_impl:?}");
-        }
+        let cache = ArtifactCache::new(0);
+        let (key, artifacts) = key_and_artifacts(0.95);
+        let other = Arc::clone(&artifacts);
+        cache
+            .get_or_try_insert_with::<SladeError>(key.clone(), || Ok(artifacts))
+            .unwrap();
+        let mut recomputed = false;
+        cache
+            .get_or_try_insert_with::<SladeError>(key, || {
+                recomputed = true;
+                Ok(other)
+            })
+            .unwrap();
+        assert!(recomputed);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn pass_through_artifacts_are_never_inserted() {
-        for cache_impl in BOTH_IMPLS {
-            let cache = ArtifactCache::with_impl(cache_impl, 4);
-            let (key, _) = key_and_artifacts(0.95);
-            for expected_misses in 1..=2u64 {
-                cache
-                    .get_or_try_insert_with::<SladeError>(key.clone(), || {
-                        Ok(Arc::new(PassThroughArtifacts::new(theta(0.95))))
-                    })
-                    .unwrap();
-                assert!(cache.is_empty(), "{cache_impl:?}");
-                assert_eq!(cache.stats().misses, expected_misses, "{cache_impl:?}");
-            }
+        let cache = ArtifactCache::new(4);
+        let (key, _) = key_and_artifacts(0.95);
+        for expected_misses in 1..=2u64 {
+            cache
+                .get_or_try_insert_with::<SladeError>(key.clone(), || {
+                    Ok(Arc::new(PassThroughArtifacts::new(theta(0.95))))
+                })
+                .unwrap();
+            assert!(cache.is_empty());
+            assert_eq!(cache.stats().misses, expected_misses);
         }
     }
 
     #[test]
     fn compute_errors_pass_through_and_cache_nothing() {
-        for cache_impl in BOTH_IMPLS {
-            let cache = ArtifactCache::with_impl(cache_impl, 4);
-            let (key, artifacts) = key_and_artifacts(0.95);
-            let err = cache
-                .get_or_try_insert_with(key.clone(), || {
-                    Err::<Arc<dyn SolveArtifacts>, _>(SladeError::EmptyEnumeration)
-                })
-                .unwrap_err();
-            assert_eq!(err, SladeError::EmptyEnumeration, "{cache_impl:?}");
-            assert!(cache.is_empty(), "{cache_impl:?}");
-            // The next lookup can still succeed (in particular, a failed
-            // single-flight leader must not wedge the key).
-            cache
-                .get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
-                .unwrap();
-            assert_eq!(cache.len(), 1, "{cache_impl:?}");
-        }
+        let cache = ArtifactCache::new(4);
+        let (key, artifacts) = key_and_artifacts(0.95);
+        let err = cache
+            .get_or_try_insert_with(key.clone(), || {
+                Err::<Arc<dyn SolveArtifacts>, _>(SladeError::EmptyEnumeration)
+            })
+            .unwrap_err();
+        assert_eq!(err, SladeError::EmptyEnumeration);
+        assert!(cache.is_empty());
+        // The next lookup can still succeed (in particular, a failed
+        // single-flight leader must not wedge the key).
+        cache
+            .get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
+            .unwrap();
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -856,7 +613,7 @@ mod tests {
         use std::sync::Barrier;
 
         const RACERS: usize = 8;
-        let cache = Arc::new(ArtifactCache::with_impl(CacheImpl::Sharded, 8));
+        let cache = Arc::new(ArtifactCache::new(8));
         let computes = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(RACERS));
         let results: Vec<Arc<dyn SolveArtifacts>> = std::thread::scope(|scope| {
@@ -903,7 +660,7 @@ mod tests {
         use std::sync::Barrier;
 
         const RACERS: usize = 4;
-        let cache = Arc::new(ArtifactCache::with_impl(CacheImpl::Sharded, 8));
+        let cache = Arc::new(ArtifactCache::new(8));
         let computes = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(RACERS));
         let outcomes: Vec<Result<(), SladeError>> = std::thread::scope(|scope| {
@@ -942,18 +699,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_impl_parses_its_flag_spellings() {
-        assert_eq!("sharded".parse::<CacheImpl>(), Ok(CacheImpl::Sharded));
-        assert_eq!("mutex-lru".parse::<CacheImpl>(), Ok(CacheImpl::MutexLru));
-        assert!("lru".parse::<CacheImpl>().is_err());
-        assert_eq!(CacheImpl::Sharded.name(), "sharded");
-        assert_eq!(CacheImpl::MutexLru.name(), "mutex-lru");
-        assert_eq!(CacheImpl::default(), CacheImpl::Sharded);
-    }
-
-    #[test]
     fn shard_occupancy_sums_to_len() {
-        let cache = ArtifactCache::with_impl(CacheImpl::Sharded, 64);
+        let cache = ArtifactCache::new(64);
         for t in [0.90, 0.93, 0.95, 0.97, 0.99] {
             let (key, artifacts) = key_and_artifacts(t);
             cache
@@ -964,11 +711,5 @@ mod tests {
         assert_eq!(occupancy.len(), CACHE_SHARDS);
         assert_eq!(occupancy.iter().sum::<usize>(), cache.len());
         assert_eq!(cache.len(), 5);
-
-        let lru = ArtifactCache::with_impl(CacheImpl::MutexLru, 64);
-        let (key, artifacts) = key_and_artifacts(0.95);
-        lru.get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
-            .unwrap();
-        assert_eq!(lru.shard_occupancy(), vec![1]);
     }
 }

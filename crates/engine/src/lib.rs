@@ -8,9 +8,7 @@
 //!
 //! * **a work-stealing worker pool** ([`Engine`]) — `std::thread` workers,
 //!   each draining its own deque LIFO and stealing the oldest job from a
-//!   loaded sibling when idle ([`SchedulerMode::WorkSteal`]; the original
-//!   single shared FIFO survives as [`SchedulerMode::SharedQueue`] for A/B
-//!   benchmarking). Admission is counted against a bound, so
+//!   loaded sibling when idle. Admission is counted against a bound, so
 //!   [`Engine::submit`] exerts backpressure instead of queueing
 //!   unboundedly, and an idle pool parks — it costs nothing;
 //! * **a cross-session plan store** ([`PlanStore`]) — named
@@ -28,9 +26,8 @@
 //!   over type-erased [`slade_core::solver::SolveArtifacts`], whose warm
 //!   hits take no process-global lock (shard-local `RwLock` read + relaxed
 //!   atomics), with approximate-LRU eviction off the hot path and
-//!   single-flight cold misses; the original mutex LRU stays selectable as
-//!   [`CacheImpl::MutexLru`] for A/B runs. Every worker routes every
-//!   shard through the core's two-phase
+//!   single-flight cold misses. Every worker routes every shard through
+//!   the core's two-phase
 //!   [`PreparedSolver`](slade_core::solver::PreparedSolver) pipeline
 //!   (`prepare` once per fingerprint, `solve_with` per workload), so
 //!   repeated `(BinSet, θ)` pairs skip the expensive prepare step for
@@ -112,8 +109,7 @@ mod sched;
 mod service;
 mod store;
 
-pub use cache::{ArtifactCache, CacheImpl, CacheKey, CacheStats, CACHE_SHARDS};
-pub use sched::SchedulerMode;
+pub use cache::{ArtifactCache, CacheKey, CacheStats, CACHE_SHARDS};
 pub use service::{
     Engine, EngineConfig, EngineError, EngineRequest, RequestTrace, ResolvedHandle, ResolvedPlan,
     ShardNotify, Submit, WorkloadDelta,

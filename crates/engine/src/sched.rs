@@ -32,9 +32,8 @@
 //! where* jobs run — the tests in `tests/steal_determinism.rs` pin that
 //! plans stay byte-identical under steal-heavy schedules.
 //!
-//! [`SchedulerMode::SharedQueue`] degenerates the same machinery to a
-//! single shared FIFO — the old mpsc pool's discipline — kept so benches
-//! can compare old against new on identical workloads.
+//! A one-worker pool has a single deque, which it drains FIFO, so a
+//! single-threaded engine runs its jobs in submit order.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,49 +55,11 @@ pub(crate) struct JobCtx {
     pub stolen: bool,
 }
 
-/// Which queueing discipline the engine's worker pool runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Per-worker deques with LIFO self-pop and FIFO stealing (the
-    /// default). Plans are byte-identical to [`SchedulerMode::SharedQueue`]
-    /// for every request — only scheduling changes.
-    #[default]
-    WorkSteal,
-    /// One shared FIFO all workers pull from — the discipline of the
-    /// engine's original bounded-mpsc pool, kept for A/B benchmarking.
-    SharedQueue,
-}
-
-impl SchedulerMode {
-    /// The CLI/stats spelling (`work-steal` / `shared-queue`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::WorkSteal => "work-steal",
-            SchedulerMode::SharedQueue => "shared-queue",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "work-steal" => Ok(SchedulerMode::WorkSteal),
-            "shared-queue" => Ok(SchedulerMode::SharedQueue),
-            other => Err(format!(
-                "unknown scheduler `{other}`; expected work-steal or shared-queue"
-            )),
-        }
-    }
-}
-
 /// The work-stealing scheduler shared by every worker of one [`Engine`].
 ///
 /// [`Engine`]: crate::Engine
 pub(crate) struct Scheduler {
-    /// One deque per worker ([`SchedulerMode::WorkSteal`]) or a single
-    /// shared FIFO ([`SchedulerMode::SharedQueue`]).
+    /// One deque per worker.
     deques: Vec<Mutex<VecDeque<Job>>>,
     /// Jobs submitted (slot reserved) but not yet claimed by a worker.
     queued: AtomicUsize,
@@ -138,13 +99,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Scheduler {
-    pub(crate) fn new(mode: SchedulerMode, workers: usize, capacity: usize) -> Scheduler {
-        let deques = match mode {
-            SchedulerMode::WorkSteal => workers.max(1),
-            SchedulerMode::SharedQueue => 1,
-        };
+    pub(crate) fn new(workers: usize, capacity: usize) -> Scheduler {
         Scheduler {
-            deques: (0..deques).map(|_| Mutex::new(VecDeque::new())).collect(),
+            deques: (0..workers.max(1))
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             queued: AtomicUsize::new(0),
             shut_down: AtomicBool::new(false),
             sleep: Mutex::new(()),
@@ -271,8 +230,8 @@ impl Scheduler {
     }
 
     /// Pops from deque `index`: LIFO for a worker's own deque (when there
-    /// is more than one — the single shared queue stays FIFO, matching the
-    /// mpsc pool it emulates), FIFO when stealing.
+    /// is more than one — a one-worker pool stays FIFO, so it runs jobs in
+    /// submit order), FIFO when stealing.
     fn pop(&self, index: usize, own: bool) -> Option<Job> {
         let mut deque = lock(&self.deques[index]);
         if own && self.deques.len() > 1 {
@@ -314,5 +273,145 @@ impl Scheduler {
     /// Submitter-to-worker wakeups since construction.
     pub(crate) fn wakes(&self) -> u64 {
         self.wakes.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// What a job saw when it ran: its submit index and the context the
+    /// worker loop handed it.
+    type Log = Arc<Mutex<Vec<(usize, JobCtx)>>>;
+
+    fn submit_logged(sched: &Scheduler, log: &Log, index: usize) -> bool {
+        let log = Arc::clone(log);
+        sched.submit(Box::new(move |ctx| lock(&log).push((index, ctx))))
+    }
+
+    /// One turn of the engine's worker loop: claim, then run with the
+    /// context the claim produced. Returns whether a job ran.
+    fn run_next(sched: &Scheduler, worker: usize) -> bool {
+        match sched.next_job(worker) {
+            Some((job, stolen)) => {
+                job(JobCtx { worker, stolen });
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn ran(log: &Log) -> Vec<(usize, usize, bool)> {
+        lock(log)
+            .iter()
+            .map(|&(index, ctx)| (index, ctx.worker, ctx.stolen))
+            .collect()
+    }
+
+    #[test]
+    fn one_worker_runs_jobs_in_submit_order() {
+        let sched = Scheduler::new(1, 16);
+        let log = Log::default();
+        for index in 0..5 {
+            assert!(submit_logged(&sched, &log, index));
+        }
+        for _ in 0..5 {
+            assert!(run_next(&sched, 0));
+        }
+        let order: Vec<usize> = ran(&log).iter().map(|&(index, _, _)| index).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4]);
+        assert!(ran(&log).iter().all(|&(_, _, stolen)| !stolen));
+        assert_eq!(sched.steals(), 0);
+    }
+
+    #[test]
+    fn own_deque_pops_lifo_and_a_steal_takes_the_victims_oldest_job() {
+        // Round-robin placement: jobs 0, 2, 4 land on deque 0 and jobs 1, 3
+        // on deque 1.
+        let sched = Scheduler::new(2, 16);
+        let log = Log::default();
+        for index in 0..5 {
+            assert!(submit_logged(&sched, &log, index));
+        }
+        for _ in 0..5 {
+            assert!(run_next(&sched, 0));
+        }
+        assert_eq!(
+            ran(&log),
+            [
+                (4, 0, false),
+                (2, 0, false),
+                (0, 0, false),
+                (1, 0, true),
+                (3, 0, true),
+            ]
+        );
+        assert_eq!(sched.steals(), 2);
+        assert_eq!(sched.depth(), 0);
+    }
+
+    #[test]
+    fn submit_blocks_at_capacity_until_a_claim_frees_a_slot() {
+        let sched = Scheduler::new(1, 2);
+        let log = Log::default();
+        assert!(submit_logged(&sched, &log, 0));
+        assert!(submit_logged(&sched, &log, 1));
+        let (accepted_tx, accepted_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let accepted = submit_logged(&sched, &log, 2);
+                accepted_tx.send(accepted).unwrap();
+            });
+            assert_eq!(
+                accepted_rx.recv_timeout(Duration::from_millis(100)),
+                Err(mpsc::RecvTimeoutError::Timeout),
+                "a submit past capacity must block"
+            );
+            assert_eq!(sched.depth(), 2);
+            assert!(run_next(&sched, 0));
+            assert_eq!(
+                accepted_rx.recv_timeout(Duration::from_secs(10)),
+                Ok(true),
+                "a claim must release the blocked submit"
+            );
+        });
+        assert_eq!(sched.depth(), 2);
+        while sched.depth() > 0 {
+            assert!(run_next(&sched, 0));
+        }
+        let order: Vec<usize> = ran(&log).iter().map(|&(index, _, _)| index).collect();
+        assert_eq!(order, [0, 1, 2]);
+    }
+
+    #[test]
+    fn shutdown_runs_every_queued_job_before_next_job_returns_none() {
+        let sched = Scheduler::new(2, 16);
+        let log = Log::default();
+        for index in 0..4 {
+            assert!(submit_logged(&sched, &log, index));
+        }
+        sched.shutdown();
+        assert!(sched.is_shut_down());
+        assert!(
+            !submit_logged(&sched, &log, 99),
+            "a submit after shutdown is rejected"
+        );
+        let mut turns = 0;
+        while run_next(&sched, turns % 2) {
+            turns += 1;
+        }
+        assert_eq!(turns, 4);
+        assert!(sched.next_job(0).is_none());
+        assert!(sched.next_job(1).is_none());
+        let mut indices: Vec<usize> = ran(&log).iter().map(|&(index, _, _)| index).collect();
+        indices.sort_unstable();
+        assert_eq!(
+            indices,
+            [0, 1, 2, 3],
+            "every queued job ran, the rejected one did not"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! The engine: a work-stealing worker pool, request sharding, blocking
 //! handles, and incremental workload deltas.
 
-use crate::cache::{ArtifactCache, CacheImpl, CacheKey, CacheStats};
-use crate::sched::{Job, JobCtx, Scheduler, SchedulerMode};
+use crate::cache::{ArtifactCache, CacheKey, CacheStats};
+use crate::sched::{Job, JobCtx, Scheduler};
 use slade_core::baseline::{Baseline, BaselineConfig};
 use slade_core::bin_set::BinSet;
 use slade_core::fingerprint::Fingerprint;
@@ -30,19 +30,8 @@ pub struct EngineConfig {
     /// [`Engine::submit`] blocks when it is reached, which is the engine's
     /// backpressure. Clamped to at least 1.
     pub queue_capacity: usize,
-    /// Which queueing discipline the worker pool runs. The default,
-    /// [`SchedulerMode::WorkSteal`], gives each worker its own deque and
-    /// lets idle workers steal; [`SchedulerMode::SharedQueue`] is the
-    /// engine's original single-FIFO discipline, kept for A/B comparison.
-    /// Plans are byte-identical under either mode.
-    pub scheduler: SchedulerMode,
     /// [`ArtifactCache`] capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Which [`ArtifactCache`] implementation the engine runs. The default,
-    /// [`CacheImpl::Sharded`], serves warm hits without any process-global
-    /// lock; [`CacheImpl::MutexLru`] is the original single-mutex exact
-    /// LRU, kept for A/B comparison. Plans are byte-identical under either.
-    pub cache_impl: CacheImpl,
     /// When set, homogeneous OPQ requests of at least twice this many tasks
     /// are split into independent chunks of roughly this size, solved in
     /// parallel, and merged. Chunking is decided by the request alone (never
@@ -64,9 +53,7 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: thread::available_parallelism().map_or(4, |n| n.get()),
             queue_capacity: 256,
-            scheduler: SchedulerMode::default(),
             cache_capacity: 64,
-            cache_impl: CacheImpl::default(),
             homogeneous_shard: None,
             solver: OpqBased::default(),
         }
@@ -680,11 +667,7 @@ impl Engine {
     /// Spawns the worker pool described by `config`.
     pub fn new(config: EngineConfig) -> Self {
         let threads = config.threads.max(1);
-        let sched = Arc::new(Scheduler::new(
-            config.scheduler,
-            threads,
-            config.queue_capacity.max(1),
-        ));
+        let sched = Arc::new(Scheduler::new(threads, config.queue_capacity.max(1)));
         let workers = (0..threads)
             .map(|i| {
                 let sched = Arc::clone(&sched);
@@ -694,10 +677,7 @@ impl Engine {
                     .expect("spawning an engine worker thread")
             })
             .collect();
-        let cache = Arc::new(ArtifactCache::with_impl(
-            config.cache_impl,
-            config.cache_capacity,
-        ));
+        let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         Engine {
             sched,
             workers: Mutex::new(workers),
@@ -732,8 +712,8 @@ impl Engine {
     }
 
     /// Jobs a worker took from another worker's deque — the scheduler's
-    /// work-stealing counter. Always `0` under
-    /// [`SchedulerMode::SharedQueue`] (one shared queue has no victims).
+    /// work-stealing counter. Always `0` on a one-worker pool (a single
+    /// deque has no victims).
     pub fn steals(&self) -> u64 {
         self.sched.steals()
     }
@@ -770,9 +750,8 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Resident cache entries per shard (one element under
-    /// [`CacheImpl::MutexLru`]). Diagnostic, for the `metrics` surface;
-    /// takes each shard's read lock briefly.
+    /// Resident cache entries per shard. Diagnostic, for the `metrics`
+    /// surface; takes each shard's read lock briefly.
     pub fn cache_shard_occupancy(&self) -> Vec<usize> {
         self.cache.shard_occupancy()
     }
@@ -1933,48 +1912,6 @@ mod tests {
                 .map(ResolvedPlan::into_plan),
             Err(EngineError::ShutDown)
         );
-    }
-
-    #[test]
-    fn worksteal_and_shared_queue_produce_identical_plans() {
-        let bins = paper_bins();
-        let batch = |_: ()| {
-            vec![
-                EngineRequest::new(
-                    Algorithm::OpqBased,
-                    Workload::homogeneous(40, 0.95).unwrap(),
-                    Arc::clone(&bins),
-                ),
-                EngineRequest::new(
-                    Algorithm::OpqExtended,
-                    Workload::heterogeneous(vec![0.95, 0.72, 0.3, 0.11, 0.3, 0.72]).unwrap(),
-                    Arc::clone(&bins),
-                ),
-                EngineRequest::new(
-                    Algorithm::Baseline,
-                    Workload::homogeneous(30, 0.9).unwrap(),
-                    Arc::clone(&bins),
-                )
-                .with_seed(0xFEED),
-            ]
-        };
-        let solve_all = |mode: SchedulerMode| {
-            let engine = Engine::new(EngineConfig {
-                threads: 4,
-                scheduler: mode,
-                homogeneous_shard: Some(16),
-                ..EngineConfig::default()
-            });
-            let plans: Vec<DecompositionPlan> = submit_all(&engine, batch(()))
-                .into_iter()
-                .map(|h| h.wait().unwrap().into_plan())
-                .collect();
-            (plans, engine.steals())
-        };
-        let (stealing, _) = solve_all(SchedulerMode::WorkSteal);
-        let (shared, shared_steals) = solve_all(SchedulerMode::SharedQueue);
-        assert_eq!(stealing, shared, "scheduler choice leaked into plans");
-        assert_eq!(shared_steals, 0, "the shared queue has nothing to steal");
     }
 
     #[test]

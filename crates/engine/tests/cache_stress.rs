@@ -7,24 +7,22 @@
 //!    occupancy, and every lookup is accounted as exactly one hit or miss;
 //! 2. single-flight actually deduplicates: N workers racing one cold
 //!    fingerprint run the (counting) compute once, round after round;
-//! 3. plans stay byte-identical warm-vs-cold and 1-vs-8-thread under both
-//!    [`CacheImpl`]s — including under forced single-flight races, where
-//!    chunked shards of one request hit the same cold fingerprint from
-//!    every worker at once.
+//! 3. plans stay byte-identical warm-vs-cold and 1-vs-8-thread, and equal
+//!    those of an engine that bypasses the cache entirely — including under
+//!    forced single-flight races, where chunked shards of one request hit
+//!    the same cold fingerprint from every worker at once.
 
 use slade_core::prelude::*;
 use slade_core::reliability::theta;
 use slade_core::solver::SolveArtifacts;
 use slade_engine::{
-    ArtifactCache, CacheImpl, CacheKey, Engine, EngineConfig, EngineRequest, Fingerprint,
-    ResolvedHandle, Submit, CACHE_SHARDS,
+    ArtifactCache, CacheKey, Engine, EngineConfig, EngineRequest, Fingerprint, ResolvedHandle,
+    Submit, CACHE_SHARDS,
 };
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-
-const BOTH_IMPLS: [CacheImpl; 2] = [CacheImpl::Sharded, CacheImpl::MutexLru];
 
 /// Fake artifacts tagged with the key index that computed them, so the
 /// integrity sweep can detect cross-key aliasing.
@@ -80,90 +78,82 @@ fn concurrent_get_insert_evict_is_consistent_at_capacity_pressure() {
     const KEYS: usize = 48;
     const CAPACITY: usize = 8; // far fewer than KEYS: constant eviction
 
-    for cache_impl in BOTH_IMPLS {
-        let cache = Arc::new(ArtifactCache::with_impl(cache_impl, CAPACITY));
-        let keys = Arc::new(stress_keys(KEYS));
-        thread::scope(|scope| {
-            for worker in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                let keys = Arc::clone(&keys);
-                scope.spawn(move || {
-                    let mut rng = Rng(0x5EED_0000 + worker as u64);
-                    for _ in 0..OPS_PER_THREAD {
-                        let index = (rng.next() as usize) % keys.len();
-                        let (key, key_theta) = &keys[index];
-                        let artifacts = cache
-                            .get_or_try_insert_with::<SladeError>(key.clone(), || {
-                                Ok(Arc::new(Tagged {
-                                    theta: *key_theta,
-                                    key_index: index,
-                                }))
-                            })
-                            .unwrap();
-                        // Whatever we got back — freshly computed, cached,
-                        // or adopted from a single-flight leader — it must
-                        // be THIS key's artifacts.
-                        let tagged = artifacts
-                            .as_any()
-                            .downcast_ref::<Tagged>()
-                            .expect("stress artifacts are Tagged");
-                        assert_eq!(tagged.key_index, index, "aliased entry");
-                    }
-                });
-            }
-        });
-
-        let stats = cache.stats();
-        // Every lookup is exactly one hit or one miss — no double counting,
-        // none dropped (waiters served by a leader count as hits).
-        assert_eq!(
-            stats.hits + stats.misses,
-            (THREADS * OPS_PER_THREAD) as u64,
-            "{cache_impl:?}: {stats:?}"
-        );
-        // The relaxed entry counter agrees with actual occupancy.
-        let occupancy: usize = cache.shard_occupancy().iter().sum();
-        assert_eq!(stats.entries, occupancy, "{cache_impl:?}: {stats:?}");
-        // Capacity is enforced: exactly under the LRU, within the
-        // documented one-entry-per-shard overshoot under the sharded table.
-        let bound = match cache_impl {
-            CacheImpl::Sharded => CAPACITY + CACHE_SHARDS,
-            CacheImpl::MutexLru => CAPACITY,
-        };
-        assert!(
-            stats.entries <= bound,
-            "{cache_impl:?}: {} entries > bound {bound}",
-            stats.entries
-        );
-        assert!(stats.evictions > 0, "{cache_impl:?} must have evicted");
-        assert!(stats.hits > 0 && stats.misses > 0, "{cache_impl:?}");
-
-        // Integrity sweep: every still-resident key answers with its own
-        // artifacts (lost entries would recompute; aliased ones would
-        // carry a foreign tag). The probe's compute returns `Err`, so a
-        // miss inserts nothing — the sweep observes the cache without
-        // perturbing it (a computing probe would evict the very survivors
-        // it is about to visit and see an arbitrarily cold cache).
-        let mut resident = 0;
-        for (index, (key, key_theta)) in keys.iter().enumerate() {
-            match cache.get_or_try_insert_with::<SladeError>(key.clone(), || {
-                Err(SladeError::InvalidWorkload("probe only".into()))
-            }) {
-                Ok(artifacts) => {
-                    resident += 1;
-                    let tagged = artifacts.as_any().downcast_ref::<Tagged>().unwrap();
-                    assert_eq!(tagged.key_index, index, "{cache_impl:?} aliased");
-                    assert_eq!(tagged.theta, *key_theta, "{cache_impl:?}");
+    let cache = Arc::new(ArtifactCache::new(CAPACITY));
+    let keys = Arc::new(stress_keys(KEYS));
+    thread::scope(|scope| {
+        for worker in 0..THREADS {
+            let cache = Arc::clone(&cache);
+            let keys = Arc::clone(&keys);
+            scope.spawn(move || {
+                let mut rng = Rng(0x5EED_0000 + worker as u64);
+                for _ in 0..OPS_PER_THREAD {
+                    let index = (rng.next() as usize) % keys.len();
+                    let (key, key_theta) = &keys[index];
+                    let artifacts = cache
+                        .get_or_try_insert_with::<SladeError>(key.clone(), || {
+                            Ok(Arc::new(Tagged {
+                                theta: *key_theta,
+                                key_index: index,
+                            }))
+                        })
+                        .unwrap();
+                    // Whatever we got back — freshly computed, cached,
+                    // or adopted from a single-flight leader — it must
+                    // be THIS key's artifacts.
+                    let tagged = artifacts
+                        .as_any()
+                        .downcast_ref::<Tagged>()
+                        .expect("stress artifacts are Tagged");
+                    assert_eq!(tagged.key_index, index, "aliased entry");
                 }
-                Err(SladeError::InvalidWorkload(_)) => {}
-                Err(other) => panic!("{cache_impl:?}: unexpected probe error {other:?}"),
-            }
+            });
         }
-        assert_eq!(
-            resident, occupancy,
-            "{cache_impl:?}: every counted entry answers warm"
-        );
+    });
+
+    let stats = cache.stats();
+    // Every lookup is exactly one hit or one miss — no double counting,
+    // none dropped (waiters served by a leader count as hits).
+    assert_eq!(
+        stats.hits + stats.misses,
+        (THREADS * OPS_PER_THREAD) as u64,
+        "{stats:?}"
+    );
+    // The relaxed entry counter agrees with actual occupancy.
+    let occupancy: usize = cache.shard_occupancy().iter().sum();
+    assert_eq!(stats.entries, occupancy, "{stats:?}");
+    // Capacity is enforced within the documented one-entry-per-shard
+    // overshoot.
+    let bound = CAPACITY + CACHE_SHARDS;
+    assert!(
+        stats.entries <= bound,
+        "{} entries > bound {bound}",
+        stats.entries
+    );
+    assert!(stats.evictions > 0, "must have evicted");
+    assert!(stats.hits > 0 && stats.misses > 0);
+
+    // Integrity sweep: every still-resident key answers with its own
+    // artifacts (lost entries would recompute; aliased ones would
+    // carry a foreign tag). The probe's compute returns `Err`, so a
+    // miss inserts nothing — the sweep observes the cache without
+    // perturbing it (a computing probe would evict the very survivors
+    // it is about to visit and see an arbitrarily cold cache).
+    let mut resident = 0;
+    for (index, (key, key_theta)) in keys.iter().enumerate() {
+        match cache.get_or_try_insert_with::<SladeError>(key.clone(), || {
+            Err(SladeError::InvalidWorkload("probe only".into()))
+        }) {
+            Ok(artifacts) => {
+                resident += 1;
+                let tagged = artifacts.as_any().downcast_ref::<Tagged>().unwrap();
+                assert_eq!(tagged.key_index, index, "aliased");
+                assert_eq!(tagged.theta, *key_theta);
+            }
+            Err(SladeError::InvalidWorkload(_)) => {}
+            Err(other) => panic!("unexpected probe error {other:?}"),
+        }
     }
+    assert_eq!(resident, occupancy, "every counted entry answers warm");
 }
 
 #[test]
@@ -171,7 +161,7 @@ fn single_flight_computes_once_per_cold_key_round_after_round() {
     const RACERS: usize = 8;
     const ROUNDS: usize = 12;
 
-    let cache = Arc::new(ArtifactCache::with_impl(CacheImpl::Sharded, ROUNDS * 2));
+    let cache = Arc::new(ArtifactCache::new(ROUNDS * 2));
     let keys = stress_keys(ROUNDS);
     let computes = Arc::new(AtomicUsize::new(0));
 
@@ -276,11 +266,10 @@ fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
 /// request needs to pile its shards up on the leader's flight.
 const PILE_UP_DP_CAP: u32 = 4_096;
 
-fn config(threads: usize, cache_impl: CacheImpl) -> EngineConfig {
+fn config(threads: usize) -> EngineConfig {
     EngineConfig {
         threads,
         cache_capacity: 16,
-        cache_impl,
         homogeneous_shard: Some(64),
         solver: slade_core::opq_based::OpqBased {
             dp_cap: PILE_UP_DP_CAP,
@@ -290,7 +279,7 @@ fn config(threads: usize, cache_impl: CacheImpl) -> EngineConfig {
     }
 }
 
-/// Cold passes `plans_are_byte_identical_across_impls_threads_and_warmth`
+/// Cold passes `plans_are_byte_identical_across_threads_and_warmth`
 /// may spend waiting for a single-flight pile-up. A pass misses one only
 /// if the first worker finishes the cold prepare before any other reaches
 /// the key, which [`PILE_UP_DP_CAP`] makes rare (none in 50 release runs on
@@ -299,12 +288,16 @@ fn config(threads: usize, cache_impl: CacheImpl) -> EngineConfig {
 const MAX_COLD_PASSES: usize = 50;
 
 #[test]
-fn plans_are_byte_identical_across_impls_threads_and_warmth() {
+fn plans_are_byte_identical_across_threads_and_warmth() {
     let bins = Arc::new(BinSet::paper_example());
-    // The reference: single-threaded, mutex LRU, cold — the most boring
-    // possible schedule.
+    // The reference: single-threaded with the cache disabled, so every
+    // shard runs its own `prepare` and no cache path is exercised — the
+    // most boring possible schedule.
     let reference: Vec<DecompositionPlan> = {
-        let engine = Engine::new(config(1, CacheImpl::MutexLru));
+        let engine = Engine::new(EngineConfig {
+            cache_capacity: 0,
+            ..config(1)
+        });
         mixed_batch(&bins)
             .into_iter()
             .map(|r| engine.solve(r).unwrap())
@@ -329,39 +322,30 @@ fn plans_are_byte_identical_across_impls_threads_and_warmth() {
         }
     };
 
-    for cache_impl in BOTH_IMPLS {
-        // Cold, 8 threads: the chunked request sends 11 same-fingerprint
-        // shards through the cold path at once. Under the sharded impl the
-        // pile-up is only as likely as the workers are to reach the key
-        // while the first one is still computing it, so retry the cold pass
-        // on a fresh engine until a single-flight wait is seen — every
-        // pass's plans checked against the reference.
-        let mut passes = 0;
-        let engine = loop {
-            passes += 1;
-            let engine = Engine::new(config(8, cache_impl));
-            check(
-                &solve_batch(&engine),
-                &format!("{cache_impl:?} cold pass {passes}"),
-            );
-            let raced = engine.cache_stats().singleflight_waits > 0;
-            if raced || cache_impl != CacheImpl::Sharded || passes == MAX_COLD_PASSES {
-                break engine;
-            }
-        };
-        // Warm: same batch again, artifacts now resident.
-        check(&solve_batch(&engine), &format!("{cache_impl:?} warm"));
-
-        let stats = engine.cache_stats();
-        assert_eq!(stats.cache_impl, cache_impl);
-        if cache_impl == CacheImpl::Sharded {
-            assert!(
-                stats.singleflight_waits > 0,
-                "the chunked request must have raced the cold key within \
-                 {MAX_COLD_PASSES} cold passes: {stats:?}"
-            );
+    // Cold, 8 threads: the chunked request sends 11 same-fingerprint shards
+    // through the cold path at once. The pile-up is only as likely as the
+    // workers are to reach the key while the first one is still computing
+    // it, so retry the cold pass on a fresh engine until a single-flight
+    // wait is seen — every pass's plans checked against the reference.
+    let mut passes = 0;
+    let engine = loop {
+        passes += 1;
+        let engine = Engine::new(config(8));
+        check(&solve_batch(&engine), &format!("cold pass {passes}"));
+        let raced = engine.cache_stats().singleflight_waits > 0;
+        if raced || passes == MAX_COLD_PASSES {
+            break engine;
         }
-    }
+    };
+    // Warm: same batch again, artifacts now resident.
+    check(&solve_batch(&engine), "warm");
+
+    let stats = engine.cache_stats();
+    assert!(
+        stats.singleflight_waits > 0,
+        "the chunked request must have raced the cold key within \
+         {MAX_COLD_PASSES} cold passes: {stats:?}"
+    );
 }
 
 #[test]
@@ -375,7 +359,6 @@ fn forced_single_flight_race_still_matches_the_direct_solver() {
         let engine = Engine::new(EngineConfig {
             threads: 8,
             cache_capacity: 16,
-            cache_impl: CacheImpl::Sharded,
             ..EngineConfig::default()
         });
         let via_engine = engine

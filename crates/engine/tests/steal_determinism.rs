@@ -12,7 +12,7 @@
 
 use slade_core::prelude::*;
 use slade_core::solver::{DecompositionSolver, PreparedSolver};
-use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, SchedulerMode, Submit};
+use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, Submit};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -103,10 +103,9 @@ fn schedule(seed: u64, bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     requests
 }
 
-fn config(threads: usize, scheduler: SchedulerMode) -> EngineConfig {
+fn config(threads: usize) -> EngineConfig {
     EngineConfig {
         threads,
-        scheduler,
         queue_capacity: 64,
         // Fresh engines per seed keep solves cold across schedules; within
         // one schedule the cache is live, as in production — byte-identity
@@ -122,7 +121,7 @@ fn steal_heavy_schedules_match_single_thread_plans_across_100_seeds() {
     let bins = Arc::new(BinSet::paper_example());
     let mut total_steals = 0u64;
     for seed in 0..100u64 {
-        let stealing = Engine::new(config(4, SchedulerMode::WorkSteal));
+        let stealing = Engine::new(config(4));
         let handles = submit_all(&stealing, schedule(seed, &bins));
         let stolen: Vec<DecompositionPlan> = handles
             .into_iter()
@@ -134,7 +133,7 @@ fn steal_heavy_schedules_match_single_thread_plans_across_100_seeds() {
             .collect();
         total_steals += stealing.steals();
 
-        let single = Engine::new(config(1, SchedulerMode::WorkSteal));
+        let single = Engine::new(config(1));
         let baseline: Vec<DecompositionPlan> = submit_all(&single, schedule(seed, &bins))
             .into_iter()
             .map(|h| {
@@ -165,7 +164,7 @@ fn steal_heavy_schedules_match_single_thread_plans_across_100_seeds() {
 #[test]
 fn a_single_thread_pool_never_steals() {
     let bins = Arc::new(BinSet::paper_example());
-    let engine = Engine::new(config(1, SchedulerMode::WorkSteal));
+    let engine = Engine::new(config(1));
     for handle in submit_all(&engine, schedule(7, &bins)) {
         handle.wait().unwrap();
     }

@@ -1781,7 +1781,6 @@ impl Session<'_> {
                     // bytes (same rule as the stats `ops` object).
                     member("entries", Json::number(cache.entries as f64)),
                     member("capacity", Json::number(cache.capacity as f64)),
-                    member("impl", Json::string(cache.cache_impl.name())),
                     member("evictions", Json::number(cache.evictions as f64)),
                     member(
                         "singleflight_waits",
