@@ -255,7 +255,7 @@ type ShardResult = (usize, Result<DecompositionPlan, EngineError>);
 /// A completion callback cloned into every shard job of one request: it runs
 /// on the worker thread **after** that shard's result has been delivered to
 /// the handle's channel, once per shard. A caller multiplexing many handles
-/// on one thread (the `slade-server` session multiplexer) uses it to learn
+/// on one thread (the `slade-server` session writer) uses it to learn
 /// *when* to poll [`ResolvedHandle::try_wait`] without blocking on any
 /// single handle; the callback itself must be cheap and must not panic (a
 /// channel send, a thread unpark).

@@ -33,7 +33,7 @@ pub struct StageEvent {
 }
 
 /// A live trace of one request. Stages are recorded from several threads
-/// (reader, engine workers, multiplexer, writer); each record takes the
+/// (session reader, engine workers, session writer); each record takes the
 /// span's event mutex *and stamps the clock inside it*, so the event list
 /// is monotone in `at_ns` by construction — no cross-thread clock races.
 /// The critical section is a timestamp and a push; recording never blocks

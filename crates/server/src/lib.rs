@@ -38,9 +38,9 @@
 //! request/response protocol unchanged; [`ServerConfig::max_inflight`]
 //! caps the tagged window with real backpressure. [`Client::pipeline`] is
 //! the client-side counterpart; see [`protocol`] for the `seq` rules
-//! (each session runs a reader / multiplexer / writer thread triple —
-//! `src/server.rs` documents the anatomy and its invariants, mirrored in
-//! DESIGN.md).
+//! (each session runs two threads, a reader and a writer that is the
+//! session's one completion site — `src/server.rs` documents the anatomy
+//! and its invariants, mirrored in DESIGN.md).
 //!
 //! Robustness posture:
 //!
@@ -51,8 +51,8 @@
 //! * solves run under the engine's timeout-aware waits and session reads
 //!   poll with a short timeout, so neither a stuck request nor a silent
 //!   client can wedge the acceptor or a shutdown drain; an overdue
-//!   *tagged* request is expired by the session's multiplexer with a
-//!   structured error while the rest of the window keeps serving;
+//!   request is expired by the session's writer with a structured error
+//!   while the rest of the window keeps serving;
 //! * shutdown (the in-band `shutdown` verb or a [`ShutdownHandle`]) is
 //!   graceful: the acceptor stops, sessions drain their tagged in-flight
 //!   requests and finish their current request, and [`Engine::shutdown`]

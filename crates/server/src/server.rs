@@ -11,32 +11,35 @@
 //!
 //! ## Session anatomy (pipelining)
 //!
-//! A session is three cooperating threads over one connection:
+//! A session is two cooperating threads over one connection:
 //!
-//! * the **reader** owns the read half: it frames request lines, waits
-//!   untagged requests out in line (strict request/response, exactly the
-//!   pre-pipelining behavior), and dispatches `seq`-tagged requests to the
-//!   engine without blocking — each becomes an in-flight entry handed to
-//!   the multiplexer. Both kinds start and complete through the same
-//!   per-verb functions; they differ only in who waits;
-//! * the **multiplexer** owns every in-flight tagged request: engine
-//!   workers ping it (via [`ShardNotify`]) as shards complete, it polls the
-//!   pinged handle with a non-blocking `try_wait`, and finished requests
-//!   are answered *in completion order*, each response echoing its `seq`.
-//!   It also enforces the per-request deadline (an overdue tagged request
-//!   gets a structured timeout error; its shards are abandoned to the
-//!   pool) and drains remaining work at session end;
-//! * the **writer** owns the write half: both other threads queue
-//!   responses on its channel, so response lines never interleave
-//!   mid-line and a stalled client (write timeout) kills at most this
-//!   connection.
+//! * the **reader** owns the read half: it frames request lines, answers
+//!   the inline verbs in line, and starts every `solve`, `resubmit`, and
+//!   `batch` on the engine, registering it with the writer as an
+//!   in-flight entry. A `seq`-tagged request passes the in-flight gate and
+//!   the reader moves on; an untagged one holds no gate slot, and the
+//!   reader blocks until the writer has written its answer (strict
+//!   request/response, exactly the pre-pipelining behavior). Both kinds
+//!   start and complete through the same per-verb functions;
+//! * the **writer** owns the write half and is the session's only
+//!   completion site. One channel carries everything it does: response
+//!   lines, registrations, and the pings engine workers send (via
+//!   [`ShardNotify`]) as shards complete. It polls a pinged entry with a
+//!   non-blocking `try_wait` and answers finished requests *in completion
+//!   order*, a tagged response echoing its `seq`. It also enforces the
+//!   per-request deadline (an overdue request gets a structured timeout
+//!   error; its shards are abandoned to the pool) and drains remaining
+//!   work at session end. Response lines never interleave mid-line, and a
+//!   stalled client (write timeout) kills at most this connection.
 //!
 //! In-flight tagged requests are capped by [`ServerConfig::max_inflight`]:
 //! the reader blocks once the cap is reached (it stops draining the
 //! socket, which is TCP backpressure), and a slot frees whenever the
-//! multiplexer completes, expires, or discards an entry — so the cap is an
-//! invariant, not a best effort. Duplicate in-flight `seq` tags are
-//! rejected with a structured error (responses would be unattributable).
+//! writer completes, expires, or discards an entry — so the cap is an
+//! invariant, not a best effort. A client that stops reading stalls the
+//! writer in its write, so no slot frees and its backlog stays bounded
+//! too. Duplicate in-flight `seq` tags are rejected with a structured
+//! error (responses would be unattributable).
 //!
 //! Ordering rules, also documented on [`protocol`]:
 //!
@@ -339,8 +342,8 @@ struct ServerObs {
     /// windowed quantiles/rates.
     latency: Vec<Arc<WindowedHistogram>>,
     /// JSONL export of every completed traced span. The mutex is on the
-    /// trace-log file only — never on the request path; only the writer
-    /// thread (and the rare drain) takes it.
+    /// trace-log file only — never on the request path; only session
+    /// writer threads take it.
     trace_log: Option<Mutex<File>>,
     slow_ms: Option<u64>,
     /// Trace id allocator; ids start at 1.
@@ -647,12 +650,18 @@ impl Server {
                 }
             };
             let session_shared = Arc::clone(&shared);
-            sessions.push(
-                thread::Builder::new()
-                    .name("slade-session".to_string())
-                    .spawn(move || session(stream, &session_shared))
-                    .expect("spawning a session thread"),
-            );
+            let spawned = thread::Builder::new()
+                .name("slade-session".to_string())
+                .spawn(move || session(stream, &session_shared));
+            match spawned {
+                Ok(handle) => sessions.push(handle),
+                // Out of threads (EAGAIN) is transient too: the failed
+                // spawn dropped the connection; back off as above.
+                Err(e) => {
+                    eprintln!("slade-server: dropped a connection: cannot spawn its session: {e}");
+                    thread::sleep(ACCEPT_RETRY);
+                }
+            }
             sessions.retain(|handle| !handle.is_finished());
         }
         drop(listener); // refuse new connections while draining
@@ -778,7 +787,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// The in-flight admission gate: counts tagged requests and remembers
 /// their serialized `seq` tags (duplicates among in-flight tags are
 /// rejected). The reader blocks in [`Gate::acquire`] at the cap; the
-/// multiplexer frees slots as entries complete.
+/// writer frees slots as entries complete.
 #[derive(Default)]
 struct Gate {
     state: Mutex<GateState>,
@@ -881,7 +890,7 @@ impl PendingWork {
 
 /// What [`Session::dispatch`] hands a verb's start function: the request's
 /// tag (both `None` when untagged), its span, and the completion callback
-/// that wakes whoever waits — the reader or the multiplexer.
+/// that pings the session's writer.
 struct Start<'a> {
     seq: Option<&'a Json>,
     seq_key: Option<&'a str>,
@@ -907,10 +916,11 @@ fn traced(request: EngineRequest, span: &Option<RequestTrace>) -> EngineRequest 
     }
 }
 
-/// One tagged request in flight on a session.
+/// One started request in flight on a session, owned by its writer.
 struct InFlight {
-    seq: Json,
-    seq_key: String,
+    /// The `seq` tag and its serialized gate key; `None` when untagged (no
+    /// gate slot: the reader itself waits for the answer).
+    seq: Option<(Json, String)>,
     /// When the reader pulled the request off the wire (latency samples
     /// measure from here to the response write).
     started: Instant,
@@ -920,13 +930,15 @@ struct InFlight {
     work: PendingWork,
 }
 
-/// Messages into the session's multiplexer thread.
-enum MuxMsg {
-    /// The reader dispatched a tagged request.
+/// Messages into the session's writer thread.
+enum Msg {
+    /// A response to write as is (inline verbs, errors).
+    Line(Outgoing),
+    /// The reader started a request.
     Register { token: u64, entry: Box<InFlight> },
     /// An engine worker finished a shard of the tokened request (sent via
     /// [`ShardNotify`]; may arrive before the matching `Register` — the
-    /// multiplexer polls at registration, so early pings are never lost).
+    /// writer polls at registration, so early pings are never lost).
     Ping(u64),
     /// The reader is done: answer (or `discard`) everything still in
     /// flight, then write the optional `ack` (the shutdown response) last.
@@ -943,7 +955,7 @@ enum Exit {
     Dead,
 }
 
-/// Per-connection state shared by the reader and multiplexer threads.
+/// Per-connection state shared by the reader and writer threads.
 struct Session<'a> {
     shared: &'a Shared,
     /// This connection's identity in the shared [`PlanStore`].
@@ -969,65 +981,61 @@ struct Outgoing {
     done: Option<Done>,
 }
 
-/// The reader's handles to the session's other two threads.
+/// The reader's handles to the session's writer.
 struct SessionIo {
-    out: Sender<Outgoing>,
-    mux: Sender<MuxMsg>,
-    /// Unparks the reader: the completion callback of untagged requests,
-    /// which the reader waits out in line.
-    wake_reader: ShardNotify,
-    /// Next multiplexer token; tokens order [`MuxMsg::Drain`]'s
-    /// remaining-work drain deterministically (dispatch order).
+    out: Sender<Msg>,
+    /// Signalled by the writer once an untagged response is written; the
+    /// reader waits on it, so that answer lands at its stream position.
+    answered: Receiver<()>,
+    /// Next in-flight token; tokens order [`Msg::Drain`]'s discard
+    /// deterministically (dispatch order).
     next_token: u64,
 }
 
 impl SessionIo {
     fn respond(&self, response: Json) {
-        let _ = self.out.send(Outgoing {
+        let _ = self.out.send(Msg::Line(Outgoing {
             response,
             done: None,
-        });
+        }));
     }
 
     fn respond_done(&self, response: Json, done: Done) {
-        let _ = self.out.send(Outgoing {
+        let _ = self.out.send(Msg::Line(Outgoing {
             response,
             done: Some(done),
-        });
+        }));
     }
 }
 
 impl Session<'_> {
-    /// Runs the session: spawns the writer and multiplexer, reads request
-    /// lines until EOF / shutdown / a fatal error, then drains.
+    /// Runs the session: spawns the writer, reads request lines until EOF
+    /// / shutdown / a fatal error, then drains.
     fn serve(&self, stream: &TcpStream) -> io::Result<()> {
         stream.set_read_timeout(Some(READ_POLL))?;
         let _ = stream.set_nodelay(true);
         let writer_stream = stream.try_clone()?;
         writer_stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let dead = AtomicBool::new(false);
-        let (out_tx, out_rx) = channel::<Outgoing>();
-        let (mux_tx, mux_rx) = channel::<MuxMsg>();
+        let (out_tx, out_rx) = channel::<Msg>();
+        let (answered_tx, answered_rx) = channel::<()>();
 
         thread::scope(|scope| {
-            let dead_ref = &dead;
-            let obs = &self.shared.obs;
-            let writer = scope.spawn(move || writer_loop(writer_stream, out_rx, dead_ref, obs));
-            let mux_out = out_tx.clone();
-            let mux = scope.spawn(move || {
-                Mux {
-                    session: self,
-                    out: mux_out,
-                    inflight: BTreeMap::new(),
-                }
-                .run(mux_rx)
-            });
+            let writer = Writer {
+                session: self,
+                stream: writer_stream,
+                buf: String::new(),
+                dead: &dead,
+                inflight: BTreeMap::new(),
+                answered: answered_tx,
+            };
+            let writer = thread::Builder::new()
+                .name("slade-writer".to_string())
+                .spawn_scoped(scope, move || writer.run(out_rx))?;
 
-            let reader = thread::current();
             let mut io = SessionIo {
                 out: out_tx,
-                mux: mux_tx,
-                wake_reader: Arc::new(move || reader.unpark()),
+                answered: answered_rx,
                 next_token: 0,
             };
             let outcome = self.read_loop(stream, &mut io, &dead);
@@ -1036,10 +1044,8 @@ impl Session<'_> {
                 Ok(Exit::Drain) => (None, false),
                 Ok(Exit::Dead) | Err(_) => (None, true),
             };
-            let _ = io.mux.send(MuxMsg::Drain { ack, discard });
-            drop(io.mux);
-            let _ = mux.join();
-            drop(io.out); // the writer drains queued responses, then exits
+            let _ = io.out.send(Msg::Drain { ack, discard });
+            drop(io);
             let _ = writer.join();
             if let Ok(Exit::ShutdownVerb(_)) = &outcome {
                 // Only now — after this session's tagged work is answered
@@ -1050,8 +1056,8 @@ impl Session<'_> {
         })
     }
 
-    /// The reader half: frames lines, serves untagged requests in line,
-    /// dispatches tagged ones.
+    /// The reader half: frames lines, answers inline verbs, and starts
+    /// every request (waiting out the answer of an untagged one).
     fn read_loop(
         &self,
         stream: &TcpStream,
@@ -1290,12 +1296,11 @@ impl Session<'_> {
     // ---- solve / resubmit / batch: one start and one completion each ----
 
     /// Runs one `solve`, `resubmit`, or `batch` request. `start` is the
-    /// verb's start function; whatever it starts completes through
-    /// [`Session::complete`]. Untagged and tagged requests differ only in
-    /// who waits: an untagged request is waited out right here on the
-    /// reader (so it is answered at its position in the stream), a tagged
-    /// one is admitted through the in-flight gate and handed to the
-    /// multiplexer.
+    /// verb's start function; whatever it starts is registered with the
+    /// writer and completes there through [`Session::complete`]. A tagged
+    /// request is first admitted through the in-flight gate; for an
+    /// untagged one the reader waits here until the writer has written its
+    /// answer, so it is answered at its position in the stream.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -1307,78 +1312,70 @@ impl Session<'_> {
         span: Option<RequestTrace>,
         start: impl FnOnce(Start<'_>) -> Result<PendingWork, Json>,
     ) {
-        let timeout = self.shared.request_timeout;
-        let Some(seq) = seq else {
-            record_stage(&span, "admitted");
-            let at = Start {
-                seq: None,
-                seq_key: None,
-                span: &span,
-                notify: Arc::clone(&io.wake_reader),
-            };
-            let response = match start(at) {
-                Err(response) => response,
-                Ok(mut work) => {
-                    wait_out(&mut work, Instant::now().checked_add(timeout));
-                    self.complete(work, None, &span)
+        let seq = match seq {
+            None => None,
+            Some(seq) => {
+                let seq_key = seq.to_string();
+                let abort =
+                    || dead.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst);
+                match self.gate.acquire(&seq_key, self.shared.max_inflight, abort) {
+                    Admission::Admitted => self.shared.counters.pipelined.inc(),
+                    Admission::Duplicate => {
+                        self.shared.counters.count_error();
+                        let message = format!("seq {seq_key} is already in flight on this session");
+                        let response = protocol::error_response(None, Some(&seq), &message);
+                        io.respond_done(response, Done { op, started, span });
+                        return;
+                    }
+                    Admission::Aborted => {
+                        // The request is dropped — no response will ever be
+                        // written. Record its latency sample here so the
+                        // books still balance (one sample per counted
+                        // request).
+                        self.shared.obs.record_latency(op, started);
+                        return;
+                    }
                 }
-            };
-            io.respond_done(response, Done { op, started, span });
-            return;
+                Some((seq, seq_key))
+            }
         };
-        let seq_key = seq.to_string();
-        let abort = || dead.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst);
-        match self.gate.acquire(&seq_key, self.shared.max_inflight, abort) {
-            Admission::Admitted => {
-                self.shared.counters.pipelined.inc();
-                record_stage(&span, "admitted");
-            }
-            Admission::Duplicate => {
-                self.shared.counters.count_error();
-                let message = format!("seq {seq_key} is already in flight on this session");
-                let response = protocol::error_response(None, Some(&seq), &message);
-                io.respond_done(response, Done { op, started, span });
-                return;
-            }
-            Admission::Aborted => {
-                // The request is dropped — no response will ever be
-                // written. Record its latency sample here so the books
-                // still balance (one sample per counted request).
-                self.shared.obs.record_latency(op, started);
-                return;
-            }
-        }
+        record_stage(&span, "admitted");
         // Worker pings that race ahead of the registration below are
-        // covered by the poll the multiplexer performs at registration.
+        // covered by the poll the writer performs at registration.
         let token = io.next_token;
-        let mux = io.mux.clone();
+        let out = io.out.clone();
         let at = Start {
-            seq: Some(&seq),
-            seq_key: Some(&seq_key),
+            seq: seq.as_ref().map(|(seq, _)| seq),
+            seq_key: seq.as_ref().map(|(_, key)| key.as_str()),
             span: &span,
             notify: Arc::new(move || {
-                let _ = mux.send(MuxMsg::Ping(token));
+                let _ = out.send(Msg::Ping(token));
             }),
         };
         match start(at) {
             Err(response) => {
-                self.gate.release(&seq_key);
+                if let Some((_, seq_key)) = &seq {
+                    self.gate.release(seq_key);
+                }
                 io.respond_done(response, Done { op, started, span });
             }
             Ok(work) => {
                 io.next_token += 1;
+                let untagged = seq.is_none();
                 let entry = InFlight {
                     seq,
-                    seq_key,
                     started,
                     span,
-                    deadline: Instant::now().checked_add(timeout),
+                    deadline: Instant::now().checked_add(self.shared.request_timeout),
                     work,
                 };
-                let _ = io.mux.send(MuxMsg::Register {
+                let _ = io.out.send(Msg::Register {
                     token,
                     entry: Box::new(entry),
                 });
+                if untagged {
+                    let _ = io.answered.recv();
+                }
             }
         }
     }
@@ -2417,9 +2414,9 @@ fn evaluate_health(shared: &Shared) -> HealthReport {
 }
 
 /// Assembles a solve/resubmit success response from a resolved plan; the
-/// one builder both the in-line path and the multiplexer use, so tagged and
-/// untagged responses cannot drift (a tagged response is the untagged bytes
-/// plus the echoed `seq`).
+/// one builder for tagged and untagged requests alike, so their responses
+/// cannot drift (a tagged response is the untagged bytes plus the echoed
+/// `seq`).
 fn resolved_response(
     op: &str,
     id: Option<&str>,
@@ -2496,123 +2493,101 @@ fn batch_response(
     Json::Object(members)
 }
 
-/// Longest nap between polls of [`wait_out`]. An untagged request's
-/// shards unpark the reader at once; the multiplexer's drain, whose pings
-/// go to its inbox instead, relies on this bound.
-const WAIT_POLL: Duration = Duration::from_millis(1);
-
-/// Waits `work` out in line: polls until every handle has delivered or
-/// `deadline` passes (whatever is still missing then completes as a
-/// timeout). The thread parks between polls.
-fn wait_out(work: &mut PendingWork, deadline: Option<Instant>) {
-    while !work.poll() {
-        let mut nap = WAIT_POLL;
-        if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            nap = nap.min(left);
-        }
-        thread::park_timeout(nap);
-    }
-}
-
 /// Capacity the writer's buffer is trimmed back to after a larger response
 /// (a `plan: true` answer can run to hundreds of KiB; a typical response is
 /// a few hundred bytes), so one big answer does not pin memory for the rest
 /// of the session.
 const WRITE_BUF_KEEP: usize = 16 * 1024;
 
-/// The writer half: serializes every queued response onto the socket. On a
-/// write failure (stalled or gone client) it flags the connection dead and
-/// keeps draining the channel, so producers never block on a dead peer.
+/// Finalizes one response and writes it. On a write failure (stalled or
+/// gone client) it flags the connection dead; later calls only finalize,
+/// so the writer never blocks on a dead peer.
 ///
-/// Each response is rendered, newline included, into one buffer reused for
-/// the whole session and handed to the stream in a single `write_all` —
-/// one `write(2)` per response rather than one per JSON token, which under
-/// `TCP_NODELAY` would also mean one segment per token.
+/// The response is rendered, newline included, into `buf` — one buffer
+/// reused for the whole session — and handed to the stream in a single
+/// `write_all`: one `write(2)` per response rather than one per JSON
+/// token, which under `TCP_NODELAY` would also mean one segment per token.
 ///
-/// The writer is also where requests are *finalized*: a traced span gets
-/// its `written` stage, is snapshotted, and is sunk (ring / trace log /
-/// slow log) — and the latency sample is recorded — strictly before the
-/// response bytes reach the socket. A client that has read its response
-/// can therefore always retrieve its span with a `trace` request, and the
-/// trace id is echoed on the response itself. Finalization happens even on
-/// a dead connection (only the write is skipped), so the books balance no
-/// matter how the session ends.
-fn writer_loop<W: Write>(
-    mut stream: W,
-    responses: Receiver<Outgoing>,
+/// Finalizing happens strictly before the bytes reach the socket: a traced
+/// span gets its `written` stage, is snapshotted, and is sunk (ring /
+/// trace log / slow log), and the latency sample is recorded. A client
+/// that has read its response can therefore always retrieve its span with
+/// a `trace` request, and the trace id is echoed on the response itself.
+/// Finalization happens even on a dead connection (only the write is
+/// skipped), so the books balance no matter how the session ends.
+fn write_response<W: Write>(
+    stream: &mut W,
+    buf: &mut String,
+    outgoing: Outgoing,
     dead: &AtomicBool,
     obs: &ServerObs,
 ) {
-    let mut buf = String::new();
-    for Outgoing { mut response, done } in responses {
-        if let Some(done) = done {
-            if let Some(span) = &done.span {
-                span.record("written");
-                let record = span.finish();
-                if let Json::Object(members) = &mut response {
-                    members.push(member("trace", Json::number(record.id as f64)));
-                }
-                obs.sink_span(&record, &mut buf);
+    let Outgoing { mut response, done } = outgoing;
+    if let Some(done) = done {
+        if let Some(span) = &done.span {
+            span.record("written");
+            let record = span.finish();
+            if let Json::Object(members) = &mut response {
+                members.push(member("trace", Json::number(record.id as f64)));
             }
-            obs.record_latency(done.op, done.started);
+            obs.sink_span(&record, buf);
         }
-        if dead.load(Ordering::SeqCst) {
-            continue;
-        }
+        obs.record_latency(done.op, done.started);
+    }
+    if dead.load(Ordering::SeqCst) {
+        return;
+    }
+    buf.clear();
+    response.write_into(buf);
+    buf.push('\n');
+    if stream
+        .write_all(buf.as_bytes())
+        .and_then(|()| stream.flush())
+        .is_err()
+    {
+        dead.store(true, Ordering::SeqCst);
+    }
+    if buf.capacity() > WRITE_BUF_KEEP {
         buf.clear();
-        response.write_into(&mut buf);
-        buf.push('\n');
-        if stream
-            .write_all(buf.as_bytes())
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
-            dead.store(true, Ordering::SeqCst);
-        }
-        if buf.capacity() > WRITE_BUF_KEEP {
-            buf.clear();
-            buf.shrink_to(WRITE_BUF_KEEP);
-        }
+        buf.shrink_to(WRITE_BUF_KEEP);
     }
 }
 
-/// The multiplexer half: owns every in-flight tagged request of one
-/// session. See the module docs for the protocol it implements.
-struct Mux<'a, 'b> {
+/// The writer half: the session's only completion site. It owns the write
+/// half and every in-flight request; see the module docs for the protocol.
+struct Writer<'a, 'b> {
     session: &'a Session<'b>,
-    out: Sender<Outgoing>,
-    /// In-flight entries by dispatch token (a `BTreeMap` so the final
-    /// drain answers remaining work in dispatch order, deterministically).
+    stream: TcpStream,
+    buf: String,
+    dead: &'a AtomicBool,
+    /// In-flight entries by dispatch token (a `BTreeMap` so a discarding
+    /// drain releases them in dispatch order, deterministically).
     inflight: BTreeMap<u64, InFlight>,
+    /// Tells the reader an untagged response is written.
+    answered: Sender<()>,
 }
 
-impl Mux<'_, '_> {
-    fn run(mut self, inbox: Receiver<MuxMsg>) {
+impl Writer<'_, '_> {
+    fn run(mut self, inbox: Receiver<Msg>) {
+        // Set by `Drain`: the loop runs on until nothing is in flight, then
+        // writes the optional ack (the shutdown response) last.
+        let mut draining = None;
         loop {
             match inbox.recv_timeout(self.poll_interval()) {
-                Ok(MuxMsg::Register { token, entry }) => {
+                Ok(Msg::Line(outgoing)) => self.write(outgoing),
+                Ok(Msg::Register { token, entry }) => {
                     self.inflight.insert(token, *entry);
                     // Cover shard pings that raced ahead of registration
                     // (and zero-outstanding work, e.g. an all-reused
                     // resubmit that will never ping).
                     self.try_complete(token);
                 }
-                Ok(MuxMsg::Ping(token)) => self.try_complete(token),
-                Ok(MuxMsg::Drain { ack, discard }) => {
-                    self.drain(discard);
-                    if let Some(ack) = ack {
-                        // The shutdown ack is deliberately outside the
-                        // latency accounting (see [`LATENCY_VERBS`]).
-                        let _ = self.out.send(Outgoing {
-                            response: ack,
-                            done: None,
-                        });
+                Ok(Msg::Ping(token)) => self.try_complete(token),
+                Ok(Msg::Drain { ack, discard }) => {
+                    if discard {
+                        self.discard_all();
                     }
-                    return;
+                    draining = Some(ack);
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 // The reader vanished without a Drain (a panic); there is
@@ -2620,6 +2595,19 @@ impl Mux<'_, '_> {
                 Err(RecvTimeoutError::Disconnected) => return,
             }
             self.expire_overdue();
+            if self.inflight.is_empty() {
+                if let Some(ack) = draining.take() {
+                    if let Some(response) = ack {
+                        // The shutdown ack is deliberately outside the
+                        // latency accounting (see [`LATENCY_VERBS`]).
+                        self.write(Outgoing {
+                            response,
+                            done: None,
+                        });
+                    }
+                    return;
+                }
+            }
         }
     }
 
@@ -2664,48 +2652,54 @@ impl Mux<'_, '_> {
         }
     }
 
-    /// Answers (or discards) everything still in flight at session end.
-    /// Non-discard drains wait each entry out, bounded by its own deadline.
-    fn drain(&mut self, discard: bool) {
-        while let Some((_token, mut entry)) = self.inflight.pop_first() {
-            if discard {
-                // Dead connection: nobody can read responses. Release the
-                // bookkeeping; dropping the handles abandons the shards.
-                if let Some(id) = &entry.work.id {
-                    let _ = self.session.shared.finish_store(self.session.sid, id, None);
-                }
-                self.session.gate.release(&entry.seq_key);
-                // No response will ever be written; record the latency
-                // sample directly so every counted request still has
-                // exactly one.
-                self.session
-                    .shared
-                    .obs
-                    .record_latency(entry.work.op, entry.started);
-                continue;
+    /// Dead connection: nobody can read responses. Releases the bookkeeping
+    /// of everything in flight; dropping the handles abandons the shards.
+    fn discard_all(&mut self) {
+        let session = self.session;
+        while let Some((_token, entry)) = self.inflight.pop_first() {
+            if let Some(id) = &entry.work.id {
+                let _ = session.shared.finish_store(session.sid, id, None);
             }
-            wait_out(&mut entry.work, entry.deadline);
-            self.finish(entry);
+            if let Some((_, seq_key)) = &entry.seq {
+                session.gate.release(seq_key);
+            }
+            // No response will ever be written; record the latency sample
+            // directly so every counted request still has exactly one.
+            session
+                .shared
+                .obs
+                .record_latency(entry.work.op, entry.started);
         }
     }
 
     /// Answers one retired entry through the shared completion path.
-    fn finish(&self, entry: InFlight) {
+    fn finish(&mut self, entry: InFlight) {
         let InFlight {
             seq,
-            seq_key,
             started,
             span,
             work,
             ..
         } = entry;
         let op = work.op;
-        let response = self.session.complete(work, Some(&seq), &span);
-        self.session.gate.release(&seq_key);
-        let _ = self.out.send(Outgoing {
+        let response = self
+            .session
+            .complete(work, seq.as_ref().map(|(seq, _)| seq), &span);
+        if let Some((_, seq_key)) = &seq {
+            self.session.gate.release(seq_key);
+        }
+        self.write(Outgoing {
             response,
             done: Some(Done { op, started, span }),
         });
+        if seq.is_none() {
+            let _ = self.answered.send(());
+        }
+    }
+
+    fn write(&mut self, outgoing: Outgoing) {
+        let obs = &self.session.shared.obs;
+        write_response(&mut self.stream, &mut self.buf, outgoing, self.dead, obs);
     }
 }
 
@@ -2713,7 +2707,7 @@ impl Mux<'_, '_> {
 mod tests {
     use super::*;
 
-    /// One `write` call as the writer loop issued it, with the obs state
+    /// One `write` call as `write_response` issued it, with the obs state
     /// observed at that moment.
     struct Observed {
         bytes: Vec<u8>,
@@ -2799,16 +2793,16 @@ mod tests {
         .iter()
         .map(|response| format!("{response}\n"))
         .collect();
-        let (tx, rx) = channel();
-        for (response, done) in queued {
-            tx.send(Outgoing { response, done }).unwrap();
-        }
-        drop(tx);
         let mut writer = CountingWriter {
             obs: &obs,
             writes: Vec::new(),
         };
-        writer_loop(&mut writer, rx, &AtomicBool::new(false), &obs);
+        let mut buf = String::new();
+        let dead = AtomicBool::new(false);
+        for (response, done) in queued {
+            let outgoing = Outgoing { response, done };
+            write_response(&mut writer, &mut buf, outgoing, &dead, &obs);
+        }
 
         // Exactly one write per response, each carrying one whole line.
         assert_eq!(writer.writes.len(), expected.len());
@@ -2841,22 +2835,20 @@ mod tests {
     #[test]
     fn a_dead_connection_still_finalizes_but_never_writes() {
         let obs = ServerObs::new(&ObsOptions::default(), Registry::new()).unwrap();
-        let (tx, rx) = channel();
-        tx.send(Outgoing {
+        let outgoing = Outgoing {
             response: Json::Null,
             done: Some(Done {
                 op: "solve",
                 started: Instant::now(),
                 span: Some(Arc::new(slade_obs::RequestSpan::new(7, "solve", None))),
             }),
-        })
-        .unwrap();
-        drop(tx);
+        };
         let mut writer = CountingWriter {
             obs: &obs,
             writes: Vec::new(),
         };
-        writer_loop(&mut writer, rx, &AtomicBool::new(true), &obs);
+        let dead = AtomicBool::new(true);
+        write_response(&mut writer, &mut String::new(), outgoing, &dead, &obs);
         assert!(writer.writes.is_empty());
         assert_eq!(obs.ring.pushed(), 1);
         assert_eq!(obs.latency_for("solve").unwrap().lifetime().count(), 1);

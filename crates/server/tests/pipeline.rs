@@ -1,5 +1,6 @@
 //! End-to-end tests of session pipelining (DESIGN seam #11) over real
-//! loopback sockets, pinning the multiplexer's contracts:
+//! loopback sockets, pinning the contracts of the session's writer — its
+//! one completion site:
 //!
 //! 1. **byte determinism** — every tagged response, with its echoed `seq`
 //!    member stripped, is byte-identical to the same request's sequential
@@ -12,7 +13,10 @@
 //! 4. **ordering hazards** — `resubmit` against a plan id whose producing
 //!    `seq` has not completed is a structured error (not a race), `stats`
 //!    rejects `seq` and answers in stream position, and `shutdown` drains
-//!    every tagged in-flight request before acking and closing.
+//!    every tagged in-flight request before acking and closing;
+//! 5. **bounded backlog** — a client that never reads stalls its own
+//!    session's completions, so admitted work stops at the in-flight cap
+//!    instead of piling up answers in memory.
 //!
 //! Fault injection goes through [`ServerConfig::request_middleware`]: a
 //! sentinel request (`greedy` with exactly 13 tasks) is wrapped with a
@@ -28,11 +32,12 @@ use slade_core::SladeError;
 use slade_engine::EngineConfig;
 use slade_json::{self as json, Json};
 use slade_server::{Client, Server, ServerConfig};
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long any single test step may block before the test fails.
 const STEP: Duration = Duration::from_secs(20);
@@ -57,18 +62,27 @@ impl DecompositionSolver for SlowSolver {
 
 impl PreparedSolver for SlowSolver {}
 
+/// Middleware slowing every greedy request of exactly `tasks` tasks by the
+/// paired delay.
+fn slow_by_size_middleware(delays: Vec<(u32, Duration)>) -> slade_server::RequestMiddleware {
+    Arc::new(move |request: slade_engine::EngineRequest| {
+        let delay = delays
+            .iter()
+            .find(|(tasks, _)| *tasks == request.workload.len())
+            .map(|&(_, delay)| delay);
+        match delay {
+            Some(delay) if request.algorithm == slade_core::solver::Algorithm::Greedy => {
+                request.with_solver(Arc::new(SlowSolver { delay }))
+            }
+            _ => request,
+        }
+    })
+}
+
 /// Middleware wrapping the sentinel request (greedy, exactly 13 tasks)
 /// with a [`SlowSolver`] of the given delay.
 fn slow_sentinel_middleware(delay: Duration) -> slade_server::RequestMiddleware {
-    Arc::new(move |request: slade_engine::EngineRequest| {
-        if request.algorithm == slade_core::solver::Algorithm::Greedy
-            && request.workload.len() == 13
-        {
-            request.with_solver(Arc::new(SlowSolver { delay }))
-        } else {
-            request
-        }
-    })
+    slow_by_size_middleware(vec![(13, delay)])
 }
 
 /// The sentinel request line the middleware slows down.
@@ -604,6 +618,83 @@ fn inflight_cap_backpressure_and_duplicate_seqs() {
         "{tagged_stats}"
     );
 
+    shutdown.shutdown();
+    expect_clean_exit(&done);
+}
+
+#[test]
+fn tagged_answers_interleave_around_an_untagged_request_in_flight() {
+    let mut config = test_config();
+    config.request_middleware = Some(slow_by_size_middleware(vec![
+        (13, Duration::from_secs(2)),
+        (14, Duration::from_millis(300)),
+    ]));
+    let (addr, shutdown, done) = start_server(config);
+    let mut client = connect(addr);
+
+    // The reader waits the slow untagged request out; the tagged one
+    // pipelined before it must still be answered as soon as it finishes.
+    client
+        .send_line(r#"{"algorithm":"greedy","tasks":14,"seq":"t"}"#)
+        .unwrap();
+    client
+        .send_line(r#"{"algorithm":"greedy","tasks":13}"#)
+        .unwrap();
+    let first = client.recv_line().unwrap();
+    assert_eq!(
+        seq_of(&first),
+        "\"t\"",
+        "the tagged answer comes first: {first}"
+    );
+    assert!(first.contains("\"tasks\":14"), "{first}");
+    let second = client.recv_line().unwrap();
+    assert!(
+        second.contains("\"ok\":true") && second.contains("\"tasks\":13"),
+        "{second}"
+    );
+    assert!(!second.contains("\"seq\""), "{second}");
+
+    shutdown.shutdown();
+    expect_clean_exit(&done);
+}
+
+#[test]
+fn a_client_that_never_reads_holds_a_bounded_backlog() {
+    let mut config = test_config();
+    config.max_inflight = 4;
+    let (addr, shutdown, done) = start_server(config);
+
+    // 400 tagged requests whose answers run to ~590 KB each, from a client
+    // that never reads: the writer stalls once the socket buffers fill,
+    // and with it every completion of this session, so the reader stops
+    // admitting at the in-flight cap.
+    let mut hog = TcpStream::connect(addr).expect("connecting the hog");
+    let lines: String = (0..400)
+        .map(|i| format!("{{\"tasks\":20000,\"threshold\":0.95,\"plan\":true,\"seq\":{i}}}\n"))
+        .collect();
+    hog.write_all(lines.as_bytes())
+        .expect("writing the hog's requests");
+    let written = Instant::now();
+
+    let mut probe = connect(addr);
+    let mut pipelined = |at: Duration| {
+        thread::sleep(at.saturating_sub(written.elapsed()));
+        let stats = json::parse(&probe.roundtrip(r#"{"op":"stats"}"#).unwrap()).unwrap();
+        let ops = stats.get("ops").unwrap();
+        ops.get("pipelined").and_then(Json::as_f64).unwrap()
+    };
+    let first = pipelined(Duration::from_secs(2));
+    let second = pipelined(Duration::from_secs(3));
+    // Both probes fall inside the 10 s write timeout, after which the
+    // server would give the stalled connection up.
+    assert!(written.elapsed() < Duration::from_secs(10));
+    assert_eq!(first, second, "admissions must stop while nobody reads");
+    assert!(
+        second < 100.0,
+        "backlog of {second} requests is not bounded"
+    );
+
+    drop(hog);
     shutdown.shutdown();
     expect_clean_exit(&done);
 }
