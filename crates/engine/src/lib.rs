@@ -72,14 +72,15 @@
 //! There is one entry point, [`Engine::submit`], and one handle,
 //! [`ResolvedHandle`]. A resubmission is an ordinary request built by
 //! [`ResolvedPlan::resubmission`] and submitted with the prior plan as
-//! [`Submit::prior`]. The handle is waited on in one of three ways, all
-//! delivering the same plan: [`ResolvedHandle::wait`],
-//! [`ResolvedHandle::wait_timeout`] (returning [`EngineError::Timeout`] —
-//! the abandoned shards finish in the pool, so a stuck request costs at
-//! most its deadline, never a thread), or [`ResolvedHandle::try_wait`]
-//! polled on each [`Submit::notify`] ping. [`Engine::solve`],
-//! [`Engine::solve_resolved`], and [`Engine::resubmit`] are the blocking
-//! conveniences, each `submit(..).wait()`.
+//! [`Submit::prior`]. The handle is waited on in one of two ways, both
+//! delivering the same plan: [`ResolvedHandle::wait`], or
+//! [`ResolvedHandle::try_wait`] polled on each [`Submit::notify`] ping. A
+//! caller that polls keeps its own deadline (the server answers an overdue
+//! request with [`EngineError::Timeout`]); the abandoned shards finish in
+//! the pool, so a stuck request costs at most that deadline, never a
+//! thread. [`Engine::solve`], [`Engine::solve_resolved`], and
+//! [`Engine::resubmit`] are the blocking conveniences, each
+//! `submit(..).wait()`.
 //!
 //! ## Quickstart
 //!

@@ -15,10 +15,10 @@ use slade_core::task::{TaskId, Workload};
 use slade_core::SladeError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of an [`Engine`].
 #[derive(Debug, Clone)]
@@ -166,9 +166,9 @@ pub enum EngineError {
     /// The engine had already been [shut down](Engine::shutdown) when the
     /// request was submitted, so no shard was ever queued.
     ShutDown,
-    /// [`ResolvedHandle::wait_timeout`] (or a caller's own deadline around
-    /// [`ResolvedHandle::try_wait`]) gave up before every shard reported.
-    /// The shards keep running in the pool; only this wait abandoned them.
+    /// A caller's own deadline around [`ResolvedHandle::try_wait`] passed
+    /// before every shard reported. The shards keep running in the pool;
+    /// only this wait abandoned them.
     Timeout {
         /// The deadline that elapsed.
         after: Duration,
@@ -297,36 +297,6 @@ fn merge_subs(
         plan.merge_mapped(sub, |t| remap.global(t));
     }
     plan
-}
-
-/// A wait deadline: the instant to give up at, plus the originally requested
-/// duration (carried into [`EngineError::Timeout`] for the error message).
-type Deadline = (Instant, Duration);
-
-/// `timeout` from now, or `None` (= wait forever) if the addition overflows
-/// the `Instant` domain — a practically-infinite timeout means "no deadline".
-fn deadline_after(timeout: Duration) -> Option<Deadline> {
-    Instant::now().checked_add(timeout).map(|at| (at, timeout))
-}
-
-/// One `recv` against an optional deadline; shared by every wait path so
-/// blocking and timeout-aware waits can never diverge in their error
-/// mapping.
-fn recv_shard(
-    rx: &Receiver<ShardResult>,
-    deadline: Option<Deadline>,
-) -> Result<ShardResult, EngineError> {
-    match deadline {
-        None => rx.recv().map_err(|_| EngineError::ShardLost),
-        Some((at, after)) => {
-            let remaining = at.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(remaining) {
-                Ok(result) => Ok(result),
-                Err(RecvTimeoutError::Timeout) => Err(EngineError::Timeout { after }),
-                Err(RecvTimeoutError::Disconnected) => Err(EngineError::ShardLost),
-            }
-        }
-    }
 }
 
 /// An incremental change to a previously solved workload, consumed by
@@ -562,9 +532,8 @@ impl ResolvedCore {
 }
 
 /// The handle to one request submitted with [`Engine::submit`]: wait on it
-/// ([`ResolvedHandle::wait`], [`ResolvedHandle::wait_timeout`]) or poll it
-/// ([`ResolvedHandle::try_wait`]) — every mode delivers the same
-/// [`ResolvedPlan`].
+/// ([`ResolvedHandle::wait`]) or poll it ([`ResolvedHandle::try_wait`]) —
+/// both deliver the same [`ResolvedPlan`].
 ///
 /// Dropping the handle abandons the result; the shards still run to
 /// completion (they are already queued) but their plans are discarded.
@@ -586,17 +555,7 @@ impl ResolvedHandle {
     /// sub-plans in shard order (never in completion order — that is what
     /// keeps the result independent of scheduling).
     pub fn wait(mut self) -> Result<ResolvedPlan, EngineError> {
-        self.receive(Some(None))
-            .expect("a blocking receive on a live handle delivers")
-    }
-
-    /// Like [`ResolvedHandle::wait`], but gives up with
-    /// [`EngineError::Timeout`] once `timeout` has elapsed across *all*
-    /// shards. The shards themselves keep running in the pool (they are
-    /// already queued); only their results are abandoned — so one stuck
-    /// request cannot wedge its caller's thread.
-    pub fn wait_timeout(mut self, timeout: Duration) -> Result<ResolvedPlan, EngineError> {
-        self.receive(Some(deadline_after(timeout)))
+        self.receive(true)
             .expect("a blocking receive on a live handle delivers")
     }
 
@@ -610,17 +569,14 @@ impl ResolvedHandle {
     /// handles on one thread without polling in a busy loop: each
     /// notification means one more shard result is ready to drain.
     pub fn try_wait(&mut self) -> Option<Result<ResolvedPlan, EngineError>> {
-        self.receive(None)
+        self.receive(false)
     }
 
-    /// The one receive loop behind every wait mode. `block` is `None` for a
-    /// poll (return `None` as soon as no result is ready) or the deadline
-    /// of a blocking wait (`Some(None)` = wait forever). Returns `None` on a
-    /// spent handle; after any `Some`, the handle is spent.
-    fn receive(
-        &mut self,
-        block: Option<Option<Deadline>>,
-    ) -> Option<Result<ResolvedPlan, EngineError>> {
+    /// The one receive loop behind both wait modes: a blocking wait
+    /// (`block`) or a poll (return `None` as soon as no result is ready).
+    /// Returns `None` on a spent handle; after any `Some`, the handle is
+    /// spent.
+    fn receive(&mut self, block: bool) -> Option<Result<ResolvedPlan, EngineError>> {
         let core = self.core.as_mut()?;
         let outcome = loop {
             if self.shut_down {
@@ -629,13 +585,14 @@ impl ResolvedHandle {
             if self.received == self.outstanding {
                 break Ok(());
             }
-            let next = match block {
-                None => match self.rx.try_recv() {
+            let next = if block {
+                self.rx.recv().map_err(|_| EngineError::ShardLost)
+            } else {
+                match self.rx.try_recv() {
                     Ok(next) => Ok(next),
                     Err(TryRecvError::Empty) => return None,
                     Err(TryRecvError::Disconnected) => Err(EngineError::ShardLost),
-                },
-                Some(deadline) => recv_shard(&self.rx, deadline),
+                }
             };
             match next {
                 Ok((index, Ok(plan))) => {
@@ -1432,7 +1389,7 @@ mod tests {
     impl PreparedSolver for BlockingSolver {}
 
     #[test]
-    fn wait_timeout_surfaces_a_stuck_solve_without_wedging() {
+    fn try_wait_surfaces_a_stuck_solve_without_wedging() {
         let engine = Engine::new(EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -1447,15 +1404,20 @@ mod tests {
         .with_solver(Arc::new(BlockingSolver {
             release: Mutex::new(blocked),
         }));
-        let handle = engine.submit(request, Submit::default());
-        let timeout = Duration::from_millis(40);
-        assert_eq!(
-            handle.wait_timeout(timeout).map(ResolvedPlan::into_plan),
-            Err(EngineError::Timeout { after: timeout })
-        );
-        // Release the stuck solver; the worker survives and keeps serving,
-        // and a generous timeout behaves exactly like a plain wait.
+        let mut handle = engine.submit(request, Submit::default());
+        // While the solver is stuck, every poll comes back empty-handed
+        // and the caller's thread stays free.
+        for _ in 0..4 {
+            assert!(
+                handle.try_wait().is_none(),
+                "the stuck solve cannot deliver"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        // Release the stuck solver: the handle delivers, and the worker
+        // survives to serve the next request.
         release.send(()).unwrap();
+        assert_eq!(handle.wait().unwrap().into_plan().algorithm(), "Greedy");
         let plan = engine
             .submit(
                 EngineRequest::new(
@@ -1465,17 +1427,16 @@ mod tests {
                 ),
                 Submit::default(),
             )
-            .wait_timeout(Duration::from_secs(30))
+            .wait()
             .unwrap()
             .into_plan();
         assert_eq!(plan.algorithm(), "Greedy");
     }
 
-    /// The three ways to wait on a [`ResolvedHandle`].
+    /// The two ways to wait on a [`ResolvedHandle`].
     #[derive(Debug, Clone, Copy)]
     enum WaitMode {
         Wait,
-        WaitTimeout,
         /// `try_wait`, polled once per [`Submit::notify`] ping.
         TryWait,
     }
@@ -1494,9 +1455,6 @@ mod tests {
         };
         match mode {
             WaitMode::Wait => engine.submit(request, plain).wait(),
-            WaitMode::WaitTimeout => engine
-                .submit(request, plain)
-                .wait_timeout(Duration::from_secs(60)),
             WaitMode::TryWait => {
                 let (notify, pings) = pinger();
                 let options = Submit {
@@ -1614,9 +1572,10 @@ mod tests {
     }
 
     #[test]
-    fn resolved_timeouts_match_their_blocking_twins_when_not_stuck() {
-        let reference = assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::WaitTimeout]);
-        // The sharded solve equals the sequential solver's.
+    fn blocking_waits_agree_across_thread_counts_and_match_the_direct_solver() {
+        // Every request kind waits out identically on 1 and 4 threads, and
+        // the sharded solve equals the sequential solver's.
+        let reference = assert_wait_modes_agree(&[WaitMode::Wait]);
         let bins = paper_bins();
         let (_, hetero) = wait_table_requests(&bins);
         let direct_hetero = Algorithm::OpqExtended
@@ -1635,8 +1594,7 @@ mod tests {
 
     #[test]
     fn submit_resolved_and_resubmit_submit_match_their_blocking_twins() {
-        let reference =
-            assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::WaitTimeout, WaitMode::TryWait]);
+        let reference = assert_wait_modes_agree(&[WaitMode::Wait, WaitMode::TryWait]);
         // The resubmission equals a cold solve of the resized workload.
         let bins = paper_bins();
         let resized = Workload::homogeneous(60, 0.95).unwrap();
@@ -1698,7 +1656,7 @@ mod tests {
         });
         let (cold, _) = wait_table_requests(&paper_bins());
         engine.shutdown();
-        for mode in [WaitMode::Wait, WaitMode::WaitTimeout, WaitMode::TryWait] {
+        for mode in [WaitMode::Wait, WaitMode::TryWait] {
             match run_mode(&engine, cold.clone(), None, mode) {
                 Err(EngineError::ShutDown) => {}
                 other => panic!("{mode:?}: expected ShutDown, got {:?}", other.map(|_| ())),

@@ -153,7 +153,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("ops.solve").add(3);
         registry.gauge("queue.depth").set(5);
-        let h = registry.histogram("latency.solve");
+        let h = registry.windowed_histogram("latency.solve", Duration::from_secs(60), 8);
         h.record(100);
         h.record(100_000);
         registry

@@ -546,7 +546,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Named get-or-register access to counters, gauges, and histograms.
+/// Named get-or-register access to counters, gauges, and windowed counters
+/// and histograms.
 ///
 /// The registry's mutex guards only the name → handle maps: callers
 /// register once (at startup, typically) and keep the returned `Arc` for
@@ -555,7 +556,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     windowed_counters: Mutex<BTreeMap<String, Arc<WindowedCounter>>>,
     windowed_histograms: Mutex<BTreeMap<String, Arc<WindowedHistogram>>>,
 }
@@ -581,15 +581,6 @@ impl Registry {
             lock(&self.gauges)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            lock(&self.histograms)
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
         )
     }
 
@@ -629,7 +620,7 @@ impl Registry {
     ///
     /// Windowed metrics contribute twice: their lifetime values land in
     /// `counters`/`histograms` under their own name (overwriting a plain
-    /// metric that shares the name), and their windowed views land in
+    /// counter that shares the name), and their windowed views land in
     /// `rates`/`windows`. Taking a snapshot is what rotates the window
     /// rings — reader-driven advance, see `WindowClock`.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -637,15 +628,12 @@ impl Registry {
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
             .collect();
-        let mut histograms: BTreeMap<String, HistogramSnapshot> = lock(&self.histograms)
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect();
         let mut rates = BTreeMap::new();
         for (name, c) in lock(&self.windowed_counters).iter() {
             counters.insert(name.clone(), c.get());
             rates.insert(name.clone(), c.windowed());
         }
+        let mut histograms = BTreeMap::new();
         let mut windows = BTreeMap::new();
         for (name, h) in lock(&self.windowed_histograms).iter() {
             histograms.insert(name.clone(), h.lifetime());
@@ -671,8 +659,7 @@ pub struct RegistrySnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge levels by name.
     pub gauges: BTreeMap<String, i64>,
-    /// Merged histograms by name (lifetime values; windowed histograms
-    /// included).
+    /// Lifetime values of the [`WindowedHistogram`]s, by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Windowed counts/rates of the [`WindowedCounter`]s, by name.
     pub rates: BTreeMap<String, RateView>,
@@ -806,7 +793,9 @@ mod tests {
         c1.add(3);
         registry.counter("ops.batch").inc();
         registry.gauge("queue_depth").set(5);
-        registry.histogram("latency.solve").record(42);
+        registry
+            .windowed_histogram("latency.solve", Duration::from_secs(60), 8)
+            .record(42);
 
         let snap = registry.snapshot();
         assert_eq!(

@@ -11,8 +11,8 @@
 //! | `resubmit` | `id`, `delta` (one of `resize` / `set_thresholds` / `append`), optional `plan`, optional `seq` | summary + reuse counters for the re-solve |
 //! | `claim` | `id` (`seq` is rejected: leases move in line, at their position in the request stream) | ack; this session now holds the plan id's lease |
 //! | `release` | `id` (`seq` is rejected, as for `claim`) | ack; the plan id is unleased and claimable by any session |
-//! | `stats` | — (`seq` is rejected: stats answer in line, at their position in the request stream) | cache, per-op and per-algorithm counters |
-//! | `metrics` | — (`seq` is rejected, as for `stats`) | full observability snapshot: op counters, cache rates, engine/scheduler gauges, store contention, per-verb latency histogram quantiles |
+//! | `stats` | — (`seq` is rejected: stats answer in line, at their position in the request stream) | cache, per-op and per-algorithm counters: a reshaped subset of `metrics` |
+//! | `metrics` | — (`seq` is rejected, as for `stats`) | full observability snapshot: op counters, cache rates, engine/scheduler gauges, store contention, per-verb latency histogram quantiles, per-algorithm counts |
 //! | `trace` | optional `limit` (`seq` is rejected, as for `stats`) | the newest completed request spans, oldest first |
 //! | `health` | — (`seq` is rejected, as for `stats`) | readiness from live signals: `ok`/`degraded`/`unhealthy` with per-signal detail and reasons |
 //! | `profile` | optional `limit` (`seq` is rejected, as for `stats`) | per-phase wall-time breakdown aggregated from the newest completed spans |
@@ -73,7 +73,9 @@ use slade_engine::{EngineRequest, WorkloadDelta};
 use slade_json::{self as json, member, Json};
 use std::sync::Arc;
 
-/// The protocol verbs, for error messages and dispatch tables.
+/// The protocol verbs: the unknown-op error lists them, and the server
+/// derives its per-verb counters, latency histograms and `stats` members
+/// from this one table.
 pub const VERBS: [&str; 11] = [
     "solve", "batch", "resubmit", "claim", "release", "stats", "metrics", "trace", "health",
     "profile", "shutdown",
@@ -150,6 +152,25 @@ pub enum Request {
     },
     /// Drain and stop the server.
     Shutdown,
+}
+
+impl Request {
+    /// The request's verb, spelled as in [`VERBS`].
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Request::Solve { .. } => "solve",
+            Request::Batch { .. } => "batch",
+            Request::Resubmit { .. } => "resubmit",
+            Request::Claim { .. } => "claim",
+            Request::Release { .. } => "release",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Trace { .. } => "trace",
+            Request::Health => "health",
+            Request::Profile { .. } => "profile",
+            Request::Shutdown => "shutdown",
+        }
+    }
 }
 
 /// Parses one request line. Errors are plain strings; the caller decides
@@ -831,6 +852,25 @@ mod tests {
         for verb in VERBS {
             assert!(err.contains(verb), "missing {verb} in: {err}");
         }
+    }
+
+    #[test]
+    fn every_verb_parses_into_a_request_of_that_verb() {
+        // The smallest valid line for each verb; the verbs with required
+        // members get them.
+        let minimal = |verb: &str| match verb {
+            "batch" => r#"{"op":"batch","requests":[]}"#.to_string(),
+            "resubmit" => r#"{"op":"resubmit","id":"w","delta":{"resize":2}}"#.to_string(),
+            "claim" | "release" => format!(r#"{{"op":"{verb}","id":"w"}}"#),
+            _ => format!(r#"{{"op":"{verb}"}}"#),
+        };
+        for verb in VERBS {
+            let request = parse_request(&minimal(verb), &bins())
+                .unwrap_or_else(|e| panic!("`{verb}` does not parse: {e}"));
+            assert_eq!(request.verb(), verb);
+        }
+        let distinct: std::collections::HashSet<&str> = VERBS.into_iter().collect();
+        assert_eq!(distinct.len(), VERBS.len(), "VERBS has a duplicate");
     }
 
     #[test]

@@ -229,67 +229,76 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-op and per-algorithm request counters, reported by the `stats` and
-/// `metrics` verbs. The op counters are [`WindowedCounter`]s living in the
-/// server's [`Registry`] (named `ops.<verb>`) — lifetime values identical
-/// to the plain counters they replaced (same relaxed sharded record path),
-/// plus the windowed rates the `health` verb and the `metrics` windowed
-/// sections read. Per-algorithm counters stay plain [`Counter`]s.
+/// Per-op and per-algorithm request counters, reported by the `metrics`
+/// verb (and through it by `stats`). The op counters are
+/// [`WindowedCounter`]s living in the server's [`Registry`] (named
+/// `ops.<name>`): lifetime values plus the windowed rates the `health` verb
+/// and the `metrics` windowed sections read. Per-algorithm counters stay
+/// plain [`Counter`]s.
 struct Counters {
-    solve: Arc<WindowedCounter>,
-    batch: Arc<WindowedCounter>,
-    resubmit: Arc<WindowedCounter>,
-    claim: Arc<WindowedCounter>,
-    release: Arc<WindowedCounter>,
-    stats: Arc<WindowedCounter>,
-    metrics: Arc<WindowedCounter>,
-    trace: Arc<WindowedCounter>,
-    health: Arc<WindowedCounter>,
-    profile: Arc<WindowedCounter>,
-    shutdown: Arc<WindowedCounter>,
+    /// One per protocol verb, index-aligned with [`protocol::VERBS`].
+    ops: Vec<Arc<WindowedCounter>>,
     /// Requests that arrived with a `seq` tag (also counted under their op).
     pipelined: Arc<WindowedCounter>,
     /// Requests answered with a deadline-expiry timeout, tagged or not
     /// (also counted under their op, under `errors` like every error
-    /// response, and — per verb — under `timeouts.<verb>`).
+    /// response, and per verb under `verb_timeouts`).
     timeouts: Arc<WindowedCounter>,
-    /// The per-verb split of `timeouts`: `timeouts.<verb>` for the three
-    /// verbs that wait on the engine. The global counter is unchanged
-    /// (wire compatibility); these add the breakdown.
-    timeouts_solve: Arc<WindowedCounter>,
-    timeouts_batch: Arc<WindowedCounter>,
-    timeouts_resubmit: Arc<WindowedCounter>,
+    /// The per-verb split of `timeouts` (`timeouts.<verb>`), index-aligned
+    /// with [`ENGINE_VERBS`].
+    verb_timeouts: Vec<Arc<WindowedCounter>>,
     errors: Arc<WindowedCounter>,
     algorithms: [Arc<Counter>; ALGORITHMS],
 }
 
+/// The verbs that wait on the engine, and so the only ones that can time
+/// out.
+const ENGINE_VERBS: [&str; 3] = ["solve", "batch", "resubmit"];
+
+/// The `ops` members of a `stats` response, in their wire order: the
+/// original nine, then the later ones appended.
+const STATS_OPS: [&str; 14] = [
+    "solve",
+    "batch",
+    "resubmit",
+    "claim",
+    "release",
+    "stats",
+    "shutdown",
+    "pipelined",
+    "errors",
+    "metrics",
+    "trace",
+    "timeouts",
+    "health",
+    "profile",
+];
+
 impl Counters {
     fn new(registry: &Registry, window: Duration, slots: usize) -> Counters {
         let op = |name: &str| registry.windowed_counter(&format!("ops.{name}"), window, slots);
-        let timeout =
-            |name: &str| registry.windowed_counter(&format!("timeouts.{name}"), window, slots);
         Counters {
-            solve: op("solve"),
-            batch: op("batch"),
-            resubmit: op("resubmit"),
-            claim: op("claim"),
-            release: op("release"),
-            stats: op("stats"),
-            metrics: op("metrics"),
-            trace: op("trace"),
-            health: op("health"),
-            profile: op("profile"),
-            shutdown: op("shutdown"),
+            ops: protocol::VERBS.into_iter().map(op).collect(),
             pipelined: op("pipelined"),
             timeouts: op("timeouts"),
-            timeouts_solve: timeout("solve"),
-            timeouts_batch: timeout("batch"),
-            timeouts_resubmit: timeout("resubmit"),
+            verb_timeouts: ENGINE_VERBS
+                .iter()
+                .map(|verb| registry.windowed_counter(&format!("timeouts.{verb}"), window, slots))
+                .collect(),
             errors: op("errors"),
             algorithms: std::array::from_fn(|i| {
                 registry.counter(&format!("algorithms.{}", Algorithm::ALL[i].name()))
             }),
         }
+    }
+
+    /// The counter of protocol verb `verb`.
+    fn op(&self, verb: &str) -> &WindowedCounter {
+        let index = protocol::VERBS
+            .iter()
+            .position(|v| *v == verb)
+            .expect("every request verb is in VERBS");
+        &self.ops[index]
     }
 
     fn count_algorithm(&self, algorithm: Algorithm) {
@@ -305,28 +314,27 @@ impl Counters {
     }
 
     /// Counts one request that ran past its deadline — tagged or untagged:
-    /// the legacy global counter plus the per-verb `timeouts.<verb>` split.
-    fn count_timeout(&self, op: &str) {
+    /// the global counter plus the per-verb `timeouts.<verb>` split.
+    fn count_timeout(&self, verb: &str) {
         self.timeouts.inc();
-        match op {
-            "solve" => self.timeouts_solve.inc(),
-            "batch" => self.timeouts_batch.inc(),
-            "resubmit" => self.timeouts_resubmit.inc(),
-            // Only the verbs that wait on the engine can expire; an unknown
-            // op here would be a dispatch bug, not a counter miss.
-            other => debug_assert!(false, "unexpected timeout verb `{other}`"),
+        match ENGINE_VERBS.iter().position(|v| *v == verb) {
+            Some(index) => self.verb_timeouts[index].inc(),
+            // Only the verbs that wait on the engine can expire; any other
+            // verb here would be a dispatch bug, not a counter miss.
+            None => debug_assert!(false, "unexpected timeout verb `{verb}`"),
         }
     }
 }
 
-/// The verbs whose end-to-end latency is histogrammed, index-aligned with
-/// [`ServerObs::latency`]. `shutdown` is deliberately absent: its ack is
-/// written mid-drain while the server is stopping, so a sample would
-/// measure the drain, not the request.
-const LATENCY_VERBS: [&str; 10] = [
-    "solve", "batch", "resubmit", "claim", "release", "stats", "metrics", "trace", "health",
-    "profile",
-];
+/// The verbs whose end-to-end latency is histogrammed, in
+/// [`ServerObs::latency`] order: every protocol verb but `shutdown`, whose
+/// ack is written mid-drain while the server is stopping, so a sample
+/// would measure the drain, not the request.
+fn latency_verbs() -> impl Iterator<Item = &'static str> {
+    protocol::VERBS
+        .into_iter()
+        .filter(|verb| *verb != "shutdown")
+}
 
 /// The server's observability sink: the metric registry, per-verb latency
 /// histograms, the completed-span ring the `trace` verb reads, and the
@@ -336,7 +344,7 @@ struct ServerObs {
     registry: Registry,
     /// Completed traced spans, newest `capacity` retained.
     ring: SpanRing,
-    /// Per-verb latency histograms, index-aligned with [`LATENCY_VERBS`].
+    /// Per-verb latency histograms, in [`latency_verbs`] order.
     /// Windowed: lifetime behavior identical to the plain histograms they
     /// replaced, plus the sliding-window view behind the `metrics` verb's
     /// windowed quantiles/rates.
@@ -352,8 +360,7 @@ struct ServerObs {
 
 impl ServerObs {
     fn new(options: &ObsOptions, registry: Registry) -> io::Result<ServerObs> {
-        let latency = LATENCY_VERBS
-            .iter()
+        let latency = latency_verbs()
             .map(|verb| {
                 registry.windowed_histogram(
                     &format!("latency.{verb}"),
@@ -379,12 +386,11 @@ impl ServerObs {
         })
     }
 
-    /// The latency histogram for `op`, when `op` is a [`LATENCY_VERBS`]
+    /// The latency histogram for `op`, when `op` is a [`latency_verbs`]
     /// member.
     fn latency_for(&self, op: &str) -> Option<&Arc<WindowedHistogram>> {
-        LATENCY_VERBS
-            .iter()
-            .position(|verb| *verb == op)
+        latency_verbs()
+            .position(|verb| verb == op)
             .map(|i| &self.latency[i])
     }
 
@@ -747,12 +753,12 @@ fn serve_metrics_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.flush();
 }
 
-/// Renders the Prometheus text body: refresh the mirrored/derived gauges
-/// (cache, uptime, health), then snapshot and render. Scrapes are a
+/// Renders the Prometheus text body: refresh the mirrored and derived
+/// gauges (the health evaluation refreshes cache, uptime and store gauges,
+/// then sets the health ones), then snapshot and render. Scrapes are a
 /// reader, so each one also rotates the window rings.
 fn render_exposition(shared: &Shared) -> String {
-    refresh_cache_gauges(shared);
-    evaluate_health(shared); // sets the health.* gauges
+    evaluate_health(shared);
     slade_obs::render_prometheus(
         &shared.obs.registry.snapshot(),
         Some(env!("CARGO_PKG_VERSION")),
@@ -1145,7 +1151,8 @@ impl Session<'_> {
         if line.is_empty() {
             return None; // blank lines are JSONL padding, not requests
         }
-        match protocol::parse_request(line, &self.default_bins) {
+        let request = match protocol::parse_request(line, &self.default_bins) {
+            Ok(request) => request,
             Err(message) => {
                 counters.count_error();
                 // Echo the tag when one is recoverable, so a pipelining
@@ -1155,141 +1162,76 @@ impl Session<'_> {
                 // enters the in-flight window).
                 let seq = protocol::recover_seq(line);
                 io.respond(protocol::error_response(None, seq.as_ref(), &message));
+                return None;
             }
-            Ok(Request::Solve {
+        };
+        let verb = request.verb();
+        counters.op(verb).inc();
+        // `solve`, `resubmit` and `batch` start on the engine and complete
+        // on the writer; `shutdown` ends the reader; every other verb is
+        // answered in line.
+        let response = match request {
+            Request::Solve {
                 request,
                 id,
                 want_plan,
                 seq,
                 trace,
-            }) => {
-                counters.solve.inc();
+            } => {
                 counters.count_algorithm(request.algorithm);
-                let span = self.mint_span("solve", trace, seq.as_ref());
-                self.dispatch(io, dead, "solve", seq, started, span, |at| {
+                let span = self.mint_span(verb, trace, seq.as_ref());
+                self.dispatch(io, dead, verb, seq, started, span, |at| {
                     self.start_solve(at, request, id, want_plan)
                 });
+                return None;
             }
-            Ok(Request::Resubmit {
+            Request::Resubmit {
                 id,
                 delta,
                 want_plan,
                 seq,
                 trace,
-            }) => {
-                counters.resubmit.inc();
-                let span = self.mint_span("resubmit", trace, seq.as_ref());
-                self.dispatch(io, dead, "resubmit", seq, started, span, |at| {
+            } => {
+                let span = self.mint_span(verb, trace, seq.as_ref());
+                self.dispatch(io, dead, verb, seq, started, span, |at| {
                     self.start_resubmit(at, id, &delta, want_plan)
                 });
+                return None;
             }
-            Ok(Request::Batch {
+            Request::Batch {
                 requests,
                 seq,
                 trace,
-            }) => {
-                counters.batch.inc();
+            } => {
                 for request in &requests {
                     counters.count_algorithm(request.algorithm);
                 }
-                let span = self.mint_span("batch", trace, seq.as_ref());
-                self.dispatch(io, dead, "batch", seq, started, span, |at| {
+                let span = self.mint_span(verb, trace, seq.as_ref());
+                self.dispatch(io, dead, verb, seq, started, span, |at| {
                     Ok(self.start_batch(at, requests))
                 });
+                return None;
             }
-            Ok(Request::Claim { id }) => {
-                counters.claim.inc();
-                let response = self.run_lease_move("claim", &id);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "claim",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Release { id }) => {
-                counters.release.inc();
-                let response = self.run_lease_move("release", &id);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "release",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Stats) => {
-                counters.stats.inc();
-                let response = self.stats_response();
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "stats",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Metrics) => {
-                counters.metrics.inc();
-                let response = self.metrics_response();
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "metrics",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Trace { limit }) => {
-                counters.trace.inc();
-                let response = self.trace_response(limit);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "trace",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Health) => {
-                counters.health.inc();
-                let response = self.health_response();
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "health",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Profile { limit }) => {
-                counters.profile.inc();
-                let response = self.profile_response(limit);
-                io.respond_done(
-                    response,
-                    Done {
-                        op: "profile",
-                        started,
-                        span: None,
-                    },
-                );
-            }
-            Ok(Request::Shutdown) => {
-                counters.shutdown.inc();
+            Request::Shutdown => {
                 let ack = Json::Object(vec![
                     member("ok", Json::Bool(true)),
-                    member("op", Json::string("shutdown")),
+                    member("op", Json::string(verb)),
                 ]);
                 return Some(Exit::ShutdownVerb(ack));
             }
-        }
+            Request::Claim { id } | Request::Release { id } => self.run_lease_move(verb, &id),
+            Request::Stats => self.stats_response(),
+            Request::Metrics => self.metrics_response(),
+            Request::Trace { limit } => self.trace_response(limit),
+            Request::Health => self.health_response(),
+            Request::Profile { limit } => self.profile_response(limit),
+        };
+        let done = Done {
+            op: verb,
+            started,
+            span: None,
+        };
+        io.respond_done(response, done);
         None
     }
 
@@ -1606,93 +1548,60 @@ impl Session<'_> {
         }
     }
 
+    /// The `stats` verb: a reshaped subset of the `metrics` document. Every
+    /// number comes from one `metrics` render except `max_inflight`, which
+    /// is configuration. Members keep their historical names and order
+    /// (new ones were only ever appended), so the bytes are stable.
     fn stats_response(&self) -> Json {
-        let shared = self.shared;
-        let cache = shared.engine.cache_stats();
-        let count = |c: &Arc<WindowedCounter>| Json::number(c.get() as f64);
+        let metrics = self.metrics_response();
+        let section = |name: &str| metrics.get(name).expect("metrics renders every section");
+        let value = |name: &str, key: &str| {
+            section(name)
+                .get(key)
+                .cloned()
+                .expect("metrics renders every member stats reports")
+        };
+        let pick = |name: &str, keys: &[&str]| {
+            Json::Object(
+                keys.iter()
+                    .map(|key| member(key, value(name, key)))
+                    .collect(),
+            )
+        };
         Json::Object(vec![
             member("ok", Json::Bool(true)),
             member("op", Json::string("stats")),
             member(
                 "cache",
-                Json::Object(vec![
-                    member("hits", Json::number(cache.hits as f64)),
-                    member("misses", Json::number(cache.misses as f64)),
-                    member("entries", Json::number(cache.entries as f64)),
-                    member("capacity", Json::number(cache.capacity as f64)),
-                ]),
+                pick("cache", &["hits", "misses", "entries", "capacity"]),
             ),
+            member("ops", pick("ops", &STATS_OPS)),
+            member("algorithms", section("algorithms").clone()),
+            member("connections", value("sessions", "active")),
+            member("plans", value("store", "plans")),
+            member("leases", value("store", "leases")),
+            member("steals", value("engine", "steals")),
+            member("threads", value("engine", "threads")),
             member(
-                "ops",
-                Json::Object(vec![
-                    member("solve", count(&shared.counters.solve)),
-                    member("batch", count(&shared.counters.batch)),
-                    member("resubmit", count(&shared.counters.resubmit)),
-                    member("claim", count(&shared.counters.claim)),
-                    member("release", count(&shared.counters.release)),
-                    member("stats", count(&shared.counters.stats)),
-                    member("shutdown", count(&shared.counters.shutdown)),
-                    member("pipelined", count(&shared.counters.pipelined)),
-                    member("errors", count(&shared.counters.errors)),
-                    // New members append after the original nine, so
-                    // clients reading the original fields see identical
-                    // bytes.
-                    member("metrics", count(&shared.counters.metrics)),
-                    member("trace", count(&shared.counters.trace)),
-                    member("timeouts", count(&shared.counters.timeouts)),
-                    member("health", count(&shared.counters.health)),
-                    member("profile", count(&shared.counters.profile)),
-                ]),
+                "max_inflight",
+                Json::number(self.shared.max_inflight as f64),
             ),
-            member(
-                "algorithms",
-                Json::Object(
-                    Algorithm::ALL
-                        .iter()
-                        .zip(&shared.counters.algorithms)
-                        .map(|(a, c)| member(a.name(), Json::number(c.get() as f64)))
-                        .collect(),
-                ),
-            ),
-            member(
-                "connections",
-                Json::number(shared.connections.load(Ordering::SeqCst) as f64),
-            ),
-            member("plans", Json::number(shared.store.count() as f64)),
-            member("leases", Json::number(shared.store.leases() as f64)),
-            member("steals", Json::number(shared.engine.steals() as f64)),
-            member("threads", Json::number(shared.engine.threads() as f64)),
-            member("max_inflight", Json::number(shared.max_inflight as f64)),
-            member(
-                "queue_depth",
-                Json::number(shared.engine.queue_depth() as f64),
-            ),
-            member(
-                "sessions",
-                Json::number((shared.next_session.load(Ordering::SeqCst) - 1) as f64),
-            ),
-            // Appended after every pre-existing member (wire compatibility):
-            // the per-verb split of the `ops.timeouts` counter above.
-            member(
-                "timeouts",
-                Json::Object(vec![
-                    member("solve", count(&shared.counters.timeouts_solve)),
-                    member("batch", count(&shared.counters.timeouts_batch)),
-                    member("resubmit", count(&shared.counters.timeouts_resubmit)),
-                ]),
-            ),
+            member("queue_depth", value("engine", "queue_depth")),
+            member("sessions", value("sessions", "opened")),
+            member("timeouts", section("timeouts").clone()),
         ])
     }
 
     /// The `metrics` verb: a self-consistent JSON snapshot of every
-    /// registered metric plus engine / store / session state. The op
+    /// registered metric plus engine / store / session state, and the one
+    /// renderer of those numbers (`stats` reshapes this document). The op
     /// counters come from the same registry snapshot as the histograms, so
     /// at quiescence `latency.<verb>.count == ops.<verb>` for every verb in
-    /// [`LATENCY_VERBS`].
+    /// [`latency_verbs`].
     fn metrics_response(&self) -> Json {
         let shared = self.shared;
         let cache = shared.engine.cache_stats();
-        let shard_occupancy = refresh_cache_gauges(shared);
+        let shard_occupancy = refresh_gauges(shared);
         let snapshot = shared.obs.registry.snapshot();
         let ops: Vec<(String, Json)> = snapshot
             .counters
@@ -1702,8 +1611,7 @@ impl Session<'_> {
                     .map(|verb| member(verb, Json::number(*value as f64)))
             })
             .collect();
-        let latency: Vec<(String, Json)> = LATENCY_VERBS
-            .iter()
+        let latency: Vec<(String, Json)> = latency_verbs()
             .map(|verb| {
                 let snap = snapshot
                     .histograms
@@ -1859,20 +1767,13 @@ impl Session<'_> {
             ),
             member(
                 "timeouts",
-                Json::Object(vec![
-                    member(
-                        "solve",
-                        Json::number(shared.counters.timeouts_solve.get() as f64),
-                    ),
-                    member(
-                        "batch",
-                        Json::number(shared.counters.timeouts_batch.get() as f64),
-                    ),
-                    member(
-                        "resubmit",
-                        Json::number(shared.counters.timeouts_resubmit.get() as f64),
-                    ),
-                ]),
+                Json::Object(
+                    ENGINE_VERBS
+                        .iter()
+                        .zip(&shared.counters.verb_timeouts)
+                        .map(|(verb, c)| member(verb, Json::number(c.get() as f64)))
+                        .collect(),
+                ),
             ),
             member(
                 "process",
@@ -1899,6 +1800,16 @@ impl Session<'_> {
                         member("compactions", Json::number(journal.compactions() as f64)),
                     ]),
                 },
+            ),
+            member(
+                "algorithms",
+                Json::Object(
+                    Algorithm::ALL
+                        .iter()
+                        .zip(&shared.counters.algorithms)
+                        .map(|(a, c)| member(a.name(), Json::number(c.get() as f64)))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -2122,11 +2033,13 @@ impl PhaseAgg {
 }
 
 /// Refreshes the registry gauges that mirror externally-owned state — the
-/// engine's cache counters and the process uptime — and returns the
+/// engine's cache counters, the process uptime, the plan store's O(1)
+/// counters and, when journaling is on, the journal's — and returns the
 /// per-shard cache occupancy for callers that also report it. Reader-driven
-/// like the window rings: the `metrics` verb, the health evaluation, and
-/// Prometheus scrapes call this; nothing on the solve path does.
-fn refresh_cache_gauges(shared: &Shared) -> Vec<usize> {
+/// like the window rings: the `metrics` verb and the health evaluation
+/// (which every Prometheus scrape runs) call this; nothing on the solve
+/// path does.
+fn refresh_gauges(shared: &Shared) -> Vec<usize> {
     let registry = &shared.obs.registry;
     let cache = shared.engine.cache_stats();
     registry.gauge("cache.entries").set(cache.entries as i64);
@@ -2145,16 +2058,6 @@ fn refresh_cache_gauges(shared: &Shared) -> Vec<usize> {
     registry
         .gauge("process.uptime_seconds")
         .set(shared.started.elapsed().as_secs() as i64);
-    refresh_store_gauges(shared);
-    shard_occupancy
-}
-
-/// Mirrors the plan store's O(1) counters (and, when journaling is on, the
-/// journal's) into registry gauges, so the `metrics` verb, `health`, and
-/// Prometheus scrapes all see the same durable-state numbers. Reader-driven
-/// like the cache gauges; nothing on the solve path pays for it.
-fn refresh_store_gauges(shared: &Shared) {
-    let registry = &shared.obs.registry;
     let store = &shared.store;
     registry.gauge("store.plans").set(store.count() as i64);
     registry.gauge("store.leases").set(store.leases() as i64);
@@ -2178,6 +2081,7 @@ fn refresh_store_gauges(shared: &Shared) {
             .gauge("journal.compactions")
             .set(journal.compactions() as i64);
     }
+    shard_occupancy
 }
 
 /// Saturation thresholds for the health verb's signals: a signal is
@@ -2232,7 +2136,7 @@ fn status_rank(status: &str) -> u8 {
 /// Prometheus scrape, so the gauges track the most recent evaluation.
 fn evaluate_health(shared: &Shared) -> HealthReport {
     shared.mirror_evictions();
-    refresh_cache_gauges(shared);
+    refresh_gauges(shared);
     let registry = &shared.obs.registry;
     let mut signals = Vec::with_capacity(6);
 
@@ -2258,22 +2162,7 @@ fn evaluate_health(shared: &Shared) -> HealthReport {
     // Windowed timeout and error rates against the windowed request total.
     // With no recent traffic both ratios are 0 — an idle server is ready.
     let counters = &shared.counters;
-    let window_requests: u64 = [
-        &counters.solve,
-        &counters.batch,
-        &counters.resubmit,
-        &counters.claim,
-        &counters.release,
-        &counters.stats,
-        &counters.metrics,
-        &counters.trace,
-        &counters.health,
-        &counters.profile,
-        &counters.shutdown,
-    ]
-    .iter()
-    .map(|c| c.windowed().count)
-    .sum();
+    let window_requests: u64 = counters.ops.iter().map(|c| c.windowed().count).sum();
     for (name, count) in [
         ("timeouts", counters.timeouts.windowed().count),
         ("errors", counters.errors.windowed().count),
@@ -2599,7 +2488,7 @@ impl Writer<'_, '_> {
                 if let Some(ack) = draining.take() {
                     if let Some(response) = ack {
                         // The shutdown ack is deliberately outside the
-                        // latency accounting (see [`LATENCY_VERBS`]).
+                        // latency accounting (see [`latency_verbs`]).
                         self.write(Outgoing {
                             response,
                             done: None,

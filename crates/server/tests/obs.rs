@@ -18,6 +18,9 @@
 //! 5. the HTTP `GET /metrics` responder serves parseable Prometheus text
 //!    (every line a `# TYPE` comment or a `name value` sample) and 404s
 //!    anything else.
+//! 6. `stats` is a projection of `metrics`: at quiescence every number it
+//!    reports equals its `metrics` counterpart, and its member names and
+//!    order are the historical ones.
 
 use slade_core::bin_set::BinSet;
 use slade_core::plan::DecompositionPlan;
@@ -664,6 +667,156 @@ fn prometheus_exposition_serves_parseable_text_over_http() {
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     let (status, _, _) = http_get(metrics_addr, "/nope");
     assert!(status.starts_with("HTTP/1.1 404"), "{status}");
+
+    client.roundtrip("{\"op\":\"shutdown\"}").unwrap();
+    done.recv_timeout(STEP)
+        .expect("server must shut down")
+        .expect("clean exit");
+}
+
+/// The `metrics` member behind a `stats` member, as a `/`-separated path
+/// from the document root (`max_inflight` is configuration, not a metric).
+fn metrics_counterpart(stats_path: &str) -> Option<String> {
+    let (section, key) = match stats_path.split_once('/') {
+        Some((section, key)) => (section, Some(key)),
+        None => (stats_path, None),
+    };
+    Some(match (section, key) {
+        ("cache" | "ops" | "algorithms" | "timeouts", Some(key)) => format!("{section}/{key}"),
+        ("connections", None) => "sessions/active".to_string(),
+        ("plans" | "leases", None) => format!("store/{section}"),
+        ("steals" | "threads" | "queue_depth", None) => format!("engine/{section}"),
+        ("sessions", None) => "sessions/opened".to_string(),
+        ("max_inflight", None) => return None,
+        _ => panic!("stats member `{stats_path}` has no metrics counterpart"),
+    })
+}
+
+fn member_names(value: &Json) -> Vec<&str> {
+    value
+        .members()
+        .unwrap_or_else(|| panic!("expected an object, got {value}"))
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect()
+}
+
+#[test]
+fn stats_is_a_projection_of_metrics() {
+    const MAX_INFLIGHT: usize = 7;
+    let (addr, _, done) = start_server_with(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        engine: EngineConfig {
+            threads: 2,
+            cache_capacity: 16,
+            ..EngineConfig::default()
+        },
+        request_timeout: STEP,
+        max_inflight: MAX_INFLIGHT,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(addr);
+    // Traffic that moves every kind of number stats reports: several
+    // algorithms, a retained, resubmitted and released plan, a batch, a
+    // failing claim, a pipelined solve, and the read-only verbs.
+    for line in [
+        "{\"tasks\":4,\"threshold\":0.95}",
+        "{\"algorithm\":\"greedy\",\"tasks\":9,\"threshold\":0.9}",
+        "{\"op\":\"solve\",\"id\":\"w\",\"tasks\":8}",
+        "{\"op\":\"resubmit\",\"id\":\"w\",\"delta\":{\"resize\":16}}",
+        "{\"op\":\"batch\",\"requests\":[{},{\"algorithm\":\"opq-extended\",\"thresholds\":[0.5,0.9]}]}",
+        "{\"op\":\"claim\",\"id\":\"nope\"}",
+        "{\"op\":\"release\",\"id\":\"w\"}",
+        "{\"op\":\"trace\"}",
+        "{\"op\":\"health\"}",
+        "{\"op\":\"profile\"}",
+    ] {
+        client.roundtrip(line).expect("scripted request");
+    }
+    client
+        .pipeline(&["{\"tasks\":12,\"trace\":true}"], 1)
+        .expect("pipelined solve");
+
+    // Quiescent: every response has been read. `metrics` counts itself;
+    // the `stats` after it adds one `stats` and nothing else.
+    let metrics = parse(&client.roundtrip("{\"op\":\"metrics\"}").unwrap());
+    let stats = parse(&client.roundtrip("{\"op\":\"stats\"}").unwrap());
+
+    // Member names and order are the historical ones, at every level.
+    let section = |name: &str| stats.get(name).expect("stats section");
+    for (names, expected) in [
+        (
+            member_names(&stats),
+            "ok,op,cache,ops,algorithms,connections,plans,leases,steals,threads,\
+             max_inflight,queue_depth,sessions,timeouts",
+        ),
+        (
+            member_names(section("cache")),
+            "hits,misses,entries,capacity",
+        ),
+        (
+            member_names(section("ops")),
+            "solve,batch,resubmit,claim,release,stats,shutdown,pipelined,errors,\
+             metrics,trace,timeouts,health,profile",
+        ),
+        (
+            member_names(section("algorithms")),
+            "greedy,opq-based,opq-extended,baseline,relaxed,exact",
+        ),
+        (member_names(section("timeouts")), "solve,batch,resubmit"),
+    ] {
+        assert_eq!(names.join(","), expected, "{stats}");
+    }
+
+    // Every number stats reports equals its metrics counterpart.
+    let mut leaves = Vec::new();
+    for (name, value) in stats.members().unwrap() {
+        match value.members() {
+            Some(members) => leaves.extend(
+                members
+                    .iter()
+                    .map(|(key, value)| (format!("{name}/{key}"), value)),
+            ),
+            None => leaves.push((name.clone(), value)),
+        }
+    }
+    for (path, value) in leaves {
+        if path == "ok" || path == "op" {
+            continue;
+        }
+        let got = value
+            .as_f64()
+            .unwrap_or_else(|| panic!("stats `{path}` is not a number: {stats}"));
+        let Some(counterpart) = metrics_counterpart(&path) else {
+            assert_eq!(got, MAX_INFLIGHT as f64, "max_inflight is the config");
+            continue;
+        };
+        let (section, key) = counterpart.split_once('/').unwrap();
+        let expected = metrics
+            .get(section)
+            .and_then(|section| section.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("metrics lacks `{counterpart}`: {metrics}"));
+        let expected = if path == "ops/stats" {
+            expected + 1.0
+        } else {
+            expected
+        };
+        assert_eq!(got, expected, "stats `{path}` vs metrics `{counterpart}`");
+    }
+
+    // The traffic moved the numbers, so the equalities are not all zeros.
+    let ops = section("ops");
+    assert_eq!(field_f64(ops, "solve"), 4.0);
+    assert_eq!(field_f64(ops, "pipelined"), 1.0);
+    assert_eq!(field_f64(ops, "errors"), 1.0);
+    let algorithms = section("algorithms");
+    assert_eq!(field_f64(algorithms, "greedy"), 1.0);
+    assert_eq!(field_f64(algorithms, "opq-based"), 5.0);
+    assert_eq!(field_f64(algorithms, "opq-extended"), 1.0);
+    assert_eq!(field_f64(&stats, "plans"), 1.0);
+    assert_eq!(field_f64(&stats, "leases"), 0.0, "w was released");
+    assert!(field_f64(section("cache"), "hits") > 0.0, "{stats}");
 
     client.roundtrip("{\"op\":\"shutdown\"}").unwrap();
     done.recv_timeout(STEP)
