@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot paths in `slade-core`: the log-space
 //! reliability transform, OPQ enumeration, the solvers on a mid-size
-//! homogeneous instance, and the two-phase `prepare`/`solve_with` split.
+//! homogeneous instance, the two-phase `prepare`/`solve_with` split, and
+//! the engine's journal codec (`codec::encode_into` and `codec::decode`).
 //! This is the workspace's primary regression benchmark; the `fig*` targets
 //! mirror the paper's figures instead. Results also land in
 //! `BENCH_core.json` (see `slade_bench::report`) so CI tracks the
@@ -12,6 +13,8 @@ use slade_bench::{instances, sweeps};
 use slade_core::opq::{CombinationKey, OpqConfig, OptimalPriorityQueue};
 use slade_core::prelude::*;
 use slade_core::reliability;
+use slade_engine::{codec, Engine, EngineConfig, EngineRequest, WorkloadDelta};
+use std::sync::Arc;
 
 fn main() {
     let harness = if full_sweep() {
@@ -120,6 +123,48 @@ fn main() {
         black_box(plan.validate(black_box(&workload), &bins)).unwrap();
     });
     record("core/plan-validate", n, &r);
+
+    // The journal codec on a plan shaped like journaled resubmit traffic:
+    // a heterogeneous opq-extended plan of ~2 000 tasks, several bucket
+    // shards, after an append and a threshold change.
+    let engine = Engine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    let solved = engine
+        .solve_resolved(EngineRequest::new(
+            Algorithm::OpqExtended,
+            instances::homogeneous(1_990, 0.9),
+            Arc::new(bins.clone()),
+        ))
+        .unwrap();
+    let appended = engine
+        .resubmit(&solved, &WorkloadDelta::Append(vec![0.99; 10]))
+        .unwrap();
+    let journaled = engine
+        .resubmit(
+            &appended,
+            &WorkloadDelta::SetThresholds((0..20).map(|i| (i * 97, 0.8)).collect()),
+        )
+        .unwrap();
+    engine.shutdown();
+    assert!(
+        journaled.shards() > 1,
+        "the codec plan should be multi-shard"
+    );
+    let codec_n = journaled.workload().len();
+    let mut record_buf = String::new();
+    let r = harness.bench(&format!("codec::encode_into(n={codec_n})"), || {
+        record_buf.clear();
+        codec::encode_into(black_box(&journaled), &mut record_buf);
+        black_box(record_buf.len());
+    });
+    record("engine/codec-encode-into", codec_n, &r);
+    let parsed = codec::encode(&journaled);
+    let r = harness.bench(&format!("codec::decode(n={codec_n})"), || {
+        black_box(codec::decode(black_box(&parsed))).unwrap();
+    });
+    record("engine/codec-decode", codec_n, &r);
 
     write_json("BENCH_core.json", &records).expect("writing BENCH_core.json");
 }

@@ -4,10 +4,20 @@
 //! A [`ResolvedPlan`] is more than its merged plan: resubmission needs the
 //! original request (algorithm, workload, bin menu, seed), the per-shard
 //! work descriptors, the raw pre-remap shard outputs, and the producing
-//! engine's solver knob words. [`encode`] captures all of it in one JSON
-//! object; [`decode`] reassembles a plan that **resubmits byte-identically
-//! to the original** — the property the server's journal-replay recovery
-//! rests on, pinned by this module's tests and the kill-and-restart e2e.
+//! engine's solver knob words. [`encode_into`] captures all of it in one
+//! JSON object; [`decode`] reassembles a plan that **resubmits
+//! byte-identically to the original** — the property the server's
+//! journal-replay recovery rests on, pinned by this module's tests and the
+//! kill-and-restart e2e.
+//!
+//! [`encode_into`] is the one v1 writer. It streams the record straight
+//! from the plan through [`slade_json`]'s number and string printers, with
+//! no intermediate [`Json`] tree, because a record grows with the task
+//! count (every posted bin's task list is in it) and the journal renders
+//! one per landed plan. [`encode`] is that writer's output parsed back, for
+//! callers that want a value. The v1 bytes are pinned by the golden
+//! fixtures in the server's test suite and, against a test-only
+//! tree-building reference encoder, by this module's tests.
 //!
 //! Encoding rules, chosen so round trips are exact:
 //!
@@ -38,73 +48,104 @@ use slade_core::fingerprint::KnobSink;
 use slade_core::plan::DecompositionPlan;
 use slade_core::solver::Algorithm;
 use slade_core::task::{TaskId, Workload};
-use slade_json::{member, Json};
+use slade_json::{write_number, write_string, write_uint, Json};
 use std::str::FromStr;
 use std::sync::Arc;
 
 /// The codec's current (and only) format version.
 pub const CODEC_VERSION: u32 = 1;
 
-/// Serializes a resolved plan into one self-contained JSON object.
+/// Appends a resolved plan to `out` as one self-contained JSON object —
+/// the codec's only writer.
 ///
 /// The output is deterministic (member order is fixed, floats print in
-/// shortest-round-trip form), so `encode(decode(encode(x)))` is the same
-/// byte string as `encode(x)` — the journal's replay-idempotence tests
-/// compare exactly that.
-pub fn encode(resolved: &ResolvedPlan) -> Json {
+/// shortest-round-trip form), so `decode` followed by `encode_into`
+/// reproduces the bytes exactly — the journal's replay-idempotence tests
+/// compare exactly that. Members, in order: `v`, `algorithm`, `seed`,
+/// `workload`, `workload_sig`, `bins`, `bins_sig`, `knobs`, `works`,
+/// `subs`, `merged` (`null` when it aliases `subs[0]`) and
+/// `reused_shards`.
+pub fn encode_into(resolved: &ResolvedPlan, out: &mut String) {
     let workload = resolved.workload();
     let bins = resolved.bins();
-    let merged =
-        if !resolved.subs().is_empty() && Arc::ptr_eq(resolved.merged(), &resolved.subs()[0]) {
-            // Unwrapped single shard: the merged plan aliases `subs[0]`; store
-            // the aliasing, not a second copy.
-            Json::Null
-        } else {
-            encode_plan(resolved.merged())
-        };
-    Json::Object(vec![
-        member("v", Json::number(f64::from(CODEC_VERSION))),
-        member("algorithm", Json::string(resolved.algorithm().name())),
-        member("seed", hex(resolved.seed())),
-        member("workload", encode_workload(workload)),
-        member("workload_sig", hex(workload.signature())),
-        member(
-            "bins",
-            Json::Array(
-                bins.bins()
-                    .iter()
-                    .map(|b| {
-                        Json::Array(vec![
-                            Json::number(f64::from(b.cardinality())),
-                            Json::number(b.confidence()),
-                            Json::number(b.cost()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        member("bins_sig", hex(bins.signature())),
-        member(
-            "knobs",
-            Json::Array(resolved.knob_words().iter().map(|&w| hex(w)).collect()),
-        ),
-        member(
-            "works",
-            Json::Array(resolved.works().iter().map(encode_work).collect()),
-        ),
-        member(
-            "subs",
-            Json::Array(resolved.subs().iter().map(|s| encode_plan(s)).collect()),
-        ),
-        member("merged", merged),
-        member(
-            "reused_shards",
-            Json::number(resolved.reused_shards() as f64),
-        ),
-    ])
+    out.push_str("{\"v\":");
+    write_uint(u64::from(CODEC_VERSION), out);
+    out.push_str(",\"algorithm\":");
+    write_string(resolved.algorithm().name(), out);
+    out.push_str(",\"seed\":");
+    hex_into(resolved.seed(), out);
+    out.push_str(",\"workload\":");
+    if workload.is_homogeneous() {
+        out.push_str("{\"tasks\":");
+        write_uint(u64::from(workload.len()), out);
+        out.push_str(",\"threshold\":");
+        write_number(workload.threshold(0), out);
+    } else {
+        out.push_str("{\"thresholds\":");
+        // Thresholds repeat (a resize replicates one, deltas draw from a
+        // few), so a run of equal ones reuses the first one's digits
+        // instead of formatting the float again.
+        let (mut seen, mut text) = (None, String::new());
+        list_into(0..workload.len(), out, |i, out| {
+            let threshold = workload.threshold(i);
+            if seen != Some(threshold.to_bits()) {
+                seen = Some(threshold.to_bits());
+                text.clear();
+                write_number(threshold, &mut text);
+            }
+            out.push_str(&text);
+        });
+    }
+    out.push_str("},\"workload_sig\":");
+    hex_into(workload.signature(), out);
+    out.push_str(",\"bins\":");
+    list_into(bins.bins(), out, |bin, out| {
+        out.push('[');
+        write_uint(u64::from(bin.cardinality()), out);
+        out.push(',');
+        write_number(bin.confidence(), out);
+        out.push(',');
+        write_number(bin.cost(), out);
+        out.push(']');
+    });
+    out.push_str(",\"bins_sig\":");
+    hex_into(bins.signature(), out);
+    out.push_str(",\"knobs\":");
+    list_into(resolved.knob_words(), out, |&word, out| hex_into(word, out));
+    out.push_str(",\"works\":");
+    list_into(resolved.works(), out, |work, out| match work {
+        ShardWork::Opq { n, threshold } => {
+            out.push_str("{\"n\":");
+            write_uint(u64::from(*n), out);
+            out.push_str(",\"threshold\":");
+            write_number(*threshold, out);
+            out.push('}');
+        }
+        ShardWork::Prepared => write_string("prepared", out),
+    });
+    out.push_str(",\"subs\":");
+    list_into(resolved.subs(), out, |sub, out| plan_into(sub, out));
+    out.push_str(",\"merged\":");
+    if !resolved.subs().is_empty() && Arc::ptr_eq(resolved.merged(), &resolved.subs()[0]) {
+        // Unwrapped single shard: the merged plan aliases `subs[0]`; store
+        // the aliasing, not a second copy.
+        out.push_str("null");
+    } else {
+        plan_into(resolved.merged(), out);
+    }
+    out.push_str(",\"reused_shards\":");
+    write_uint(resolved.reused_shards() as u64, out);
+    out.push('}');
 }
 
-/// Reassembles a resolved plan from [`encode`]'s output.
+/// [`encode_into`]'s output as a [`Json`] value.
+pub fn encode(resolved: &ResolvedPlan) -> Json {
+    let mut out = String::new();
+    encode_into(resolved, &mut out);
+    slade_json::parse(&out).expect("the codec writer prints valid JSON")
+}
+
+/// Reassembles a resolved plan from [`encode_into`]'s output, parsed.
 ///
 /// Total over arbitrary input: structural problems, version mismatches,
 /// signature mismatches, and plans that fail their own audit all come back
@@ -194,24 +235,6 @@ pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
     ))
 }
 
-fn encode_workload(workload: &Workload) -> Json {
-    if workload.is_homogeneous() {
-        Json::Object(vec![
-            member("tasks", Json::number(f64::from(workload.len()))),
-            member("threshold", Json::number(workload.threshold(0))),
-        ])
-    } else {
-        Json::Object(vec![member(
-            "thresholds",
-            Json::Array(
-                (0..workload.len())
-                    .map(|i| Json::number(workload.threshold(i)))
-                    .collect(),
-            ),
-        )])
-    }
-}
-
 fn decode_workload(json: &Json) -> Result<Workload, String> {
     if let Some(tasks) = json.get("tasks") {
         let n = u32_of(tasks, "workload `tasks`")?;
@@ -229,16 +252,6 @@ fn decode_workload(json: &Json) -> Result<Workload, String> {
     }
 }
 
-fn encode_work(work: &ShardWork) -> Json {
-    match work {
-        ShardWork::Opq { n, threshold } => Json::Object(vec![
-            member("n", Json::number(f64::from(*n))),
-            member("threshold", Json::number(*threshold)),
-        ]),
-        ShardWork::Prepared => Json::string("prepared"),
-    }
-}
-
 fn decode_work(json: &Json) -> Result<ShardWork, String> {
     match json {
         Json::String(s) if s == "prepared" => Ok(ShardWork::Prepared),
@@ -253,29 +266,47 @@ fn decode_work(json: &Json) -> Result<ShardWork, String> {
     }
 }
 
-fn encode_plan(plan: &DecompositionPlan) -> Json {
-    Json::Object(vec![
-        member("algorithm", Json::string(plan.algorithm())),
-        member("cost", Json::number(plan.total_cost())),
-        member(
-            "bins",
-            Json::Array(
-                plan.bins()
-                    .map(|bin| {
-                        Json::Array(vec![
-                            Json::number(f64::from(bin.cardinality())),
-                            Json::Array(
-                                bin.tasks()
-                                    .iter()
-                                    .map(|&t| Json::number(f64::from(t)))
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Appends one plan: its label, its cost and every posted bin as
+/// `[cardinality, [task ids…]]`.
+fn plan_into(plan: &DecompositionPlan, out: &mut String) {
+    out.push_str("{\"algorithm\":");
+    write_string(plan.algorithm(), out);
+    out.push_str(",\"cost\":");
+    write_number(plan.total_cost(), out);
+    out.push_str(",\"bins\":");
+    list_into(plan.bins(), out, |bin, out| {
+        out.push('[');
+        write_uint(u64::from(bin.cardinality()), out);
+        out.push(',');
+        list_into(bin.tasks(), out, |&task, out| {
+            write_uint(u64::from(task), out)
+        });
+        out.push(']');
+    });
+    out.push('}');
+}
+
+/// Appends `items` as a JSON array, each rendered by `item`.
+fn list_into<T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+    mut item: impl FnMut(T, &mut String),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(x, out);
+    }
+    out.push(']');
+}
+
+/// Appends a full-width word as a `"0x…"` string (hex never needs
+/// escaping, so the quotes go on directly).
+fn hex_into(value: u64, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "\"{value:#x}\"");
 }
 
 fn decode_plan(json: &Json) -> Result<DecompositionPlan, String> {
@@ -319,10 +350,6 @@ fn plan_label(name: &str) -> Result<&'static str, String> {
         .ok_or_else(|| format!("unknown plan label `{name}`"))
 }
 
-fn hex(value: u64) -> Json {
-    Json::string(format!("{value:#x}"))
-}
-
 fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
     json.get(key)
         .ok_or_else(|| format!("missing member `{key}`"))
@@ -363,6 +390,121 @@ fn hex_of(json: &Json, what: &str) -> Result<u64, String> {
 mod tests {
     use super::*;
     use crate::service::{Engine, EngineConfig, WorkloadDelta};
+    use slade_json::member;
+
+    /// The tree-building v1 encoder that [`encode_into`] replaced, kept as
+    /// the differential reference for the streaming writer's bytes.
+    fn reference_encode(resolved: &ResolvedPlan) -> Json {
+        fn hex(value: u64) -> Json {
+            Json::string(format!("{value:#x}"))
+        }
+        fn workload_json(workload: &Workload) -> Json {
+            if workload.is_homogeneous() {
+                Json::Object(vec![
+                    member("tasks", Json::number(f64::from(workload.len()))),
+                    member("threshold", Json::number(workload.threshold(0))),
+                ])
+            } else {
+                Json::Object(vec![member(
+                    "thresholds",
+                    Json::Array(
+                        (0..workload.len())
+                            .map(|i| Json::number(workload.threshold(i)))
+                            .collect(),
+                    ),
+                )])
+            }
+        }
+        fn work_json(work: &ShardWork) -> Json {
+            match work {
+                ShardWork::Opq { n, threshold } => Json::Object(vec![
+                    member("n", Json::number(f64::from(*n))),
+                    member("threshold", Json::number(*threshold)),
+                ]),
+                ShardWork::Prepared => Json::string("prepared"),
+            }
+        }
+        fn plan_json(plan: &DecompositionPlan) -> Json {
+            Json::Object(vec![
+                member("algorithm", Json::string(plan.algorithm())),
+                member("cost", Json::number(plan.total_cost())),
+                member(
+                    "bins",
+                    Json::Array(
+                        plan.bins()
+                            .map(|bin| {
+                                Json::Array(vec![
+                                    Json::number(f64::from(bin.cardinality())),
+                                    Json::Array(
+                                        bin.tasks()
+                                            .iter()
+                                            .map(|&t| Json::number(f64::from(t)))
+                                            .collect(),
+                                    ),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+
+        let workload = resolved.workload();
+        let bins = resolved.bins();
+        let merged =
+            if !resolved.subs().is_empty() && Arc::ptr_eq(resolved.merged(), &resolved.subs()[0]) {
+                Json::Null
+            } else {
+                plan_json(resolved.merged())
+            };
+        Json::Object(vec![
+            member("v", Json::number(f64::from(CODEC_VERSION))),
+            member("algorithm", Json::string(resolved.algorithm().name())),
+            member("seed", hex(resolved.seed())),
+            member("workload", workload_json(workload)),
+            member("workload_sig", hex(workload.signature())),
+            member(
+                "bins",
+                Json::Array(
+                    bins.bins()
+                        .iter()
+                        .map(|b| {
+                            Json::Array(vec![
+                                Json::number(f64::from(b.cardinality())),
+                                Json::number(b.confidence()),
+                                Json::number(b.cost()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            member("bins_sig", hex(bins.signature())),
+            member(
+                "knobs",
+                Json::Array(resolved.knob_words().iter().map(|&w| hex(w)).collect()),
+            ),
+            member(
+                "works",
+                Json::Array(resolved.works().iter().map(work_json).collect()),
+            ),
+            member(
+                "subs",
+                Json::Array(resolved.subs().iter().map(|s| plan_json(s)).collect()),
+            ),
+            member("merged", merged),
+            member(
+                "reused_shards",
+                Json::number(resolved.reused_shards() as f64),
+            ),
+        ])
+    }
+
+    /// [`encode_into`]'s bytes for `resolved`.
+    fn written(resolved: &ResolvedPlan) -> String {
+        let mut out = String::new();
+        encode_into(resolved, &mut out);
+        out
+    }
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -406,6 +548,143 @@ mod tests {
         ];
         out.push(out[0].clone().with_seed(u64::MAX));
         out
+    }
+
+    /// A seeded solve → resubmit chain shaped like the journaled benchmark
+    /// traffic: a homogeneous solve of `n` tasks, then resizes (while
+    /// homogeneous), appends and threshold changes drawn from a grid.
+    fn chain(engine: &Engine, algorithm: Algorithm, bins: &Arc<BinSet>, n: u32, seed: u64) {
+        const GRID: [f64; 5] = [0.8, 0.85, 0.9, 0.95, 0.99];
+        let mut state = seed | 1;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let t = GRID[next(5) as usize];
+        let request = EngineRequest::new(
+            algorithm,
+            Workload::homogeneous(n, t).unwrap(),
+            Arc::clone(bins),
+        );
+        let mut resolved = engine.solve_resolved(request).unwrap();
+        assert_eq!(written(&resolved), reference_encode(&resolved).to_string());
+        for _ in 0..5 {
+            let workload = resolved.workload();
+            let delta = match next(3) {
+                0 if workload.is_homogeneous() => WorkloadDelta::Resize(
+                    workload.len() + 1 + next(u64::from(workload.len()) / 2) as u32,
+                ),
+                0 | 1 => WorkloadDelta::Append(
+                    (0..1 + next(19)).map(|_| GRID[next(5) as usize]).collect(),
+                ),
+                _ => WorkloadDelta::SetThresholds(
+                    (0..1 + next(19))
+                        .map(|_| {
+                            (
+                                next(u64::from(workload.len())) as TaskId,
+                                GRID[next(5) as usize],
+                            )
+                        })
+                        .collect(),
+                ),
+            };
+            resolved = engine.resubmit(&resolved, &delta).unwrap();
+            assert_eq!(
+                written(&resolved),
+                reference_encode(&resolved).to_string(),
+                "{algorithm:?} n={n} seed={seed} after {delta:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_into_matches_the_reference_encoder() {
+        let engine = engine();
+        let sharded = Engine::new(EngineConfig {
+            threads: 2,
+            homogeneous_shard: Some(3),
+            ..EngineConfig::default()
+        });
+        let mut resolved: Vec<ResolvedPlan> = requests()
+            .into_iter()
+            .map(|request| engine.solve_resolved(request).unwrap())
+            .collect();
+        // Every algorithm, on instances each one accepts (relaxed needs
+        // every bin at or above the threshold, exact a tiny n).
+        for algorithm in Algorithm::ALL {
+            let t = if algorithm == Algorithm::Relaxed {
+                0.3
+            } else {
+                0.9
+            };
+            let n = if algorithm == Algorithm::Exact { 4 } else { 11 };
+            let request = EngineRequest::new(
+                algorithm,
+                Workload::homogeneous(n, t).unwrap(),
+                paper_bins(),
+            );
+            resolved.push(engine.solve_resolved(request.clone()).unwrap());
+            resolved.push(sharded.solve_resolved(request).unwrap());
+        }
+        // Resubmits that reuse shards, and an awkward-decimal append.
+        let hetero = engine
+            .solve_resolved(EngineRequest::new(
+                Algorithm::OpqExtended,
+                Workload::heterogeneous(vec![0.95, 0.8, 0.95, 0.8, 0.99, 0.1 + 0.2]).unwrap(),
+                paper_bins(),
+            ))
+            .unwrap();
+        let grown = engine
+            .resubmit(&hetero, &WorkloadDelta::Append(vec![0.99, 0.1 + 0.2]))
+            .unwrap();
+        let resized = sharded
+            .resubmit(
+                &sharded.solve_resolved(requests().remove(0)).unwrap(),
+                &WorkloadDelta::Resize(10),
+            )
+            .unwrap();
+        resolved.extend([hetero, grown, resized]);
+
+        let aliased = |r: &ResolvedPlan| Arc::ptr_eq(r.merged(), &r.subs()[0]);
+        assert!(resolved.iter().any(aliased), "no single-shard plan");
+        assert!(resolved.iter().any(|r| !aliased(r)), "no multi-shard plan");
+        assert!(
+            resolved.iter().any(|r| r.reused_shards() > 0),
+            "no reused shard"
+        );
+        for r in &resolved {
+            let bytes = written(r);
+            assert_eq!(bytes, reference_encode(r).to_string());
+            assert_eq!(encode(r), reference_encode(r));
+        }
+        // `encode_into` appends: what is already in the buffer stays.
+        let mut out = String::from("prefix:");
+        encode_into(&resolved[0], &mut out);
+        assert_eq!(out, format!("prefix:{}", written(&resolved[0])));
+
+        let synthetic = Arc::new(
+            BinSet::new([
+                (1, 0.92, 0.1),
+                (2, 0.88, 0.19),
+                (3, 0.85, 0.28),
+                (4, 0.83, 0.36),
+            ])
+            .unwrap(),
+        );
+        for (i, &n) in [100, 450, 1_200, 3_000].iter().enumerate() {
+            for algorithm in [Algorithm::OpqExtended, Algorithm::Greedy] {
+                let bins = if i % 2 == 0 {
+                    paper_bins()
+                } else {
+                    Arc::clone(&synthetic)
+                };
+                chain(&engine, algorithm, &bins, n, 0x5eed + i as u64);
+            }
+        }
+        sharded.shutdown();
+        engine.shutdown();
     }
 
     #[test]

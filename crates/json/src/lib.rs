@@ -19,6 +19,16 @@
 //! **bit-identically** — the property the server's byte-identical plan
 //! contract and the journal's replay contract both rest on.
 //!
+//! Every byte the serializer prints comes from three writers, which are
+//! public so that streaming encoders (the engine's plan codec) can render
+//! a document straight from their own data, with no [`Json`] tree, and
+//! still print exactly what [`Json::write_into`] would:
+//!
+//! * [`write_number`] — any finite `f64`, shortest round-trip form;
+//! * [`write_uint`] — a non-negative integer, the digit loop that
+//!   [`write_number`] itself uses for integral values below 2⁵³;
+//! * [`write_string`] — a quoted, escaped string (values and keys alike).
+//!
 //! [`Display`]: std::fmt::Display
 
 use std::fmt;
@@ -162,12 +172,17 @@ impl fmt::Display for Json {
     }
 }
 
-/// Integers in the f64-exact range print without a fraction, digit by
-/// digit; everything else uses `Display`'s shortest form that parses back
-/// to the same f64. -0.0 must take the `Display` branch (printing "-0"):
-/// the integer path would print "0", which parses back as +0.0 and breaks
-/// the bit-identity contract.
-fn write_number(x: f64, out: &mut String) {
+/// Appends the JSON number `x`. Integers in the f64-exact range print
+/// without a fraction through [`write_uint`]; everything else uses
+/// `Display`'s shortest form that parses back to the same f64. -0.0 must
+/// take the `Display` branch (printing "-0"): the integer path would print
+/// "0", which parses back as +0.0 and breaks the bit-identity contract.
+///
+/// # Panics
+///
+/// Debug builds assert that `x` is finite; JSON has no spelling for NaN
+/// or the infinities.
+pub fn write_number(x: f64, out: &mut String) {
     debug_assert!(x.is_finite(), "serializing non-finite number {x}");
     let negative_zero = x == 0.0 && x.is_sign_negative();
     if x.fract() == 0.0 && x.abs() < 9.007_199_254_740_992e15 && !negative_zero {
@@ -175,22 +190,32 @@ fn write_number(x: f64, out: &mut String) {
         if value < 0 {
             out.push('-');
         }
-        let mut magnitude = value.unsigned_abs();
-        // 2^53 has 16 decimal digits.
-        let mut digits = [0u8; 16];
-        let mut start = digits.len();
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (magnitude % 10) as u8;
-            magnitude /= 10;
-            if magnitude == 0 {
-                break;
-            }
-        }
-        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+        write_uint(value.unsigned_abs(), out);
     } else {
         use fmt::Write as _;
         let _ = write!(out, "{x}");
+    }
+}
+
+/// Appends `value` in decimal, digit by digit — the serializer's one digit
+/// loop. For every `value` below 2⁵³ the bytes are exactly those
+/// [`write_number`] prints for `value as f64`, so streaming writers can
+/// print counts and ids without a float round trip.
+pub fn write_uint(value: u64, out: &mut String) {
+    // u64::MAX has 20 decimal digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut magnitude = value;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
     }
 }
 
@@ -198,7 +223,7 @@ fn write_number(x: f64, out: &mut String) {
 /// characters. Runs of plain characters are copied as whole slices; the
 /// scan is bytewise, which is safe because every byte that needs escaping
 /// is ASCII and never occurs inside a multi-byte UTF-8 sequence.
-fn write_string(text: &str, out: &mut String) {
+pub fn write_string(text: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut plain = 0;
@@ -719,6 +744,20 @@ mod tests {
         0.000_001,
         std::f64::consts::PI,
     ];
+
+    #[test]
+    fn write_uint_prints_what_write_number_prints_for_integers() {
+        for x in [0, 9, 10, 99, 100, u64::from(u32::MAX), (1u64 << 53) - 1] {
+            let (mut uint, mut number) = (String::new(), String::new());
+            write_uint(x, &mut uint);
+            write_number(x as f64, &mut number);
+            assert_eq!(uint, number, "{x}");
+            assert_eq!(uint, x.to_string());
+        }
+        let mut max = String::new();
+        write_uint(u64::MAX, &mut max);
+        assert_eq!(max, u64::MAX.to_string());
+    }
 
     #[test]
     fn write_into_matches_the_reference_on_edge_scalars() {

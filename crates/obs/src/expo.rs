@@ -18,8 +18,10 @@
 //!   [`RegistrySnapshot::windows`]) render as derived gauges:
 //!   `…_window` / `…_window_per_sec` for counters, and
 //!   `…_window_p50_ns` / `…_window_p90_ns` / `…_window_p99_ns` /
-//!   `…_window_count` / `…_window_per_sec` for histograms. Scrapes are
-//!   the reader that keeps the window rings rotating.
+//!   `…_window_count` / `…_window_per_sec` for histograms. The `_ns` unit
+//!   is dropped for a histogram whose name already ends in its unit
+//!   (`journal.compact_us` renders `…_compact_us_window_p50`). Scrapes
+//!   are the reader that keeps the window rings rotating.
 
 use crate::metrics::{bucket_upper, RegistrySnapshot, BUCKETS};
 use std::fmt::Write;
@@ -82,11 +84,12 @@ pub fn render_prometheus(snapshot: &RegistrySnapshot, build_version: Option<&str
     }
     for (name, view) in &snapshot.windows {
         let base = sanitize(name);
+        let unit = if name.ends_with("_us") { "" } else { "_ns" };
         for (suffix, value) in [
-            ("window_p50_ns", view.snapshot.quantile(0.50)),
-            ("window_p90_ns", view.snapshot.quantile(0.90)),
-            ("window_p99_ns", view.snapshot.quantile(0.99)),
-            ("window_count", view.snapshot.count()),
+            (format!("window_p50{unit}"), view.snapshot.quantile(0.50)),
+            (format!("window_p90{unit}"), view.snapshot.quantile(0.90)),
+            (format!("window_p99{unit}"), view.snapshot.quantile(0.99)),
+            ("window_count".to_string(), view.snapshot.count()),
         ] {
             let gauge = format!("{base}_{suffix}");
             push_type(&mut out, &gauge, "gauge");
@@ -162,6 +165,9 @@ mod tests {
         registry
             .windowed_histogram("latency.batch", Duration::from_secs(60), 8)
             .record(500);
+        registry
+            .windowed_histogram("journal.compact_us", Duration::from_secs(60), 8)
+            .record(900);
         registry.snapshot()
     }
 
@@ -181,9 +187,14 @@ mod tests {
             "slade_ops_batch_window 2",
             "slade_latency_batch_window_count 1",
             "# TYPE slade_latency_batch_window_p99_ns gauge",
+            // A histogram named with its unit keeps that unit.
+            "slade_journal_compact_us_count 1",
+            "slade_journal_compact_us_window_p50 1023",
+            "slade_journal_compact_us_window_count 1",
         ] {
             assert!(text.contains(expected), "missing `{expected}` in:\n{text}");
         }
+        assert!(!text.contains("slade_journal_compact_us_window_p50_ns"));
     }
 
     #[test]

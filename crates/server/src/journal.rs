@@ -29,6 +29,16 @@
 //! only corrupts at the tail. Replay never panics on arbitrary bytes (the
 //! journal fuzz suite byte-flips and truncates real journals to pin this).
 //!
+//! A live writer keeps the tail-only property itself. An append that fails
+//! (ENOSPC, EIO) may have written part of its record, and a later append
+//! would land behind that torn line, where replay never reaches it. So
+//! after a failed append (or a failed compaction, which may have swapped
+//! the file out from under the handle) the journal stops appending: the
+//! next `land` or `release` rewrites the file from the store by compaction
+//! instead, under the same file mutex (the store already holds the plan
+//! being landed, and compaction reopens the append handle). Appends resume
+//! only once a compaction succeeds.
+//!
 //! ## Lock order and record order
 //!
 //! The journal's file mutex is taken **before** the plan store's lock,
@@ -37,8 +47,9 @@
 //! the order in which the store accepted its versions: a pipelined
 //! resubmit that starts the moment the previous version lands cannot get
 //! its record in ahead of that version's. Records are rendered before the
-//! mutex is taken, so the critical section is one store update and one
-//! `write(2)`.
+//! mutex is taken (streamed straight from the plan by
+//! [`codec::encode_into`], with no intermediate JSON tree), so the
+//! critical section is one store update and one `write(2)`.
 //!
 //! ## Compaction atomicity
 //!
@@ -49,17 +60,20 @@
 //! the file mutex, so no land can slip between the snapshot and the swap:
 //! every land is either in the snapshot or appended to the new file. It
 //! runs at every boot (which also truncates any torn tail before new
-//! appends could land behind it) and automatically every
-//! [`COMPACT_EVERY`] appended records, on the request path of whichever
-//! request makes that append.
+//! appends could land behind it), after a failed append (above), and
+//! automatically every [`COMPACT_EVERY`] appended records, on the request
+//! path of whichever request makes that append. Each compaction's
+//! duration is recorded in the `journal.compact_us` histogram.
 
 use slade_engine::{codec, FinishOutcome, PlanStore, ResolvedPlan, SessionId};
-use slade_json::{member, parse, Json};
+use slade_json::{parse, write_string, Json};
+use slade_obs::WindowedHistogram;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Appends between automatic compactions. Small enough that the journal
 /// stays within a couple hundred records of the live plan count, large
@@ -89,14 +103,26 @@ pub(crate) struct Journal {
     compactions: AtomicU64,
     /// Appends since the last compaction, driving [`COMPACT_EVERY`].
     since_compact: AtomicU64,
+    /// Set (under the file mutex) when an append or a compaction fails,
+    /// cleared when a compaction succeeds: while set, the file may end in a
+    /// torn record, so lands and releases compact instead of appending
+    /// behind it.
+    torn: AtomicBool,
+    /// The duration of every successful compaction, in microseconds.
+    compact_us: Arc<WindowedHistogram>,
 }
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path`: replays every
     /// valid record into `store` — stopping at the first torn or corrupt
     /// line — then compacts, so the file holds exactly the recovered plans
-    /// before any new record is appended.
-    pub(crate) fn open(path: PathBuf, store: &PlanStore) -> io::Result<Journal> {
+    /// before any new record is appended. Compaction durations go to
+    /// `compact_us`.
+    pub(crate) fn open(
+        path: PathBuf,
+        store: &PlanStore,
+        compact_us: Arc<WindowedHistogram>,
+    ) -> io::Result<Journal> {
         let mut replayed: u64 = 0;
         if path.exists() {
             for (id, plan) in replay(&std::fs::read(&path)?, &mut replayed) {
@@ -111,6 +137,8 @@ impl Journal {
             append_errors: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             since_compact: AtomicU64::new(0),
+            torn: AtomicBool::new(false),
+            compact_us,
         };
         journal.compact(store)?;
         Ok(journal)
@@ -133,12 +161,10 @@ impl Journal {
     ) -> FinishOutcome {
         let mut line = String::new();
         render_land(id, &plan, &mut line);
-        let mut file = self.lock();
+        let file = self.lock();
         let outcome = store.finish(session, id, Some(plan));
         if outcome != FinishOutcome::Discarded {
-            let written = file.write_all(line.as_bytes());
-            drop(file);
-            self.appended(store, written);
+            self.append(file, store, &line);
         }
         outcome
     }
@@ -146,25 +172,31 @@ impl Journal {
     /// Journals an explicit lease release (an audit record; see the module
     /// docs for why leases are not replayed as state).
     pub(crate) fn release(&self, store: &PlanStore, id: &str) {
-        let mut line = String::new();
-        Json::Object(vec![
-            member("record", Json::string("release")),
-            member("id", Json::string(id)),
-        ])
-        .write_into(&mut line);
-        line.push('\n');
-        let written = self.lock().write_all(line.as_bytes());
-        self.appended(store, written);
+        let mut line = String::from("{\"record\":\"release\",\"id\":");
+        write_string(id, &mut line);
+        line.push_str("}\n");
+        self.append(self.lock(), store, &line);
     }
 
-    /// Books one append attempt (made under the file mutex, booked after
-    /// it is released): a failure is counted, a success counts toward the
-    /// record total and compacts when the budget is spent.
-    fn appended(&self, store: &PlanStore, written: io::Result<()>) {
-        if written.is_err() {
+    /// Appends `line` under the held file mutex — or, when an earlier
+    /// append failed and may have left a torn record, rewrites the file
+    /// from `store` instead (see the module docs). A failed append is
+    /// counted and marks the file torn; a success counts toward the record
+    /// total and compacts, after the mutex is released, when the
+    /// [`COMPACT_EVERY`] budget is spent.
+    fn append(&self, mut file: MutexGuard<'_, File>, store: &PlanStore, line: &str) {
+        if self.torn.load(Ordering::Relaxed) {
+            if self.rewrite(&mut file, store).is_err() {
+                self.append_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
+        }
+        if file.write_all(line.as_bytes()).is_err() {
+            self.torn.store(true, Ordering::Relaxed);
             self.append_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        drop(file);
         self.records.fetch_add(1, Ordering::Relaxed);
         if self.since_compact.fetch_add(1, Ordering::Relaxed) + 1 >= COMPACT_EVERY
             && self.compact(store).is_err()
@@ -179,7 +211,15 @@ impl Journal {
     /// respect to concurrent appends, and no land can fall between the
     /// snapshot and the swap.
     pub(crate) fn compact(&self, store: &PlanStore) -> io::Result<()> {
-        let mut file = self.lock();
+        self.rewrite(&mut self.lock(), store)
+    }
+
+    /// [`Journal::compact`]'s work, under the already-held file mutex. The
+    /// file counts as torn until the rewrite succeeds: a failure after the
+    /// rename would leave the handle on the replaced file.
+    fn rewrite(&self, file: &mut File, store: &PlanStore) -> io::Result<()> {
+        let started = Instant::now();
+        self.torn.store(true, Ordering::Relaxed);
         let snapshot = store.snapshot_plans();
         let mut tmp_path = self.path.clone().into_os_string();
         tmp_path.push(".tmp");
@@ -201,7 +241,10 @@ impl Journal {
         *file = OpenOptions::new().append(true).open(&self.path)?;
         self.records.store(snapshot.len() as u64, Ordering::Relaxed);
         self.since_compact.store(0, Ordering::Relaxed);
+        self.torn.store(false, Ordering::Relaxed);
         self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.compact_us
+            .record(started.elapsed().as_micros().try_into().unwrap_or(u64::MAX));
         Ok(())
     }
 
@@ -232,15 +275,15 @@ impl Journal {
     }
 }
 
-/// Appends the `land` record for `id`'s `plan`, newline included.
+/// Appends the `land` record for `id`'s `plan`, newline included: the
+/// envelope around [`codec::encode_into`]'s bytes, streamed with no JSON
+/// tree.
 fn render_land(id: &str, plan: &ResolvedPlan, out: &mut String) {
-    Json::Object(vec![
-        member("record", Json::string("land")),
-        member("id", Json::string(id)),
-        member("plan", codec::encode(plan)),
-    ])
-    .write_into(out);
-    out.push('\n');
+    out.push_str("{\"record\":\"land\",\"id\":");
+    write_string(id, out);
+    out.push_str(",\"plan\":");
+    codec::encode_into(plan, out);
+    out.push_str("}\n");
 }
 
 /// Applies the journal bytes record by record, last-wins per id, stopping
@@ -298,9 +341,11 @@ mod tests {
     use super::*;
     use slade_core::prelude::*;
     use slade_engine::{Engine, EngineConfig, EngineRequest, StoreError};
+    use slade_json::member;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::AtomicUsize;
     use std::thread;
+    use std::time::Duration;
 
     /// A resolved homogeneous plan for `tasks` tasks. With `shard` set the
     /// plan carries `tasks / shard` sub-plans, which makes its journal
@@ -331,6 +376,11 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    fn open(path: &std::path::Path, store: &PlanStore) -> Journal {
+        let compact_us = Arc::new(WindowedHistogram::new(Duration::from_secs(60), 6));
+        Journal::open(path.to_path_buf(), store, compact_us).unwrap()
     }
 
     fn encoded(plans: Vec<(String, Arc<ResolvedPlan>)>) -> HashMap<String, String> {
@@ -389,7 +439,7 @@ mod tests {
         const IDS: usize = 24;
         let path = temp_journal("chained");
         let store = PlanStore::new();
-        let journal = Journal::open(path.clone(), &store).unwrap();
+        let journal = open(&path, &store);
         let (large, small) = (big(), resolved(4, None));
         // Lockstep: the large land of id `i` starts once the small land of
         // id `i - 1` is done, so every id sees the chained race.
@@ -444,7 +494,7 @@ mod tests {
         for round in 0..ROUNDS {
             let path = temp_journal(&format!("compaction-{round}"));
             let store = PlanStore::new();
-            let journal = Journal::open(path.clone(), &store).unwrap();
+            let journal = open(&path, &store);
             let done = AtomicBool::new(false);
             with_compactions(&journal, &store, || {
                 thread::scope(|scope| {
@@ -476,6 +526,51 @@ mod tests {
             let store_plans = encoded(store.snapshot_plans());
             assert_eq!(store_plans.len(), SMALL + 1);
             assert_eq!(recovered(&path), store_plans, "round {round}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_failed_append_never_strands_later_records_behind_a_torn_line() {
+        let plan = resolved(4, None);
+        for restore_append_handle in [false, true] {
+            let path = temp_journal(&format!("torn-{restore_append_handle}"));
+            let store = PlanStore::new();
+            let journal = open(&path, &store);
+            let land_next = |id: &str| {
+                begin(&store, 1, id);
+                land(&journal, &store, id, &plan);
+            };
+            land_next("a");
+            // The disk fills mid-append: the handle stops taking writes
+            // (read-only here), and half a record made it into the file.
+            *journal.lock() = File::open(&path).unwrap();
+            let mut half = String::new();
+            render_land("torn", &plan, &mut half);
+            OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap()
+                .write_all(&half.as_bytes()[..half.len() / 2])
+                .unwrap();
+            land_next("b");
+            assert_eq!(journal.append_errors(), 1);
+            if restore_append_handle {
+                *journal.lock() = OpenOptions::new().append(true).open(&path).unwrap();
+            }
+            // The next land rewrites the file from the store instead of
+            // appending behind the torn line, and reopens the handle.
+            land_next("c");
+            assert_eq!(journal.append_errors(), 1);
+            let store_plans = encoded(store.snapshot_plans());
+            assert_eq!(store_plans.len(), 3);
+            assert_eq!(recovered(&path), store_plans);
+            // Appends resume once the rewrite succeeded.
+            land_next("d");
+            assert_eq!(recovered(&path), encoded(store.snapshot_plans()));
+            assert_eq!(journal.records(), 4);
+            assert_eq!(journal.compactions(), 2);
+            assert_eq!(journal.compact_us.lifetime().count(), 2);
             let _ = std::fs::remove_file(&path);
         }
     }

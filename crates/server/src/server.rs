@@ -66,8 +66,8 @@ use slade_engine::{
 };
 use slade_json::{member, Json};
 use slade_obs::{
-    Counter, Registry, RequestSpan, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram,
-    PROMETHEUS_CONTENT_TYPE,
+    Counter, Registry, RegistrySnapshot, RequestSpan, SpanRecord, SpanRing, WindowedCounter,
+    WindowedHistogram, PROMETHEUS_CONTENT_TYPE,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -575,7 +575,14 @@ impl Server {
         store.set_lease_ttl(config.lease_ttl);
         let journal = match config.journal {
             None => None,
-            Some(path) => Some(Journal::open(path, &store)?),
+            Some(path) => {
+                let compact_us = obs.registry.windowed_histogram(
+                    "journal.compact_us",
+                    config.obs.window,
+                    config.obs.window_slots,
+                );
+                Some(Journal::open(path, &store, compact_us)?)
+            }
         };
         let shared = Arc::new(Shared {
             engine: Engine::new(config.engine),
@@ -1655,14 +1662,15 @@ impl Session<'_> {
         // Aggregate req/s across the latency-tracked verbs: total windowed
         // samples over the longest covered span (the per-verb rings share
         // one configuration, so spans agree to within a rotation).
-        let window_requests: u64 = snapshot
-            .windows
-            .values()
-            .map(|view| view.snapshot.count())
-            .sum();
-        let window_span = snapshot
-            .windows
-            .values()
+        let latency_windows = || {
+            snapshot
+                .windows
+                .iter()
+                .filter(|(name, _)| name.starts_with("latency."))
+                .map(|(_, view)| view)
+        };
+        let window_requests: u64 = latency_windows().map(|view| view.snapshot.count()).sum();
+        let window_span = latency_windows()
             .map(|view| view.span)
             .max()
             .unwrap_or(Duration::ZERO);
@@ -1798,6 +1806,7 @@ impl Session<'_> {
                             Json::number(journal.append_errors() as f64),
                         ),
                         member("compactions", Json::number(journal.compactions() as f64)),
+                        member("compact_us", compact_us_json(&snapshot)),
                     ]),
                 },
             ),
@@ -2030,6 +2039,30 @@ impl PhaseAgg {
             member("max_ns", Json::number(self.max_ns as f64)),
         ])
     }
+}
+
+/// The `journal.compact_us` histogram as the `metrics` verb's
+/// `journal.compact_us` member: lifetime count, quantiles (log₂-bucket
+/// upper bounds) and mean, then the windowed count and quantiles — all in
+/// microseconds.
+fn compact_us_json(snapshot: &RegistrySnapshot) -> Json {
+    let name = "journal.compact_us";
+    let lifetime = snapshot.histograms.get(name).cloned().unwrap_or_default();
+    let window = snapshot
+        .windows
+        .get(name)
+        .map(|view| view.snapshot.clone())
+        .unwrap_or_default();
+    Json::Object(vec![
+        member("count", Json::number(lifetime.count() as f64)),
+        member("p50", Json::number(lifetime.quantile(0.50) as f64)),
+        member("p90", Json::number(lifetime.quantile(0.90) as f64)),
+        member("p99", Json::number(lifetime.quantile(0.99) as f64)),
+        member("mean", Json::number(lifetime.mean() as f64)),
+        member("window_count", Json::number(window.count() as f64)),
+        member("window_p50", Json::number(window.quantile(0.50) as f64)),
+        member("window_p99", Json::number(window.quantile(0.99) as f64)),
+    ])
 }
 
 /// Refreshes the registry gauges that mirror externally-owned state — the

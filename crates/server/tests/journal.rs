@@ -383,10 +383,15 @@ fn compaction_bounds_the_journal_by_live_plans_not_appends() {
         records < 300.0,
         "301 appends must have compacted, journal still holds {records} records"
     );
-    assert!(
-        metric(&metrics, "journal", "compactions") >= 2.0,
-        "boot + automatic: {metrics}"
-    );
+    let compactions = metric(&metrics, "journal", "compactions");
+    assert!(compactions >= 2.0, "boot + automatic: {metrics}");
+    // Every compaction is timed into `journal.compact_us`.
+    let timed = metrics
+        .get("journal")
+        .and_then(|journal| journal.get("compact_us"))
+        .and_then(|histogram| histogram.get("count"))
+        .and_then(Json::as_f64);
+    assert_eq!(timed, Some(compactions), "{metrics}");
     assert_eq!(metric(&metrics, "store", "plans"), 1.0, "{metrics}");
     shutdown(&mut client, &done);
 
@@ -437,6 +442,9 @@ fn store_and_journal_gauges_reach_health_and_prometheus() {
         "slade_store_lease_expiries 0",
         "slade_journal_records 1",
         "slade_journal_append_errors 0",
+        // The boot-time compaction, timed.
+        "slade_journal_compact_us_count 1",
+        "# TYPE slade_journal_compact_us_window_p50 gauge",
     ] {
         assert!(body.contains(expected), "missing `{expected}` in:\n{body}");
     }
