@@ -120,11 +120,14 @@
 //! [`PlanStore`]: slade_engine::PlanStore
 //! [`ResolvedPlan`]: slade_engine::ResolvedPlan
 
+mod accept;
 pub mod client;
 mod journal;
 mod line;
 pub mod protocol;
 mod server;
+mod session;
+mod verbs;
 
 pub use client::Client;
 pub use server::{ObsOptions, RequestMiddleware, Server, ServerConfig, ShutdownHandle};
