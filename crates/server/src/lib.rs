@@ -39,8 +39,9 @@
 //! caps the tagged window with real backpressure. [`Client::pipeline`] is
 //! the client-side counterpart; see [`protocol`] for the `seq` rules
 //! (each session runs two threads, a reader and a writer that is the
-//! session's one completion site — `src/server.rs` documents the anatomy
-//! and its invariants, mirrored in DESIGN.md).
+//! session's one completion site — `src/session.rs` documents the
+//! anatomy and its invariants, mirrored in DESIGN.md; the verb handlers
+//! live under `src/verbs/`, one module per verb family).
 //!
 //! Robustness posture:
 //!
@@ -76,7 +77,7 @@
 //! [`ServerConfig::metrics_addr`] starts a minimal HTTP `GET /metrics`
 //! responder rendering the same registry in Prometheus text format. See
 //! [`protocol`] and [`ObsOptions`] for the knobs (JSONL trace log,
-//! slow-request log, ring size, window width).
+//! slow-request log, window width).
 //!
 //! ## Quickstart
 //!

@@ -21,7 +21,9 @@ use slade_core::solver::Algorithm;
 use slade_engine::{
     Engine, EngineConfig, EngineRequest, FinishOutcome, PlanStore, ResolvedPlan, SessionId,
 };
-use slade_obs::{Counter, Registry, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram};
+use slade_obs::{
+    Counter, Registry, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram, WINDOW_SLOTS,
+};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -33,6 +35,10 @@ use std::time::{Duration, Instant};
 
 /// Number of registered algorithms, for the per-algorithm counter array.
 const ALGORITHMS: usize = Algorithm::ALL.len();
+
+/// Completed traced spans retained for the `trace` and `profile` verbs
+/// (newest wins).
+const TRACE_RING: usize = 256;
 
 /// A hook applied to every parsed [`EngineRequest`] before it reaches the
 /// engine — an extension seam for embedding policy (quotas, rewrites,
@@ -100,19 +106,13 @@ pub struct ObsOptions {
     /// When set, any traced request slower than this many milliseconds
     /// end-to-end is logged to stderr.
     pub slow_ms: Option<u64>,
-    /// Completed traced spans retained for the `trace` verb (newest wins;
-    /// clamped to at least 1).
-    pub trace_ring: usize,
     /// Width of the sliding window behind the `metrics` verb's windowed
     /// p50/p90/p99 + req/s and the `health` verb's windowed rates.
     /// [`Duration::ZERO`] disables windowing (the windowed sections report
     /// zeros) — the knob the obs-window A/B benchmark flips; the record
-    /// path is identical either way.
+    /// path is identical either way. The window is split into
+    /// [`WINDOW_SLOTS`] sub-windows.
     pub window: Duration,
-    /// Sub-windows the sliding window is split into (clamped to at least
-    /// 1). More slots track decay more smoothly at slightly more reader-
-    /// side work per rotation.
-    pub window_slots: usize,
 }
 
 impl Default for ObsOptions {
@@ -121,9 +121,7 @@ impl Default for ObsOptions {
             enabled: true,
             trace_log: None,
             slow_ms: None,
-            trace_ring: 256,
             window: Duration::from_secs(60),
-            window_slots: slade_obs::WINDOW_SLOTS,
         }
     }
 }
@@ -190,15 +188,18 @@ pub(crate) struct Counters {
 pub(crate) const ENGINE_VERBS: [&str; 3] = ["solve", "batch", "resubmit"];
 
 impl Counters {
-    pub(crate) fn new(registry: &Registry, window: Duration, slots: usize) -> Counters {
-        let op = |name: &str| registry.windowed_counter(&format!("ops.{name}"), window, slots);
+    pub(crate) fn new(registry: &Registry, window: Duration) -> Counters {
+        let op =
+            |name: &str| registry.windowed_counter(&format!("ops.{name}"), window, WINDOW_SLOTS);
         Counters {
             ops: protocol::VERBS.into_iter().map(op).collect(),
             pipelined: op("pipelined"),
             timeouts: op("timeouts"),
             verb_timeouts: ENGINE_VERBS
                 .iter()
-                .map(|verb| registry.windowed_counter(&format!("timeouts.{verb}"), window, slots))
+                .map(|verb| {
+                    registry.windowed_counter(&format!("timeouts.{verb}"), window, WINDOW_SLOTS)
+                })
                 .collect(),
             errors: op("errors"),
             algorithms: std::array::from_fn(|i| {
@@ -280,7 +281,7 @@ impl ServerObs {
                 registry.windowed_histogram(
                     &format!("latency.{verb}"),
                     options.window,
-                    options.window_slots,
+                    WINDOW_SLOTS,
                 )
             })
             .collect();
@@ -293,7 +294,7 @@ impl ServerObs {
         Ok(ServerObs {
             enabled: options.enabled,
             registry,
-            ring: SpanRing::new(options.trace_ring),
+            ring: SpanRing::new(TRACE_RING),
             latency,
             trace_log,
             slow_ms: options.slow_ms,
@@ -464,7 +465,7 @@ impl Server {
             Some(listener) => Some(listener.local_addr()?),
         };
         let registry = Registry::new();
-        let counters = Counters::new(&registry, config.obs.window, config.obs.window_slots);
+        let counters = Counters::new(&registry, config.obs.window);
         // Satellite identity/uptime gauges: `build.info` is the
         // conventional constant-1 gauge (the exposition attaches the
         // version as a label); uptime is refreshed at read time.
@@ -482,7 +483,7 @@ impl Server {
                 let compact_us = obs.registry.windowed_histogram(
                     "journal.compact_us",
                     config.obs.window,
-                    config.obs.window_slots,
+                    WINDOW_SLOTS,
                 );
                 Some(Journal::open(path, &store, compact_us)?)
             }
@@ -503,7 +504,7 @@ impl Server {
             started: Instant::now(),
             window: config.obs.window,
             evictions_seen: AtomicU64::new(0),
-            evictions_window: WindowedCounter::new(config.obs.window, config.obs.window_slots),
+            evictions_window: WindowedCounter::new(config.obs.window, WINDOW_SLOTS),
             journal,
         });
         Ok(Server {

@@ -350,7 +350,6 @@ fn windowed_metrics_decay_while_lifetime_numbers_hold() {
         request_timeout: STEP,
         obs: ObsOptions {
             window,
-            window_slots: 8,
             ..ObsOptions::default()
         },
         ..ServerConfig::default()
