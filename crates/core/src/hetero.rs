@@ -27,14 +27,11 @@
 
 use crate::bin_set::BinSet;
 use crate::error::SladeError;
-use crate::fingerprint::KnobSink;
-use crate::opq_based::{OpqArtifacts, OpqBased};
+use crate::opq_based::OpqBased;
 use crate::plan::DecompositionPlan;
 use crate::reliability::confidence_from_weight;
-use crate::solver::{expect_artifacts, DecompositionSolver, PreparedSolver, SolveArtifacts};
+use crate::solver::{DecompositionSolver, PreparedSolver};
 use crate::task::{TaskId, Workload};
-use std::any::Any;
-use std::sync::{Arc, OnceLock};
 
 /// The OPQ-Extended solver: threshold bucketing on top of [`OpqBased`].
 #[derive(Debug, Clone, Default)]
@@ -106,76 +103,6 @@ pub fn partition(workload: &Workload) -> Vec<ThresholdBucket> {
         .collect()
 }
 
-/// How many geometric levels a [`HeteroArtifacts`] pre-allocates lazy slots
-/// for. Levels beyond it (a `θ_max / θ_min` ratio above `2^48` — far outside
-/// any practical workload) still solve correctly, just without artifact
-/// reuse.
-const CACHED_LEVELS: usize = 48;
-
-/// [`OpqExtended`]'s reusable artifacts for one `(BinSet, θ_max)` pair: a
-/// per-bucket vector of [`OpqArtifacts`], one per geometric threshold level.
-///
-/// The anchor `θ` is a workload's maximum transformed threshold. The
-/// artifacts for the anchor itself (the homogeneous delegate path) are built
-/// eagerly by [`prepare`](PreparedSolver::prepare); the artifacts for each
-/// bucket ceiling `θ/2^k` fill lazily the first time a workload occupies
-/// that bucket, so heterogeneous workloads with different spreads share one
-/// entry as long as their `θ_max` agrees. Filling is deterministic
-/// ([`OpqBased::artifacts`] is a pure function), so concurrent solves racing
-/// on a level initialize it to interchangeable values.
-#[derive(Debug)]
-pub struct HeteroArtifacts {
-    /// The anchor transformed threshold (a workload's `θ_max`).
-    theta: f64,
-    /// Signature of the bin menu every level was (or will be) enumerated
-    /// against; `solve_with` rejects a different menu.
-    bins_signature: u64,
-    /// Artifacts at exactly `theta` — the homogeneous delegate path.
-    exact: Arc<OpqArtifacts>,
-    /// Lazily-filled artifacts for the geometric bucket ceilings; slot `k`
-    /// serves buckets at `θ(confidence_from_weight(theta / 2^k))`. Errors
-    /// are cached too: enumeration emptiness is deterministic per level.
-    levels: Vec<OnceLock<Result<Arc<OpqArtifacts>, SladeError>>>,
-}
-
-impl HeteroArtifacts {
-    /// The per-bucket artifacts for geometric level `k` at transformed
-    /// threshold `theta_level`, filling the slot on first use.
-    fn level(
-        &self,
-        k: u32,
-        inner: &OpqBased,
-        bins: &BinSet,
-        theta_level: f64,
-    ) -> Result<Arc<OpqArtifacts>, SladeError> {
-        match self.levels.get(k as usize) {
-            Some(slot) => slot
-                .get_or_init(|| inner.artifacts(bins, theta_level).map(Arc::new))
-                .clone(),
-            // Beyond the pre-allocated depth: solve correctly, uncached.
-            None => inner.artifacts(bins, theta_level).map(Arc::new),
-        }
-    }
-
-    /// How many geometric levels have been materialized so far (test hook).
-    pub fn levels_filled(&self) -> usize {
-        self.levels
-            .iter()
-            .filter(|slot| slot.get().is_some())
-            .count()
-    }
-}
-
-impl SolveArtifacts for HeteroArtifacts {
-    fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 impl DecompositionSolver for OpqExtended {
     fn name(&self) -> &'static str {
         "OpqExtended"
@@ -201,72 +128,10 @@ impl DecompositionSolver for OpqExtended {
     }
 }
 
-impl PreparedSolver for OpqExtended {
-    fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
-        let exact = Arc::new(self.inner.artifacts(bins, theta)?);
-        let levels = (0..CACHED_LEVELS).map(|_| OnceLock::new()).collect();
-        Ok(Arc::new(HeteroArtifacts {
-            theta,
-            bins_signature: bins.signature(),
-            exact,
-            levels,
-        }))
-    }
-
-    fn solve_with(
-        &self,
-        artifacts: &dyn SolveArtifacts,
-        workload: &Workload,
-        bins: &BinSet,
-    ) -> Result<DecompositionPlan, SladeError> {
-        let artifacts = expect_artifacts::<HeteroArtifacts>(self.name(), artifacts)?;
-        if artifacts.bins_signature != bins.signature() {
-            return Err(SladeError::ArtifactMismatch {
-                solver: self.name(),
-                detail: "artifacts were prepared for a different bin menu".into(),
-            });
-        }
-        let theta_max = workload.thetas().fold(f64::MIN, f64::max);
-        if theta_max.to_bits() != artifacts.theta.to_bits() {
-            return Err(SladeError::ArtifactMismatch {
-                solver: self.name(),
-                detail: format!(
-                    "artifacts anchored at θ_max = {}, workload's θ_max = {theta_max}",
-                    artifacts.theta
-                ),
-            });
-        }
-
-        let mut plan = DecompositionPlan::empty(self.name());
-        if workload.is_homogeneous() {
-            let sub = self
-                .inner
-                .solve_with_artifacts(workload.len(), &artifacts.exact, bins);
-            plan.merge(sub);
-            return Ok(plan);
-        }
-
-        for bucket in partition(workload) {
-            // Route the bucket ceiling through the same workload validation
-            // and θ computation as the one-shot path, so errors and bits
-            // agree exactly.
-            let sub_workload =
-                Workload::homogeneous(bucket.members.len() as u32, bucket.confidence)?;
-            let theta_level = sub_workload.theta(0);
-            let level = artifacts.level(bucket.level, &self.inner, bins, theta_level)?;
-            let mut sub = self
-                .inner
-                .solve_with_artifacts(sub_workload.len(), &level, bins);
-            sub.remap_tasks(|local| bucket.members[local as usize]);
-            plan.merge(sub);
-        }
-        Ok(plan)
-    }
-
-    fn fingerprint_knobs(&self, sink: &mut KnobSink) {
-        self.inner.fingerprint_knobs(sink);
-    }
-}
+/// The pass-through pipeline: the engine never prepares an `OpqExtended`
+/// request as a whole. It splits one into per-bucket homogeneous shards,
+/// which run and cache as [`OpqBased`] prepares.
+impl PreparedSolver for OpqExtended {}
 
 /// Index of the geometric bucket holding transformed threshold `theta`.
 fn bucket_of(theta: f64, theta_max: f64, last_bucket: u32) -> u32 {
@@ -388,50 +253,6 @@ mod tests {
             let one_shot = solver.solve(&w, &bins).unwrap();
             assert_eq!(two_phase, one_shot, "{thresholds:?}");
         }
-    }
-
-    #[test]
-    fn workloads_sharing_theta_max_share_bucket_levels() {
-        let bins = BinSet::paper_example();
-        let solver = OpqExtended::default();
-        // Both workloads top out at t = 0.95, with different spreads.
-        let a = Workload::heterogeneous(vec![0.95, 0.5, 0.3]).unwrap();
-        let b = Workload::heterogeneous(vec![0.95, 0.5]).unwrap();
-        let theta_max = a.thetas().fold(f64::MIN, f64::max);
-        assert_eq!(
-            theta_max.to_bits(),
-            b.thetas().fold(f64::MIN, f64::max).to_bits()
-        );
-        let artifacts = solver.prepare(&bins, theta_max).unwrap();
-        let hetero = artifacts
-            .as_any()
-            .downcast_ref::<HeteroArtifacts>()
-            .unwrap();
-        assert_eq!(hetero.levels_filled(), 0, "prepare fills levels lazily");
-        let plan_a = solver.solve_with(artifacts.as_ref(), &a, &bins).unwrap();
-        let filled_after_a = hetero.levels_filled();
-        assert!(filled_after_a >= 1);
-        let plan_b = solver.solve_with(artifacts.as_ref(), &b, &bins).unwrap();
-        // b's buckets are a subset of a's levels: nothing new materializes
-        // unless b occupies a level a did not (it does not here).
-        assert_eq!(hetero.levels_filled(), filled_after_a);
-        assert_eq!(plan_a, solver.solve(&a, &bins).unwrap());
-        assert_eq!(plan_b, solver.solve(&b, &bins).unwrap());
-    }
-
-    #[test]
-    fn prepared_pipeline_rejects_theta_max_mismatch() {
-        let bins = BinSet::paper_example();
-        let solver = OpqExtended::default();
-        let artifacts = solver.prepare(&bins, theta(0.95)).unwrap();
-        let w = Workload::heterogeneous(vec![0.5, 0.9]).unwrap();
-        assert!(matches!(
-            solver.solve_with(artifacts.as_ref(), &w, &bins),
-            Err(SladeError::ArtifactMismatch {
-                solver: "OpqExtended",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Most of a solver's work is a function of `(BinSet, θ)` alone, not of the
 //! workload size `n`: OPQ enumeration, the group DP, the greedy's
-//! cost-effectiveness ladder, the baseline's column scaffolding. The
-//! [`PreparedSolver`] contract splits every solver accordingly:
+//! cost-effectiveness ladder. The [`PreparedSolver`] contract splits every
+//! solver accordingly:
 //!
 //! * [`prepare`](PreparedSolver::prepare) runs the instance-independent part
 //!   once and returns shareable [`SolveArtifacts`] behind an `Arc`;
@@ -24,7 +24,12 @@
 //!   same impl that builds the artifacts and can never drift from it.
 //!
 //! Solvers whose work has no reusable prefix ([`ExactSolver`], [`Relaxed`])
-//! fall back to the trait's trivial pass-through defaults.
+//! fall back to the trait's trivial pass-through defaults, and so does
+//! [`OpqExtended`]: its reusable work is per threshold bucket, and
+//! `slade-engine` reaches it by splitting a request into per-bucket
+//! [`OpqBased`] shards, which prepare and cache on their own. The
+//! [`Baseline`]'s covering program is shaped by the workload, so its
+//! artifacts hold only `θ` and the menu signature.
 
 use crate::baseline::Baseline;
 use crate::bin_set::BinSet;
@@ -425,12 +430,7 @@ mod tests {
         let bins_b = BinSet::new([(1, 0.9, 0.1), (4, 0.7, 0.3)]).unwrap();
         let theta = crate::reliability::theta(0.9);
         let w = Workload::homogeneous(5, 0.9).unwrap();
-        for a in [
-            Algorithm::Greedy,
-            Algorithm::OpqBased,
-            Algorithm::OpqExtended,
-            Algorithm::Baseline,
-        ] {
+        for a in [Algorithm::Greedy, Algorithm::OpqBased, Algorithm::Baseline] {
             let s = a.solver();
             let artifacts = s.prepare(&bins_a, theta).unwrap();
             assert!(
@@ -441,22 +441,23 @@ mod tests {
                 "{a} accepted foreign-menu artifacts"
             );
         }
+        // Pass-through artifacts carry no menu state, so they serve any
+        // menu: the plan is the one-shot plan for the menu given.
+        let s = Algorithm::OpqExtended.solver();
+        let artifacts = s.prepare(&bins_a, theta).unwrap();
+        let two_phase = s.solve_with(artifacts.as_ref(), &w, &bins_b).unwrap();
+        assert_eq!(two_phase, s.solve(&w, &bins_b).unwrap());
     }
 
     #[test]
     fn pass_through_artifacts_are_not_cacheable() {
         let bins = BinSet::paper_example();
         let theta = crate::reliability::theta(0.9);
-        for a in [Algorithm::Relaxed, Algorithm::Exact] {
+        for a in [Algorithm::OpqExtended, Algorithm::Relaxed, Algorithm::Exact] {
             let artifacts = a.solver().prepare(&bins, theta).unwrap();
             assert!(!artifacts.cacheable(), "{a}");
         }
-        for a in [
-            Algorithm::Greedy,
-            Algorithm::OpqBased,
-            Algorithm::OpqExtended,
-            Algorithm::Baseline,
-        ] {
+        for a in [Algorithm::Greedy, Algorithm::OpqBased, Algorithm::Baseline] {
             let artifacts = a.solver().prepare(&bins, theta).unwrap();
             assert!(artifacts.cacheable(), "{a}");
         }
