@@ -82,11 +82,10 @@ struct ColumnSpec {
     tasks: Vec<TaskId>,
 }
 
-/// The baseline's reusable state for one `(BinSet, θ)`: the per-bin column
-/// scaffolding (transformed weights and costs, the shape every generated
-/// [`SparseColumn`] instantiates) plus the transformed demand `θ` itself,
-/// which [`Baseline::solve_with`] uses to seed a homogeneous workload's
-/// demand vector without recomputing `-ln(1-t)` per task.
+/// The baseline's reusable state for one `(BinSet, θ)`: the transformed
+/// demand `θ`, which [`Baseline::solve_with`] uses to seed a homogeneous
+/// workload's demand vector without recomputing `-ln(1-t)` per task, and
+/// the signature of the menu it was prepared for.
 ///
 /// The covering program's columns and its LP/rounding state are shaped by
 /// the workload (`n` rows, `O(n·m)` columns), so — unlike the OPQ family —
@@ -95,18 +94,9 @@ struct ColumnSpec {
 #[derive(Debug, Clone)]
 pub struct BaselineArtifacts {
     theta: f64,
-    /// Signature of the bin menu the scaffold mirrors; `solve_with`
-    /// rejects a different menu.
+    /// Signature of the bin menu the artifacts were prepared for;
+    /// `solve_with` rejects a different menu.
     bins_signature: u64,
-    /// Per-bin `(cardinality, weight, cost)` in menu order.
-    scaffold: Vec<(u32, f64, f64)>,
-}
-
-impl BaselineArtifacts {
-    /// The per-bin column scaffolding, in menu order.
-    pub fn scaffold(&self) -> &[(u32, f64, f64)] {
-        &self.scaffold
-    }
 }
 
 impl SolveArtifacts for BaselineArtifacts {
@@ -247,15 +237,9 @@ impl DecompositionSolver for Baseline {
 
 impl PreparedSolver for Baseline {
     fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
-        let scaffold = bins
-            .bins()
-            .iter()
-            .map(|b| (b.cardinality(), b.weight(), b.cost()))
-            .collect();
         Ok(Arc::new(BaselineArtifacts {
             theta,
             bins_signature: bins.signature(),
-            scaffold,
         }))
     }
 
@@ -334,12 +318,6 @@ mod tests {
         let artifacts = solver.prepare(&bins, theta_max).unwrap();
         let two_phase = solver.solve_with(artifacts.as_ref(), &w, &bins).unwrap();
         assert_eq!(two_phase, solver.solve(&w, &bins).unwrap());
-        // The scaffold mirrors the menu the artifacts were prepared from.
-        let arts = artifacts
-            .as_any()
-            .downcast_ref::<BaselineArtifacts>()
-            .unwrap();
-        assert_eq!(arts.scaffold().len(), bins.len());
     }
 
     #[test]
