@@ -946,11 +946,9 @@ impl Engine {
         vec![pass_through]
     }
 
-    /// Builds the closure one worker will run for `work`. Each job is
-    /// unwind-safe at its boundary: a panicking solver becomes an
-    /// [`EngineError::WorkerPanicked`] result, never a wedged handle. The
-    /// optional `notify` runs after the result send, so by the time a
-    /// notification is observed the result is ready to `try_recv`.
+    /// Builds the closure one worker will run for `work`: the per-kind
+    /// inputs are captured here, and [`shard_job`] wraps the plan they
+    /// produce in the one job body every shard shares.
     fn make_job(
         &self,
         index: usize,
@@ -959,99 +957,100 @@ impl Engine {
         result_tx: Sender<ShardResult>,
         notify: Option<ShardNotify>,
     ) -> Job {
+        let bins = Arc::clone(&request.bins);
+        let cache = Arc::clone(&self.cache);
+        let trace = request.trace.clone();
         match work {
             ShardWork::Opq { n, threshold } => {
-                let bins = Arc::clone(&request.bins);
-                let cache = Arc::clone(&self.cache);
                 let solver = self.config.solver.clone();
-                let trace = request.trace.clone();
-                Box::new(move |ctx: JobCtx| {
-                    if let Some(trace) = &trace {
-                        trace.record_shard("shard_start", index, ctx.worker, ctx.stolen);
-                    }
-                    let result = guard_panics(AssertUnwindSafe(|| {
-                        let theta = reliability::theta(threshold);
-                        let key = CacheKey {
-                            algorithm: Algorithm::OpqBased,
-                            fingerprint: Fingerprint::new(Arc::clone(&bins), theta, &solver),
-                        };
-                        let artifacts =
-                            cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?;
-                        let workload = Workload::homogeneous(n, threshold)?;
-                        Ok(solver.solve_with(artifacts.as_ref(), &workload, &bins)?)
-                    }));
-                    // Stamp the finish before the send: whoever observes the
-                    // result (and therefore "merged") sees it after this.
-                    if let Some(trace) = &trace {
-                        trace.record_shard("shard_finish", index, ctx.worker, ctx.stolen);
-                    }
-                    let _ = result_tx.send((index, result));
-                    if let Some(notify) = &notify {
-                        notify();
-                    }
+                shard_job(index, trace, result_tx, notify, move || {
+                    let theta = reliability::theta(threshold);
+                    let key = CacheKey {
+                        algorithm: Algorithm::OpqBased,
+                        fingerprint: Fingerprint::new(Arc::clone(&bins), theta, &solver),
+                    };
+                    let artifacts =
+                        cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?;
+                    let workload = Workload::homogeneous(n, threshold)?;
+                    Ok(solver.solve_with(artifacts.as_ref(), &workload, &bins)?)
                 })
             }
             ShardWork::Prepared => {
                 let algorithm = request.algorithm;
                 let workload = request.workload.clone();
-                let bins = Arc::clone(&request.bins);
                 let seed = request.seed;
-                let cache = Arc::clone(&self.cache);
                 let solver_override = request.solver_override.clone();
-                let trace = request.trace.clone();
-                Box::new(move |ctx: JobCtx| {
-                    if let Some(trace) = &trace {
-                        trace.record_shard("shard_start", index, ctx.worker, ctx.stolen);
+                shard_job(index, trace, result_tx, notify, move || {
+                    let cacheable = solver_override.is_none();
+                    let solver: Arc<dyn PreparedSolver + Send + Sync> = match solver_override {
+                        Some(solver) => solver,
+                        // The one randomized solver takes the request's
+                        // seed; the seed shapes rounding, not artifacts, so
+                        // it stays out of the fingerprint.
+                        None => match algorithm {
+                            Algorithm::Baseline => Arc::new(Baseline {
+                                config: BaselineConfig {
+                                    seed,
+                                    ..BaselineConfig::default()
+                                },
+                            }),
+                            other => Arc::from(other.solver()),
+                        },
+                    };
+                    if !workload.is_homogeneous() && !solver.supports_heterogeneous() {
+                        // Surface the solver's own rejection without
+                        // preparing artifacts it could never use.
+                        return Ok(solver.solve(&workload, &bins)?);
                     }
-                    let result = guard_panics(AssertUnwindSafe(|| {
-                        let cacheable = solver_override.is_none();
-                        let solver: Arc<dyn PreparedSolver + Send + Sync> = match solver_override {
-                            Some(solver) => solver,
-                            // The one randomized solver takes the request's
-                            // seed; the seed shapes rounding, not artifacts,
-                            // so it stays out of the fingerprint.
-                            None => match algorithm {
-                                Algorithm::Baseline => Arc::new(Baseline {
-                                    config: BaselineConfig {
-                                        seed,
-                                        ..BaselineConfig::default()
-                                    },
-                                }),
-                                other => Arc::from(other.solver()),
-                            },
+                    let theta = reliability::theta(workload.max_threshold());
+                    let artifacts = if cacheable {
+                        let key = CacheKey {
+                            algorithm,
+                            fingerprint: Fingerprint::new(
+                                Arc::clone(&bins),
+                                theta,
+                                solver.as_ref(),
+                            ),
                         };
-                        if !workload.is_homogeneous() && !solver.supports_heterogeneous() {
-                            // Surface the solver's own rejection without
-                            // preparing artifacts it could never use.
-                            return Ok(solver.solve(&workload, &bins)?);
-                        }
-                        let theta = reliability::theta(workload.max_threshold());
-                        let artifacts = if cacheable {
-                            let key = CacheKey {
-                                algorithm,
-                                fingerprint: Fingerprint::new(
-                                    Arc::clone(&bins),
-                                    theta,
-                                    solver.as_ref(),
-                                ),
-                            };
-                            cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?
-                        } else {
-                            solver.prepare(&bins, theta)?
-                        };
-                        Ok(solver.solve_with(artifacts.as_ref(), &workload, &bins)?)
-                    }));
-                    if let Some(trace) = &trace {
-                        trace.record_shard("shard_finish", index, ctx.worker, ctx.stolen);
-                    }
-                    let _ = result_tx.send((index, result));
-                    if let Some(notify) = &notify {
-                        notify();
-                    }
+                        cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?
+                    } else {
+                        solver.prepare(&bins, theta)?
+                    };
+                    Ok(solver.solve_with(artifacts.as_ref(), &workload, &bins)?)
                 })
             }
         }
     }
+}
+
+/// The one body of every shard job: stamps the shard's start and finish
+/// on the request's trace, runs `plan` unwind-safe (a panicking solver
+/// becomes an [`EngineError::WorkerPanicked`] result, never a wedged
+/// handle), sends the result, then runs the optional `notify` — so by the
+/// time a notification is observed the result is ready to `try_recv`.
+/// `plan` is a generic capture of the job's one box, not a second one.
+fn shard_job(
+    index: usize,
+    trace: Option<RequestTrace>,
+    result_tx: Sender<ShardResult>,
+    notify: Option<ShardNotify>,
+    plan: impl FnOnce() -> Result<DecompositionPlan, EngineError> + Send + 'static,
+) -> Job {
+    Box::new(move |ctx: JobCtx| {
+        if let Some(trace) = &trace {
+            trace.record_shard("shard_start", index, ctx.worker, ctx.stolen);
+        }
+        let result = guard_panics(AssertUnwindSafe(plan));
+        // Stamp the finish before the send: whoever observes the result
+        // (and therefore "merged") sees it after this.
+        if let Some(trace) = &trace {
+            trace.record_shard("shard_finish", index, ctx.worker, ctx.stolen);
+        }
+        let _ = result_tx.send((index, result));
+        if let Some(notify) = &notify {
+            notify();
+        }
+    })
 }
 
 /// Runs `work`, converting an unwind into [`EngineError::WorkerPanicked`].
