@@ -118,6 +118,21 @@ fn main() {
     });
     record("core/greedy-solve-with", greedy_n, &r);
 
+    // All-distinct random thresholds: no two tasks share a residual, the
+    // opposite extreme to the homogeneous rows above. A loop that groups
+    // open tasks by residual pays most here.
+    let distinct = instances::heterogeneous(greedy_n, 0.05, 0.995, 0x9eed);
+    let distinct_theta = distinct.thetas().fold(f64::MIN, f64::max);
+    let distinct_artifacts = Greedy.prepare(&bins, distinct_theta).unwrap();
+    let r = harness.bench(
+        &format!("greedy::solve_with(n={greedy_n}, distinct thresholds)"),
+        || {
+            black_box(Greedy.solve_with(black_box(distinct_artifacts.as_ref()), &distinct, &bins))
+                .unwrap();
+        },
+    );
+    record("core/greedy-solve-with-distinct", greedy_n, &r);
+
     let plan = OpqBased::default().solve(&workload, &bins).unwrap();
     let r = harness.bench(&format!("plan::validate(n={n})"), || {
         black_box(plan.validate(black_box(&workload), &bins)).unwrap();

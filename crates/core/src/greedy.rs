@@ -391,6 +391,29 @@ mod tests {
                 );
             }
         }
+        // Tie-prone inputs. A confidence 1 - 2^-k weighs k·ln 2 up to
+        // rounding, so on these menus tasks at different thresholds reach
+        // bit-equal residuals through different bin sequences, and only the
+        // id tie-break orders them. The second menu adds a bin of tiny
+        // weight (≈0.001) that tops off the small residuals the offset
+        // thresholds leave. Flipping the tie-break in `Entry::cmp` fails
+        // every one of these cases.
+        let dyadic = BinSet::new([(1, 0.5, 0.1), (2, 0.75, 0.3), (3, 0.875, 0.55)]).unwrap();
+        let tiny = BinSet::new([(1, 0.5, 0.1), (2, 0.75, 0.3), (4, 1.0 / 1024.0, 0.078)]).unwrap();
+        let levels = [0.75, 0.875, 0.9375, 0.96875, 0.984375];
+        for n in [7usize, 40, 300] {
+            // Equal thresholds sit at scattered ids.
+            let grid: Vec<f64> = (0..n).map(|i| levels[(3 * i + i / 5) % 5]).collect();
+            let offset: Vec<f64> = grid.iter().map(|t| t + 0.0005).collect();
+            for (bins, thresholds) in [(&dyadic, &grid), (&tiny, &grid), (&tiny, &offset)] {
+                let w = Workload::heterogeneous(thresholds.clone()).unwrap();
+                assert_eq!(
+                    Greedy.solve(&w, bins).unwrap(),
+                    reference_solve(&w, bins),
+                    "n = {n}"
+                );
+            }
+        }
     }
 
     #[test]
