@@ -30,14 +30,12 @@
 //!   the core's two-phase
 //!   [`PreparedSolver`](slade_core::solver::PreparedSolver) pipeline
 //!   (`prepare` once per fingerprint, `solve_with` per workload), so
-//!   repeated `(BinSet, θ)` pairs skip the expensive prepare step for
-//!   **all** algorithms — OPQ enumeration + group DP, the greedy's ladder,
-//!   the baseline's scaffolding — not just OpqBased. (OpqExtended requests
+//!   repeated `(BinSet, θ)` pairs skip the expensive prepare step — OPQ
+//!   enumeration + group DP, the greedy's ladder. (OpqExtended requests
 //!   are first decomposed into their per-bucket homogeneous shards, which
 //!   then run — and cache — as `OpqBased` prepares, maximizing sharing
-//!   across the two request types; `OpqExtended`'s own
-//!   `HeteroArtifacts` prepare path serves direct library callers that
-//!   want per-bucket reuse without an engine);
+//!   across the two request types; `OpqExtended` itself has no prepare
+//!   step of its own);
 //! * **incremental deltas** ([`Engine::resubmit`]) — a solved request can be
 //!   retained as a [`ResolvedPlan`] and re-solved under a
 //!   [`WorkloadDelta`] (grow/shrink `n`, per-task threshold changes,
