@@ -38,9 +38,10 @@
 //! The object carries a version member (`"v"`); [`decode`] rejects
 //! versions it does not understand rather than guessing. Decoding is
 //! total: malformed or corrupted input — including a journal tail hit by
-//! a crash mid-append — returns `Err`, never panics, and a decoded merged
-//! plan is audited against its own workload and bin menu before being
-//! accepted.
+//! a crash mid-append — returns `Err`, never panics. Before a record is
+//! accepted, its merged plan is audited against its own workload and bin
+//! menu, and every sub-plan against its own shard's instance, so no
+//! decoded record can make a later resubmission panic.
 
 use crate::service::{EngineRequest, ResolvedPlan, ShardWork};
 use slade_core::bin_set::BinSet;
@@ -150,7 +151,12 @@ pub fn encode(resolved: &ResolvedPlan) -> Json {
 /// Total over arbitrary input: structural problems, version mismatches,
 /// signature mismatches, and plans that fail their own audit all come back
 /// as `Err(description)` — a corrupted journal record can never panic the
-/// replayer or smuggle in an inconsistent plan.
+/// replayer or smuggle in an inconsistent plan. The audits cover the
+/// merged plan (against the record's workload) and every sub-plan: an
+/// `Opq { n, threshold }` sub-plan against `n` tasks at `threshold`, a
+/// `prepared` one against the record's workload. A sub-plan that passes
+/// references only task ids its shard owns, which is what lets
+/// resubmission splice it in.
 pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
     let version = u32_of(req(json, "v")?, "`v`")?;
     if version != CODEC_VERSION {
@@ -217,10 +223,28 @@ pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
     } else {
         Arc::new(decode_plan(merged)?)
     };
-    // The merged plan carries global task ids, so it can be audited against
-    // the decoded instance; sub-plans keep shard-local ids and cannot.
+    // The merged plan carries global task ids and is audited against the
+    // decoded instance; sub-plans keep shard-local ids and are audited
+    // against their own shard's instance.
     plan.validate(&workload, &bins)
         .map_err(|e| format!("decoded plan failed its audit: {e}"))?;
+    for (i, (work, sub)) in works.iter().zip(&subs).enumerate() {
+        let shard = match work {
+            ShardWork::Opq { n, threshold } => Some(
+                Workload::homogeneous(*n, *threshold)
+                    .map_err(|e| format!("invalid shard {i}: {e}"))?,
+            ),
+            ShardWork::Prepared => None,
+        };
+        let instance = shard.as_ref().unwrap_or(&workload);
+        // A sub-plan the merged plan aliases was just audited, and needs no
+        // second audit against the same instance.
+        if Arc::ptr_eq(sub, &plan) && *instance == workload {
+            continue;
+        }
+        sub.validate(instance, &bins)
+            .map_err(|e| format!("decoded sub-plan {i} failed its audit: {e}"))?;
+    }
 
     let reused_shards = u32_of(req(json, "reused_shards")?, "`reused_shards`")? as usize;
 
@@ -602,11 +626,6 @@ mod tests {
     #[test]
     fn encode_into_matches_the_reference_encoder() {
         let engine = engine();
-        let sharded = Engine::new(EngineConfig {
-            threads: 2,
-            homogeneous_shard: Some(3),
-            ..EngineConfig::default()
-        });
         let mut resolved: Vec<ResolvedPlan> = requests()
             .into_iter()
             .map(|request| engine.solve_resolved(request).unwrap())
@@ -625,10 +644,10 @@ mod tests {
                 Workload::homogeneous(n, t).unwrap(),
                 paper_bins(),
             );
-            resolved.push(engine.solve_resolved(request.clone()).unwrap());
-            resolved.push(sharded.solve_resolved(request).unwrap());
+            resolved.push(engine.solve_resolved(request).unwrap());
         }
-        // Resubmits that reuse shards, and an awkward-decimal append.
+        // Resubmits that reuse shards, an awkward-decimal append, and a
+        // large five-bucket plan with its shrink.
         let hetero = engine
             .solve_resolved(EngineRequest::new(
                 Algorithm::OpqExtended,
@@ -639,13 +658,19 @@ mod tests {
         let grown = engine
             .resubmit(&hetero, &WorkloadDelta::Append(vec![0.99, 0.1 + 0.2]))
             .unwrap();
-        let resized = sharded
-            .resubmit(
-                &sharded.solve_resolved(requests().remove(0)).unwrap(),
-                &WorkloadDelta::Resize(10),
-            )
+        const LEVELS: [f64; 5] = [0.999, 0.95, 0.8, 0.5, 0.3];
+        let wide = engine
+            .solve_resolved(EngineRequest::new(
+                Algorithm::OpqExtended,
+                Workload::heterogeneous((0..2_000).map(|i| LEVELS[i % 5]).collect()).unwrap(),
+                paper_bins(),
+            ))
             .unwrap();
-        resolved.extend([hetero, grown, resized]);
+        assert_eq!(wide.shards(), 5);
+        let resized = engine
+            .resubmit(&wide, &WorkloadDelta::Resize(1_990))
+            .unwrap();
+        resolved.extend([hetero, grown, wide, resized]);
 
         let aliased = |r: &ResolvedPlan| Arc::ptr_eq(r.merged(), &r.subs()[0]);
         assert!(resolved.iter().any(aliased), "no single-shard plan");
@@ -683,7 +708,6 @@ mod tests {
                 chain(&engine, algorithm, &bins, n, 0x5eed + i as u64);
             }
         }
-        sharded.shutdown();
         engine.shutdown();
     }
 
@@ -757,6 +781,32 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A 10-task `opq-extended` record in 5 buckets, the first holding
+    /// tasks 0–2, with task 0 of that bucket's sub-plan renamed 900. The
+    /// merged plan still passes its audit; a resubmission that reuses the
+    /// shard would map the foreign id through the bucket's 3 members.
+    fn sub_plan_naming_a_foreign_task() -> String {
+        let engine = engine();
+        let thresholds = vec![0.999, 0.999, 0.999, 0.95, 0.95, 0.8, 0.8, 0.5, 0.3, 0.3];
+        let resolved = engine
+            .solve_resolved(EngineRequest::new(
+                Algorithm::OpqExtended,
+                Workload::heterogeneous(thresholds).unwrap(),
+                paper_bins(),
+            ))
+            .unwrap();
+        engine.shutdown();
+        assert_eq!(resolved.shards(), 5);
+        assert_eq!(resolved.subs()[0].bins().next().unwrap().tasks()[0], 0);
+        let good = written(&resolved);
+        // The first task id of the first posted bin of `subs[0]`.
+        let subs = good.find("\"subs\":[").unwrap();
+        let at = subs + good[subs..].find("\"bins\":[[").unwrap();
+        let at = at + good[at..].find(",[").unwrap() + 2;
+        assert_eq!(&good[at..=at], "0");
+        format!("{}900{}", &good[..at], &good[at + 1..])
+    }
+
     #[test]
     fn decode_rejects_corruption_without_panicking() {
         let engine = engine();
@@ -782,6 +832,7 @@ mod tests {
             good.replace("\"seed\":\"0x0\"", "\"seed\":7"),
             good.replace("\"tasks\":4", "\"tasks\":0"),
             good.replace("\"works\":[", "\"works\":[\"prepared\","),
+            sub_plan_naming_a_foreign_task(),
         ] {
             if let Ok(json) = slade_json::parse(&bad) {
                 assert!(decode(&json).is_err(), "accepted corrupted record: {bad}");

@@ -16,11 +16,12 @@
 //!   markers, so a frontend can let one connection resubmit a plan another
 //!   connection produced, with conflicts surfaced as typed
 //!   [`StoreError`]s instead of races;
-//! * **sharded solves** — heterogeneous requests split into their
-//!   [`slade_core::hetero::partition`] threshold buckets and (optionally)
-//!   large homogeneous requests into fixed-size chunks, each an independent
-//!   job; sub-plans are merged in shard order, so the result is a function
-//!   of the request alone, never of thread count or scheduling;
+//! * **sharded solves** — heterogeneous `OpqExtended` requests split into
+//!   their [`slade_core::hetero::partition`] threshold buckets, each an
+//!   independent job (every other request, homogeneous ones included, runs
+//!   as one shard, as the paper's algorithms plan it); sub-plans are merged
+//!   in shard order, so the result is a function of the request alone,
+//!   never of thread count or scheduling;
 //! * **an algorithm-agnostic artifact cache** ([`ArtifactCache`]) — a
 //!   sharded concurrent table keyed by `(Algorithm, `[`Fingerprint`]`)`
 //!   over type-erased [`slade_core::solver::SolveArtifacts`], whose warm

@@ -32,16 +32,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// [`ArtifactCache`] capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// When set, homogeneous OPQ requests of at least twice this many tasks
-    /// are split into independent chunks of roughly this size, solved in
-    /// parallel, and merged. Chunking is decided by the request alone (never
-    /// by thread count), so plans stay deterministic; each chunk packs its
-    /// own bins, so the merged plan can post up to one extra leftover group
-    /// per chunk compared to the unsharded solve. `None` (the default) keeps
-    /// every homogeneous request as a single shard, which is cost-identical
-    /// to the sequential
-    /// [`OpqBased` solve](slade_core::solver::DecompositionSolver::solve).
-    pub homogeneous_shard: Option<u32>,
     /// Configuration used for every artifact-accelerated (OPQ) shard; its
     /// knobs enter those shards' cache [`Fingerprint`]s through
     /// [`PreparedSolver::fingerprint_knobs`].
@@ -54,7 +44,6 @@ impl Default for EngineConfig {
             threads: thread::available_parallelism().map_or(4, |n| n.get()),
             queue_capacity: 256,
             cache_capacity: 64,
-            homogeneous_shard: None,
             solver: OpqBased::default(),
         }
     }
@@ -210,25 +199,10 @@ impl From<SladeError> for EngineError {
     }
 }
 
-/// How a shard's bucket-local / chunk-local task ids map back to the
-/// request's global ids.
-#[derive(Debug, Clone)]
-enum ShardRemap {
-    /// Shard-local id `j` is global id `base + j`.
-    Offset(TaskId),
-    /// Shard-local id `j` is global id `members[j]` (threshold buckets).
-    Members(Arc<Vec<TaskId>>),
-}
-
-impl ShardRemap {
-    /// The request-global id of shard-local task `local`.
-    fn global(&self, local: TaskId) -> TaskId {
-        match self {
-            ShardRemap::Offset(base) => base + local,
-            ShardRemap::Members(members) => members[local as usize],
-        }
-    }
-}
+/// Which request tasks a shard solves: `None` for the whole workload
+/// (shard-local id `j` is global id `j`), or a threshold bucket's members
+/// (shard-local id `j` is global id `members[j]`).
+type Members = Option<Arc<Vec<TaskId>>>;
 
 /// What one shard computes. Equality is what [`Engine::resubmit`] uses to
 /// recognize unchanged work: a shard's *raw* (pre-remap) sub-plan is a pure
@@ -247,7 +221,7 @@ pub(crate) enum ShardWork {
 
 struct Shard {
     work: ShardWork,
-    remap: ShardRemap,
+    members: Members,
 }
 
 type ShardResult = (usize, Result<DecompositionPlan, EngineError>);
@@ -284,17 +258,20 @@ fn plan_label(algorithm: Algorithm) -> &'static str {
     algorithm.solver().name()
 }
 
-/// Merges raw shard outputs in shard order under `label`, remapping each
-/// sub-plan's task ids while copying it — one pass, and the shared raw
-/// sub-plans stay untouched for later resubmissions.
+/// Merges raw shard outputs in shard order under `label`, mapping each
+/// sub-plan's task ids to global ones while copying it — one pass, and the
+/// shared raw sub-plans stay untouched for later resubmissions.
 fn merge_subs(
     label: &'static str,
     subs: &[Arc<DecompositionPlan>],
-    remaps: &[ShardRemap],
+    members: &[Members],
 ) -> DecompositionPlan {
     let mut plan = DecompositionPlan::empty(label);
-    for (sub, remap) in subs.iter().zip(remaps) {
-        plan.merge_mapped(sub, |t| remap.global(t));
+    for (sub, members) in subs.iter().zip(members) {
+        match members {
+            None => plan.merge_mapped(sub, |t| t),
+            Some(members) => plan.merge_mapped(sub, |t| members[t as usize]),
+        }
     }
     plan
 }
@@ -490,13 +467,14 @@ impl ResolvedPlan {
 struct ResolvedCore {
     request: EngineRequest,
     works: Vec<ShardWork>,
-    remaps: Vec<ShardRemap>,
-    /// `None`: a single identity shard whose result is already exactly what
-    /// a direct `solve` call would return — pass it through untouched.
+    /// Index-aligned with `works`: each shard's tasks in the request.
+    members: Vec<Members>,
+    /// `None`: a single shard whose result is already exactly what a
+    /// direct `solve` call would return — pass it through untouched.
     /// `Some(label)`: wrap the merged shards under this label, mirroring
     /// how `OpqExtended` itself wraps its per-bucket `OpqBased` sub-plans —
     /// so engine results compare equal (label included) to the sequential
-    /// solver's whenever sharding does not change the plan.
+    /// solver's.
     wrap: Option<&'static str>,
     solver_knobs: slade_core::fingerprint::KnobSink,
     /// Index-aligned with `works`; shards reused from a prior resolve are
@@ -518,7 +496,7 @@ impl ResolvedCore {
             // share it instead of deep-copying (resubmit chains hold many
             // of these).
             None => Arc::clone(&subs[0]),
-            Some(label) => Arc::new(merge_subs(label, &subs, &self.remaps)),
+            Some(label) => Arc::new(merge_subs(label, &subs, &self.members)),
         };
         ResolvedPlan {
             request: self.request,
@@ -721,11 +699,11 @@ impl Engine {
     /// Blocks while the job queue is full (backpressure).
     pub fn submit(&self, mut request: EngineRequest, options: Submit<'_>) -> ResolvedHandle {
         let Submit { prior, notify } = options;
-        let shards = self.shard(&request);
+        let shards = Self::shard(&request);
         let wrap = Self::wrap_of(&shards, &request);
         let solver_knobs = self.solver_knobs();
         let mut works = Vec::with_capacity(shards.len());
-        let mut remaps = Vec::with_capacity(shards.len());
+        let mut members = Vec::with_capacity(shards.len());
         let mut subs: Vec<Option<Arc<DecompositionPlan>>> =
             (0..shards.len()).map(|_| None).collect();
         let (result_tx, result_rx) = channel::<ShardResult>();
@@ -785,7 +763,7 @@ impl Engine {
                 shut_down = true;
             }
             works.push(shard.work);
-            remaps.push(shard.remap);
+            members.push(shard.members);
         }
 
         // The stored request seeds future resubmissions via `prior.request
@@ -801,7 +779,7 @@ impl Engine {
             core: Some(ResolvedCore {
                 request,
                 works,
-                remaps,
+                members,
                 wrap,
                 solver_knobs,
                 subs,
@@ -859,91 +837,55 @@ impl Engine {
         self.sched.submit(job)
     }
 
-    /// Pass through untouched when the one shard already produces what a
-    /// direct `solve` would: any Prepared shard (`solve_with` reproduces
-    /// `solve` byte-identically — the core contract), or a whole-workload
-    /// OPQ shard for OpqBased. Everything else is wrapped under the
-    /// requested algorithm's label.
+    /// Wrap under the requested algorithm's label only an `OpqExtended`
+    /// request that ran as OPQ shards. Every other shard list is one shard
+    /// that already produces what a direct `solve` would: a Prepared shard
+    /// (`solve_with` reproduces `solve` byte-identically — the core
+    /// contract), or the whole-workload OPQ shard of an `OpqBased` request.
     fn wrap_of(shards: &[Shard], request: &EngineRequest) -> Option<&'static str> {
-        match shards {
-            [Shard {
-                work: ShardWork::Prepared,
-                remap: ShardRemap::Offset(0),
-            }] => None,
-            [Shard {
-                work: ShardWork::Opq { .. },
-                remap: ShardRemap::Offset(0),
-            }] if request.algorithm == Algorithm::OpqBased => None,
-            _ => Some(plan_label(request.algorithm)),
-        }
+        let opq_shards = shards
+            .first()
+            .is_some_and(|s| matches!(s.work, ShardWork::Opq { .. }));
+        (request.algorithm == Algorithm::OpqExtended && opq_shards)
+            .then(|| plan_label(request.algorithm))
     }
 
-    /// Splits a request into independent shards (see the crate docs).
-    fn shard(&self, request: &EngineRequest) -> Vec<Shard> {
-        let pass_through = Shard {
-            work: ShardWork::Prepared,
-            remap: ShardRemap::Offset(0),
+    /// Splits a request into independent shards (see the crate docs): one
+    /// OPQ shard for a homogeneous OPQ request, one per threshold bucket
+    /// for a heterogeneous `OpqExtended` request, and one pass-through
+    /// shard for everything else.
+    fn shard(request: &EngineRequest) -> Vec<Shard> {
+        let workload = &request.workload;
+        let whole = |work| {
+            vec![Shard {
+                work,
+                members: None,
+            }]
         };
-        // Custom solvers have unknown sharding semantics: run them whole.
-        let opq_algorithm = request.solver_override.is_none()
-            && matches!(
-                request.algorithm,
-                Algorithm::OpqBased | Algorithm::OpqExtended
-            );
-        if !opq_algorithm {
-            return vec![pass_through];
-        }
-
-        if request.workload.is_homogeneous() {
-            let n = request.workload.len();
-            let threshold = request.workload.threshold(0);
-            // `n / 2 >= s` (not `n >= 2 * s`) so huge shard sizes cannot
-            // overflow; chunks only form when at least two would result.
-            if let Some(target) = self
-                .config
-                .homogeneous_shard
-                .filter(|&s| s >= 1 && n / 2 >= s)
-            {
-                // Chunks as even as possible: k = ⌈n/target⌉ chunks whose
-                // sizes differ by at most one, assigned low-id-first.
-                let chunks = n.div_ceil(target);
-                let small = n / chunks;
-                let extra = n % chunks;
-                let mut base: TaskId = 0;
-                return (0..chunks)
-                    .map(|c| {
-                        let size = if c < extra { small + 1 } else { small };
-                        let shard = Shard {
-                            work: ShardWork::Opq { n: size, threshold },
-                            remap: ShardRemap::Offset(base),
-                        };
-                        base += size;
-                        shard
-                    })
-                    .collect();
+        match request.algorithm {
+            // Custom solvers have unknown sharding semantics: run them whole.
+            _ if request.solver_override.is_some() => whole(ShardWork::Prepared),
+            Algorithm::OpqBased | Algorithm::OpqExtended if workload.is_homogeneous() => {
+                whole(ShardWork::Opq {
+                    n: workload.len(),
+                    threshold: workload.threshold(0),
+                })
             }
-            return vec![Shard {
-                work: ShardWork::Opq { n, threshold },
-                remap: ShardRemap::Offset(0),
-            }];
-        }
-
-        if request.algorithm == Algorithm::OpqExtended {
-            return hetero::partition(&request.workload)
+            Algorithm::OpqExtended => hetero::partition(workload)
                 .into_iter()
                 .map(|bucket| Shard {
                     work: ShardWork::Opq {
                         n: bucket.members.len() as u32,
                         threshold: bucket.confidence,
                     },
-                    remap: ShardRemap::Members(Arc::new(bucket.members)),
+                    members: Some(Arc::new(bucket.members)),
                 })
-                .collect();
+                .collect(),
+            // Every other algorithm, and OpqBased on a heterogeneous
+            // workload, whose solver reports HeterogeneousUnsupported
+            // through the normal result path.
+            _ => whole(ShardWork::Prepared),
         }
-
-        // OpqBased on a heterogeneous workload: let the solver itself report
-        // HeterogeneousUnsupported through the normal result path.
-        vec![pass_through]
     }
 
     /// Builds the closure one worker will run for `work`: the per-kind
@@ -1139,11 +1081,16 @@ mod tests {
             ..EngineConfig::default()
         });
         let bins = paper_bins();
-        for n in [1u32, 100, 2_000] {
+        for n in [1u32, 100, 2_000, 5_000] {
             let workload = Workload::homogeneous(n, 0.95).unwrap();
-            let direct = OpqBased::default().solve(&workload, &bins).unwrap();
-            let request = EngineRequest::new(Algorithm::OpqBased, workload, Arc::clone(&bins));
-            assert_eq!(engine.solve(request).unwrap(), direct, "n = {n}");
+            for algorithm in [Algorithm::OpqBased, Algorithm::OpqExtended] {
+                let direct = algorithm.solve(&workload, &bins).unwrap();
+                let request = EngineRequest::new(algorithm, workload.clone(), Arc::clone(&bins));
+                let resolved = engine.solve_resolved(request).unwrap();
+                // A homogeneous request is one OPQ shard, at any size.
+                assert_eq!(resolved.shards(), 1, "{algorithm} n = {n}");
+                assert_eq!(*resolved.plan(), direct, "{algorithm} n = {n}");
+            }
         }
     }
 
@@ -1180,26 +1127,6 @@ mod tests {
         assert_eq!(plan.algorithm(), "OpqExtended");
         let direct = Algorithm::OpqExtended.solve(&workload, &bins).unwrap();
         assert_eq!(plan, direct);
-    }
-
-    #[test]
-    fn sharded_homogeneous_requests_are_feasible_and_deterministic() {
-        let config = EngineConfig {
-            threads: 4,
-            homogeneous_shard: Some(64),
-            ..EngineConfig::default()
-        };
-        let bins = paper_bins();
-        let workload = Workload::homogeneous(500, 0.95).unwrap();
-        let request = EngineRequest::new(Algorithm::OpqBased, workload.clone(), bins.clone());
-
-        let engine = Engine::new(config.clone());
-        let plan = engine.solve(request.clone()).unwrap();
-        let audit = plan.validate(&workload, &bins).unwrap();
-        assert!(audit.feasible);
-
-        let again = Engine::new(config).solve(request).unwrap();
-        assert_eq!(plan, again);
     }
 
     #[test]
@@ -1803,26 +1730,32 @@ mod tests {
         (gated, releases)
     }
 
+    /// A heterogeneous workload of `n` tasks cycling over four
+    /// well-separated thresholds, so it buckets into four shards.
+    fn four_bucket_workload(n: u32) -> Workload {
+        const LEVELS: [f64; 4] = [0.95, 0.72, 0.3, 0.11];
+        Workload::heterogeneous((0..n).map(|i| LEVELS[i as usize % 4]).collect()).unwrap()
+    }
+
     #[test]
     fn shutdown_while_jobs_are_queued_for_stealing_drains_deterministically() {
         let engine = Engine::new(EngineConfig {
             threads: 2,
             queue_capacity: 64,
-            homogeneous_shard: Some(8),
             ..EngineConfig::default()
         });
         let bins = paper_bins();
         let (gated, releases) = gate_both_workers(&engine, &bins);
 
-        // With both workers pinned, these multi-shard requests sit in the
+        // With both workers pinned, these multi-bucket requests sit in the
         // deques — some in the pinned workers' own deques, reachable only
         // by stealing once a worker frees up.
         let queued = submit_all(
             &engine,
             (0..4).map(|i| {
                 EngineRequest::new(
-                    Algorithm::OpqBased,
-                    Workload::homogeneous(20 + 8 * i, 0.95).unwrap(),
+                    Algorithm::OpqExtended,
+                    four_bucket_workload(20 + 8 * i),
                     Arc::clone(&bins),
                 )
             }),
@@ -1840,22 +1773,23 @@ mod tests {
         }
         let reference = Engine::new(EngineConfig {
             threads: 1,
-            homogeneous_shard: Some(8),
             ..EngineConfig::default()
         });
         for (i, handle) in queued.into_iter().enumerate() {
-            let drained = handle
-                .wait()
-                .expect("queued jobs drain, never drop")
-                .into_plan();
+            let drained = handle.wait().expect("queued jobs drain, never drop");
+            assert_eq!(drained.shards(), 4, "request {i} buckets");
             let cold = reference
                 .solve(EngineRequest::new(
-                    Algorithm::OpqBased,
-                    Workload::homogeneous(20 + 8 * i as u32, 0.95).unwrap(),
+                    Algorithm::OpqExtended,
+                    four_bucket_workload(20 + 8 * i as u32),
                     Arc::clone(&bins),
                 ))
                 .unwrap();
-            assert_eq!(drained, cold, "request {i} diverged during the drain");
+            assert_eq!(
+                *drained.plan(),
+                cold,
+                "request {i} diverged during the drain"
+            );
         }
         let late = EngineRequest::new(
             Algorithm::OpqBased,

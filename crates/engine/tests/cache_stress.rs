@@ -9,8 +9,8 @@
 //!    fingerprint run the (counting) compute once, round after round;
 //! 3. plans stay byte-identical warm-vs-cold and 1-vs-8-thread, and equal
 //!    those of an engine that bypasses the cache entirely — including under
-//!    forced single-flight races, where chunked shards of one request hit
-//!    the same cold fingerprint from every worker at once.
+//!    forced single-flight races, where identical requests submitted
+//!    together hit the same cold fingerprint from every worker at once.
 
 use slade_core::prelude::*;
 use slade_core::reliability::theta;
@@ -218,17 +218,21 @@ fn submit_all(engine: &Engine, requests: Vec<EngineRequest>) -> Vec<ResolvedHand
         .collect()
 }
 
-/// A mixed batch of every algorithm, including a chunked homogeneous OPQ
-/// request whose shards all share one fingerprint — the forced
-/// single-flight race (8 workers, one cold key).
+/// Identical homogeneous OPQ requests at the head of [`mixed_batch`]: their
+/// shards all share one (menu, θ) fingerprint — the forced single-flight
+/// race (8 workers, one cold key).
+const SAME_KEY_REQUESTS: usize = 11;
+
+/// A mixed batch of every algorithm, led by [`SAME_KEY_REQUESTS`]
+/// identical homogeneous OPQ requests.
 fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
-    vec![
-        EngineRequest::new(
-            Algorithm::OpqBased,
-            // ⌈700/64⌉ = 11 chunks, all with the same (menu, θ) fingerprint.
-            Workload::homogeneous(700, 0.95).unwrap(),
-            Arc::clone(bins),
-        ),
+    let same_key = EngineRequest::new(
+        Algorithm::OpqBased,
+        Workload::homogeneous(64, 0.95).unwrap(),
+        Arc::clone(bins),
+    );
+    let mut batch = vec![same_key; SAME_KEY_REQUESTS];
+    batch.extend([
         EngineRequest::new(
             Algorithm::OpqExtended,
             Workload::heterogeneous(vec![0.3, 0.55, 0.72, 0.9, 0.95]).unwrap(),
@@ -255,22 +259,22 @@ fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
             Workload::homogeneous(3, 0.9).unwrap(),
             Arc::clone(bins),
         ),
-    ]
+    ]);
+    batch
 }
 
 /// The OPQ solver's DP cap in the byte-identity test. The cold `prepare`
 /// fills the exact group DP for every size up to the cap, each size a
 /// minimum over all smaller ones, so it is Θ(cap²) work whatever the
 /// kernel's speed: at this cap it takes milliseconds (tens in release,
-/// hundreds in debug), far longer than the few hand-offs the chunked
-/// request needs to pile its shards up on the leader's flight.
+/// hundreds in debug), far longer than the few hand-offs the same-key
+/// requests need to pile their shards up on the leader's flight.
 const PILE_UP_DP_CAP: u32 = 4_096;
 
 fn config(threads: usize) -> EngineConfig {
     EngineConfig {
         threads,
         cache_capacity: 16,
-        homogeneous_shard: Some(64),
         solver: slade_core::opq_based::OpqBased {
             dp_cap: PILE_UP_DP_CAP,
             ..slade_core::opq_based::OpqBased::default()
@@ -322,8 +326,8 @@ fn plans_are_byte_identical_across_threads_and_warmth() {
         }
     };
 
-    // Cold, 8 threads: the chunked request sends 11 same-fingerprint shards
-    // through the cold path at once. The pile-up is only as likely as the
+    // Cold, 8 threads: the same-key requests send 11 same-fingerprint
+    // shards through the cold path at once. The pile-up is only as likely as the
     // workers are to reach the key while the first one is still computing
     // it, so retry the cold pass on a fresh engine until a single-flight
     // wait is seen — every pass's plans checked against the reference.
@@ -343,15 +347,16 @@ fn plans_are_byte_identical_across_threads_and_warmth() {
     let stats = engine.cache_stats();
     assert!(
         stats.singleflight_waits > 0,
-        "the chunked request must have raced the cold key within \
+        "the same-key requests must have raced the cold key within \
          {MAX_COLD_PASSES} cold passes: {stats:?}"
     );
 }
 
 #[test]
 fn forced_single_flight_race_still_matches_the_direct_solver() {
-    // Belt and braces on the interchangeable-winner argument: the racing
-    // chunks' merged plan equals the sequential solver's answer exactly.
+    // Belt and braces on the interchangeable-winner argument: a solve on an
+    // 8-worker engine with a live cache, cold on each fresh engine, equals
+    // the sequential solver's answer exactly.
     let bins = Arc::new(BinSet::paper_example());
     let workload = Workload::homogeneous(40, 0.95).unwrap();
     let direct = Algorithm::OpqBased.solve(&workload, &bins).unwrap();

@@ -11,9 +11,9 @@ use slade_core::prelude::*;
 use slade_engine::{Engine, EngineConfig, EngineRequest, Submit, WorkloadDelta};
 use std::sync::Arc;
 
-/// A mixed batch exercising every sharding path: unsharded and chunked
-/// homogeneous OPQ, bucket-sharded heterogeneous OPQ, the direct path
-/// (greedy), and the seeded randomized baseline.
+/// A mixed batch exercising every sharding path: small and large
+/// homogeneous OPQ (one shard each), bucket-sharded heterogeneous OPQ, the
+/// direct path (greedy), and the seeded randomized baseline.
 fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     let spread: Vec<f64> = (0..60)
         .map(|i| 0.08 + 0.9 * (f64::from(i) / 59.0))
@@ -24,7 +24,6 @@ fn mixed_batch(bins: &Arc<BinSet>) -> Vec<EngineRequest> {
             Workload::homogeneous(4, 0.95).unwrap(),
             Arc::clone(bins),
         ),
-        // Large enough to split into chunks under homogeneous_shard below.
         EngineRequest::new(
             Algorithm::OpqBased,
             Workload::homogeneous(700, 0.99).unwrap(),
@@ -54,7 +53,6 @@ fn config(threads: usize) -> EngineConfig {
         threads,
         queue_capacity: 8,
         cache_capacity: 16,
-        homogeneous_shard: Some(128),
         ..EngineConfig::default()
     }
 }
@@ -78,9 +76,8 @@ fn run_batch(threads: usize, bins: &Arc<BinSet>) -> Vec<DecompositionPlan> {
 #[test]
 fn unsharded_engine_plans_equal_direct_solver_plans() {
     // The engine's pass-through/wrapper labeling must make its results
-    // compare equal — label included — to the sequential solvers whenever
-    // sharding does not change the plan (i.e. everything except chunked
-    // homogeneous requests).
+    // compare equal — label included — to the sequential solvers: the
+    // engine shards a request only where the solver itself splits it.
     let bins = Arc::new(BinSet::paper_example());
     let engine = Engine::new(EngineConfig {
         threads: 4,
@@ -373,8 +370,9 @@ fn requests_sharing_a_fingerprint_share_cached_artifacts() {
     }
     let stats = engine.cache_stats();
     assert_eq!(stats.misses, 1, "{stats:?}");
-    // 11 shard lookups in total: n = 10, 100, 40 are single shards, and
-    // n = 1000 splits into ⌈1000/128⌉ = 8 chunks under homogeneous_shard.
-    assert_eq!(stats.hits, 10, "{stats:?}");
+    // 4 shard lookups in total: a homogeneous request is one shard at any
+    // size, so each request looks the key up once, and all but the first
+    // hit.
+    assert_eq!(stats.hits, 3, "{stats:?}");
     assert_eq!(stats.entries, 1, "{stats:?}");
 }

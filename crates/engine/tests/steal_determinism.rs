@@ -58,12 +58,13 @@ fn submit_all(engine: &Engine, requests: Vec<EngineRequest>) -> Vec<ResolvedHand
 }
 
 /// One seeded schedule: a few stalling override requests (grabbed first,
-/// pinning their workers) followed by a seed-derived mix of chunked
-/// homogeneous and bucket-sharded heterogeneous requests.
+/// pinning their workers) followed by a seed-derived mix of wide and
+/// narrow bucket-sharded heterogeneous requests.
 fn schedule(seed: u64, bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     // Well-separated levels under θ_max so heterogeneous workloads bucket
-    // into several shards.
+    // into several shards: each level of WIDE is its own bucket.
     const LEVELS: [f64; 4] = [0.95, 0.72, 0.3, 0.11];
+    const WIDE: [f64; 8] = [0.999, 0.95, 0.8, 0.5, 0.3, 0.15, 0.08, 0.04];
     let mut rng = seed;
     let mut requests = Vec::new();
     for _ in 0..2 {
@@ -79,12 +80,14 @@ fn schedule(seed: u64, bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     }
     for _ in 0..6 {
         if next_u64(&mut rng) % 2 == 0 {
-            // Chunked homogeneous: 24–64 tasks over homogeneous_shard = 8
-            // below → 3–8 shard jobs.
-            let n = 24 + (next_u64(&mut rng) % 41) as u32;
+            // Wide: 24–64 tasks cycling over the first 3–8 levels of WIDE
+            // → 3–8 shard jobs.
+            let levels = 3 + (next_u64(&mut rng) % 6) as usize;
+            let n = 24 + (next_u64(&mut rng) % 41) as usize;
+            let thresholds: Vec<f64> = (0..n).map(|i| WIDE[i % levels]).collect();
             requests.push(EngineRequest::new(
-                Algorithm::OpqBased,
-                Workload::homogeneous(n, 0.95).unwrap(),
+                Algorithm::OpqExtended,
+                Workload::heterogeneous(thresholds).unwrap(),
                 Arc::clone(bins),
             ));
         } else {
@@ -111,7 +114,6 @@ fn config(threads: usize) -> EngineConfig {
         // one schedule the cache is live, as in production — byte-identity
         // must hold with or without artifact reuse.
         cache_capacity: 16,
-        homogeneous_shard: Some(8),
         ..EngineConfig::default()
     }
 }

@@ -156,17 +156,17 @@ mod tests {
         let registry = Registry::new();
         registry.counter("ops.solve").add(3);
         registry.gauge("queue.depth").set(5);
-        let h = registry.windowed_histogram("latency.solve", Duration::from_secs(60), 8);
+        let h = registry.windowed_histogram("latency.solve", Duration::from_secs(60));
         h.record(100);
         h.record(100_000);
         registry
-            .windowed_counter("ops.batch", Duration::from_secs(60), 8)
+            .windowed_counter("ops.batch", Duration::from_secs(60))
             .add(2);
         registry
-            .windowed_histogram("latency.batch", Duration::from_secs(60), 8)
+            .windowed_histogram("latency.batch", Duration::from_secs(60))
             .record(500);
         registry
-            .windowed_histogram("journal.compact_us", Duration::from_secs(60), 8)
+            .windowed_histogram("journal.compact_us", Duration::from_secs(60))
             .record(900);
         registry.snapshot()
     }

@@ -263,12 +263,12 @@ struct WindowState<T> {
     /// stamped yet.
     next_boundary: u64,
     /// `(epoch, cumulative-at-end-of-epoch)` entries: oldest first,
-    /// consecutive epochs, at most `slots` entries.
+    /// consecutive epochs, at most [`WINDOW_SLOTS`] entries.
     boundaries: VecDeque<(u64, T)>,
 }
 
 /// The rotation clockwork shared by [`WindowedCounter`] and
-/// [`WindowedHistogram`]: a ring of `slots` sub-windows over a monotone
+/// [`WindowedHistogram`]: a ring of [`WINDOW_SLOTS`] sub-windows over a monotone
 /// cumulative view, rotated by **reader-driven lazy advance**.
 ///
 /// Nothing here ever runs on the record path — writers touch only the
@@ -290,17 +290,17 @@ struct WindowClock<T> {
     started: Instant,
     /// Sub-window length; `ZERO` disables windowing entirely.
     sub: Duration,
-    slots: u64,
     state: Mutex<WindowState<T>>,
 }
 
+/// [`WINDOW_SLOTS`] as an epoch count.
+const SLOTS: u64 = WINDOW_SLOTS as u64;
+
 impl<T: Clone> WindowClock<T> {
-    fn new(window: Duration, slots: usize) -> WindowClock<T> {
-        let slots = slots.max(1);
+    fn new(window: Duration) -> WindowClock<T> {
         WindowClock {
             started: Instant::now(),
-            sub: window / slots as u32,
-            slots: slots as u64,
+            sub: window / WINDOW_SLOTS as u32,
             state: Mutex::new(WindowState {
                 next_boundary: 0,
                 boundaries: VecDeque::new(),
@@ -325,27 +325,27 @@ impl<T: Clone> WindowClock<T> {
         let epoch = (elapsed.as_nanos() / sub_ns) as u64;
         let now = cumulative();
         let mut state = lock(&self.state);
-        if epoch > state.next_boundary + self.slots {
+        if epoch > state.next_boundary + SLOTS {
             // The readers slept through more than a full window: every
             // retained boundary is stale, so restart the ring at the
-            // newest `slots` epochs instead of stamping each missed one.
+            // newest `SLOTS` epochs instead of stamping each missed one.
             state.boundaries.clear();
-            state.next_boundary = epoch - self.slots;
+            state.next_boundary = epoch - SLOTS;
         }
         while state.next_boundary < epoch {
             let k = state.next_boundary;
             state.boundaries.push_back((k, now.clone()));
             state.next_boundary += 1;
-            if state.boundaries.len() as u64 > self.slots {
+            if state.boundaries.len() as u64 > SLOTS {
                 state.boundaries.pop_front();
             }
         }
         // Boundaries hold consecutive epochs ending at `epoch - 1`, so the
-        // front entry is exactly `epoch - slots` when the ring is full —
+        // front entry is exactly `epoch - SLOTS` when the ring is full —
         // the baseline one window back.
-        let baseline = if state.boundaries.len() as u64 == self.slots {
+        let baseline = if state.boundaries.len() as u64 == SLOTS {
             let (k, snap) = state.boundaries.front().expect("ring is full");
-            debug_assert_eq!(*k, epoch - self.slots);
+            debug_assert_eq!(*k, epoch - SLOTS);
             let boundary_end_ns = (*k as u128 + 1) * sub_ns;
             let span_ns = elapsed.as_nanos().saturating_sub(boundary_end_ns);
             Some((snap.clone(), Duration::from_nanos(span_ns as u64)))
@@ -398,13 +398,14 @@ pub struct WindowedCounter {
 }
 
 impl WindowedCounter {
-    /// A windowed counter over `window`, split into `slots` sub-windows.
-    /// A zero `window` disables windowing: [`WindowedCounter::windowed`]
-    /// reports an empty view while the lifetime counter works as usual.
-    pub fn new(window: Duration, slots: usize) -> WindowedCounter {
+    /// A windowed counter over `window`, split into [`WINDOW_SLOTS`]
+    /// sub-windows. A zero `window` disables windowing:
+    /// [`WindowedCounter::windowed`] reports an empty view while the
+    /// lifetime counter works as usual.
+    pub fn new(window: Duration) -> WindowedCounter {
         WindowedCounter {
             live: Counter::new(),
-            window: WindowClock::new(window, slots),
+            window: WindowClock::new(window),
         }
     }
 
@@ -484,12 +485,13 @@ pub struct WindowedHistogram {
 }
 
 impl WindowedHistogram {
-    /// A windowed histogram over `window`, split into `slots` sub-windows.
-    /// A zero `window` disables windowing (lifetime behavior unchanged).
-    pub fn new(window: Duration, slots: usize) -> WindowedHistogram {
+    /// A windowed histogram over `window`, split into [`WINDOW_SLOTS`]
+    /// sub-windows. A zero `window` disables windowing (lifetime behavior
+    /// unchanged).
+    pub fn new(window: Duration) -> WindowedHistogram {
         WindowedHistogram {
             live: Histogram::new(),
-            window: WindowClock::new(window, slots),
+            window: WindowClock::new(window),
         }
     }
 
@@ -585,34 +587,23 @@ impl Registry {
     }
 
     /// The windowed counter named `name`, created on first use; `window`
-    /// and `slots` apply only at creation (later callers get the existing
-    /// handle regardless of the parameters they pass).
-    pub fn windowed_counter(
-        &self,
-        name: &str,
-        window: Duration,
-        slots: usize,
-    ) -> Arc<WindowedCounter> {
+    /// applies only at creation (later callers get the existing handle
+    /// regardless of the window they pass).
+    pub fn windowed_counter(&self, name: &str, window: Duration) -> Arc<WindowedCounter> {
         Arc::clone(
             lock(&self.windowed_counters)
                 .entry(name.to_string())
-                .or_insert_with(|| Arc::new(WindowedCounter::new(window, slots))),
+                .or_insert_with(|| Arc::new(WindowedCounter::new(window))),
         )
     }
 
     /// The windowed histogram named `name`, created on first use; `window`
-    /// and `slots` apply only at creation, like
-    /// [`Registry::windowed_counter`].
-    pub fn windowed_histogram(
-        &self,
-        name: &str,
-        window: Duration,
-        slots: usize,
-    ) -> Arc<WindowedHistogram> {
+    /// applies only at creation, like [`Registry::windowed_counter`].
+    pub fn windowed_histogram(&self, name: &str, window: Duration) -> Arc<WindowedHistogram> {
         Arc::clone(
             lock(&self.windowed_histograms)
                 .entry(name.to_string())
-                .or_insert_with(|| Arc::new(WindowedHistogram::new(window, slots))),
+                .or_insert_with(|| Arc::new(WindowedHistogram::new(window))),
         )
     }
 
@@ -794,7 +785,7 @@ mod tests {
         registry.counter("ops.batch").inc();
         registry.gauge("queue_depth").set(5);
         registry
-            .windowed_histogram("latency.solve", Duration::from_secs(60), 8)
+            .windowed_histogram("latency.solve", Duration::from_secs(60))
             .record(42);
 
         let snap = registry.snapshot();
@@ -842,8 +833,8 @@ mod tests {
     #[test]
     fn windowed_views_decay_while_lifetime_holds() {
         const WINDOW: Duration = Duration::from_secs(64);
-        let h = WindowedHistogram::new(WINDOW, WINDOW_SLOTS);
-        let c = WindowedCounter::new(WINDOW, WINDOW_SLOTS);
+        let h = WindowedHistogram::new(WINDOW);
+        let c = WindowedCounter::new(WINDOW);
         for v in [10, 20, 30, 40] {
             h.record(v);
             c.inc();
@@ -884,10 +875,10 @@ mod tests {
 
     #[test]
     fn sparse_readers_rotate_lazily_without_unbounded_catchup() {
-        let h = WindowedHistogram::new(Duration::from_secs(8), 4);
+        let h = WindowedHistogram::new(Duration::from_secs(2) * WINDOW_SLOTS as u32);
         h.record(7);
         // First read happens years of sub-windows later: the ring restarts
-        // at the newest epochs in O(slots) instead of stamping each missed
+        // at the newest epochs in O(WINDOW_SLOTS) instead of stamping each missed
         // boundary, and the old burst reads as aged out.
         let view = h.windowed_at(Duration::from_secs(60 * 60 * 24 * 30));
         assert_eq!(view.snapshot.count(), 0);
@@ -896,8 +887,8 @@ mod tests {
 
     #[test]
     fn zero_window_disables_windowing_but_not_lifetime() {
-        let h = WindowedHistogram::new(Duration::ZERO, WINDOW_SLOTS);
-        let c = WindowedCounter::new(Duration::ZERO, WINDOW_SLOTS);
+        let h = WindowedHistogram::new(Duration::ZERO);
+        let c = WindowedCounter::new(Duration::ZERO);
         h.record(9);
         c.add(9);
         assert_eq!(h.windowed(), WindowView::default());
@@ -909,7 +900,7 @@ mod tests {
 
     #[test]
     fn rate_views_report_events_per_covered_second() {
-        let c = WindowedCounter::new(Duration::from_secs(64), 8);
+        let c = WindowedCounter::new(Duration::from_secs(64));
         c.add(100);
         let young = c.windowed_at(Duration::from_secs(4));
         assert_eq!(young.count, 100);
@@ -927,8 +918,8 @@ mod tests {
         const PER_WRITER: u64 = 20_000;
         const SEED: u64 = 0x5EED_CAFE;
         let sub = Duration::from_millis(10);
-        let slots = 4u32;
-        let h = Arc::new(WindowedHistogram::new(sub * slots, slots as usize));
+        let slots = WINDOW_SLOTS as u32;
+        let h = Arc::new(WindowedHistogram::new(sub * slots));
 
         thread::scope(|scope| {
             for w in 0..WRITERS {
@@ -977,13 +968,10 @@ mod tests {
     #[test]
     fn registry_snapshot_folds_windowed_metrics_into_both_surfaces() {
         let registry = Registry::new();
-        let wc = registry.windowed_counter("ops.solve", Duration::from_secs(60), 8);
-        let wh = registry.windowed_histogram("latency.solve", Duration::from_secs(60), 8);
+        let wc = registry.windowed_counter("ops.solve", Duration::from_secs(60));
+        let wh = registry.windowed_histogram("latency.solve", Duration::from_secs(60));
         assert!(
-            Arc::ptr_eq(
-                &wc,
-                &registry.windowed_counter("ops.solve", Duration::ZERO, 1)
-            ),
+            Arc::ptr_eq(&wc, &registry.windowed_counter("ops.solve", Duration::ZERO)),
             "same name, same handle — later params are ignored"
         );
         wc.add(5);

@@ -26,8 +26,13 @@
 //! applies records in order and stops at the **first** line that fails to
 //! parse or decode — everything after a corrupt record is untrusted, even
 //! if later lines happen to parse, because a single-writer append-only log
-//! only corrupts at the tail. Replay never panics on arbitrary bytes (the
-//! journal fuzz suite byte-flips and truncates real journals to pin this).
+//! only corrupts at the tail. Decoding includes [`codec::decode`]'s audits
+//! of the merged plan and of every sub-plan against its own shard, so a
+//! record that would later make a resubmission splice in a foreign task id
+//! fails here, at replay. Replay never panics on arbitrary bytes, and
+//! every plan it recovers can be resubmitted (the journal fuzz suite
+//! byte-flips and truncates real journals, then resubmits each recovered
+//! plan, to pin this).
 //!
 //! A live writer keeps the tail-only property itself. An append that fails
 //! (ENOSPC, EIO) may have written part of its record, and a later append
@@ -347,26 +352,35 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    /// A resolved homogeneous plan for `tasks` tasks. With `shard` set the
-    /// plan carries `tasks / shard` sub-plans, which makes its journal
-    /// record large and slow to render — the lever the race tests use to
-    /// widen the windows they probe.
-    fn resolved(tasks: u32, shard: Option<u32>) -> Arc<ResolvedPlan> {
+    /// `algorithm` on `workload` and the paper's bin menu, resolved.
+    fn resolve(algorithm: Algorithm, workload: Workload) -> Arc<ResolvedPlan> {
         let engine = Engine::new(EngineConfig {
             threads: 1,
-            homogeneous_shard: shard,
             ..EngineConfig::default()
         });
-        let request = EngineRequest::new(
-            Algorithm::OpqBased,
-            Workload::homogeneous(tasks, 0.95).unwrap(),
-            Arc::new(BinSet::paper_example()),
-        );
+        let request = EngineRequest::new(algorithm, workload, Arc::new(BinSet::paper_example()));
         Arc::new(engine.solve_resolved(request).unwrap())
     }
 
+    /// A resolved homogeneous plan for `tasks` tasks.
+    fn resolved(tasks: u32) -> Arc<ResolvedPlan> {
+        resolve(
+            Algorithm::OpqBased,
+            Workload::homogeneous(tasks, 0.95).unwrap(),
+        )
+    }
+
+    /// A resolved 2 000-task plan in five threshold buckets. Its record
+    /// holds the five sub-plans besides the merged plan, which makes it
+    /// large and slow to render — the lever the race tests use to widen
+    /// the windows they probe.
     fn big() -> Arc<ResolvedPlan> {
-        resolved(2_000, Some(4))
+        const LEVELS: [f64; 5] = [0.999, 0.95, 0.8, 0.5, 0.3];
+        let thresholds = (0..2_000).map(|i| LEVELS[i % 5]).collect();
+        resolve(
+            Algorithm::OpqExtended,
+            Workload::heterogeneous(thresholds).unwrap(),
+        )
     }
 
     fn temp_journal(name: &str) -> PathBuf {
@@ -379,7 +393,7 @@ mod tests {
     }
 
     fn open(path: &std::path::Path, store: &PlanStore) -> Journal {
-        let compact_us = Arc::new(WindowedHistogram::new(Duration::from_secs(60), 6));
+        let compact_us = Arc::new(WindowedHistogram::new(Duration::from_secs(60)));
         Journal::open(path.to_path_buf(), store, compact_us).unwrap()
     }
 
@@ -440,7 +454,7 @@ mod tests {
         let path = temp_journal("chained");
         let store = PlanStore::new();
         let journal = open(&path, &store);
-        let (large, small) = (big(), resolved(4, None));
+        let (large, small) = (big(), resolved(4));
         // Lockstep: the large land of id `i` starts once the small land of
         // id `i - 1` is done, so every id sees the chained race.
         let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
@@ -490,7 +504,7 @@ mod tests {
         // the scenario runs for several rounds.
         const ROUNDS: usize = 10;
         const SMALL: usize = 1_000;
-        let (large, small) = (big(), resolved(4, None));
+        let (large, small) = (big(), resolved(4));
         for round in 0..ROUNDS {
             let path = temp_journal(&format!("compaction-{round}"));
             let store = PlanStore::new();
@@ -532,7 +546,7 @@ mod tests {
 
     #[test]
     fn a_failed_append_never_strands_later_records_behind_a_torn_line() {
-        let plan = resolved(4, None);
+        let plan = resolved(4);
         for restore_append_handle in [false, true] {
             let path = temp_journal(&format!("torn-{restore_append_handle}"));
             let store = PlanStore::new();
@@ -577,7 +591,7 @@ mod tests {
 
     #[test]
     fn records_render_byte_identically_to_the_value_serializer() {
-        let plan = resolved(4, None);
+        let plan = resolved(4);
         let mut line = String::new();
         render_land("we\"ird\nid", &plan, &mut line);
         let expected = Json::Object(vec![

@@ -21,9 +21,7 @@ use slade_core::solver::Algorithm;
 use slade_engine::{
     Engine, EngineConfig, EngineRequest, FinishOutcome, PlanStore, ResolvedPlan, SessionId,
 };
-use slade_obs::{
-    Counter, Registry, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram, WINDOW_SLOTS,
-};
+use slade_obs::{Counter, Registry, SpanRecord, SpanRing, WindowedCounter, WindowedHistogram};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -111,7 +109,7 @@ pub struct ObsOptions {
     /// [`Duration::ZERO`] disables windowing (the windowed sections report
     /// zeros) — the knob the obs-window A/B benchmark flips; the record
     /// path is identical either way. The window is split into
-    /// [`WINDOW_SLOTS`] sub-windows.
+    /// [`slade_obs::WINDOW_SLOTS`] sub-windows.
     pub window: Duration,
 }
 
@@ -189,17 +187,14 @@ pub(crate) const ENGINE_VERBS: [&str; 3] = ["solve", "batch", "resubmit"];
 
 impl Counters {
     pub(crate) fn new(registry: &Registry, window: Duration) -> Counters {
-        let op =
-            |name: &str| registry.windowed_counter(&format!("ops.{name}"), window, WINDOW_SLOTS);
+        let op = |name: &str| registry.windowed_counter(&format!("ops.{name}"), window);
         Counters {
             ops: protocol::VERBS.into_iter().map(op).collect(),
             pipelined: op("pipelined"),
             timeouts: op("timeouts"),
             verb_timeouts: ENGINE_VERBS
                 .iter()
-                .map(|verb| {
-                    registry.windowed_counter(&format!("timeouts.{verb}"), window, WINDOW_SLOTS)
-                })
+                .map(|verb| registry.windowed_counter(&format!("timeouts.{verb}"), window))
                 .collect(),
             errors: op("errors"),
             algorithms: std::array::from_fn(|i| {
@@ -277,13 +272,7 @@ pub(crate) struct ServerObs {
 impl ServerObs {
     pub(crate) fn new(options: &ObsOptions, registry: Registry) -> io::Result<ServerObs> {
         let latency = latency_verbs()
-            .map(|verb| {
-                registry.windowed_histogram(
-                    &format!("latency.{verb}"),
-                    options.window,
-                    WINDOW_SLOTS,
-                )
-            })
+            .map(|verb| registry.windowed_histogram(&format!("latency.{verb}"), options.window))
             .collect();
         let trace_log = match &options.trace_log {
             None => None,
@@ -480,11 +469,9 @@ impl Server {
         let journal = match config.journal {
             None => None,
             Some(path) => {
-                let compact_us = obs.registry.windowed_histogram(
-                    "journal.compact_us",
-                    config.obs.window,
-                    WINDOW_SLOTS,
-                );
+                let compact_us = obs
+                    .registry
+                    .windowed_histogram("journal.compact_us", config.obs.window);
                 Some(Journal::open(path, &store, compact_us)?)
             }
         };
@@ -504,7 +491,7 @@ impl Server {
             started: Instant::now(),
             window: config.obs.window,
             evictions_seen: AtomicU64::new(0),
-            evictions_window: WindowedCounter::new(config.obs.window, WINDOW_SLOTS),
+            evictions_window: WindowedCounter::new(config.obs.window),
             journal,
         });
         Ok(Server {

@@ -10,7 +10,8 @@
 //!    shape) is skipped on replay and truncated away by the boot-time
 //!    compaction;
 //! 4. **corruption fuzz** — seeded byte flips and truncations of a real
-//!    journal must never panic the boot replay;
+//!    journal must never panic the boot replay, and every plan the replay
+//!    recovers must answer a resubmission;
 //! 5. **lease TTL** — an expired lease is reclaimable by a second
 //!    session while the first is still connected, and the expiry counts;
 //! 6. **compaction** — re-landing one id hundreds of times leaves a
@@ -282,12 +283,38 @@ impl Lcg {
     }
 }
 
+/// The id and task count of every plan in a journal that holds only
+/// `land` records (as it does right after the boot compaction).
+fn landed_plans(path: &PathBuf) -> Vec<(String, usize)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines()
+        .map(|line| {
+            let record = json::parse(line).expect("compacted journals hold only whole records");
+            let id = record.get("id").and_then(Json::as_str).unwrap().to_string();
+            let workload = record.get("plan").and_then(|p| p.get("workload")).unwrap();
+            let tasks = match workload.get("thresholds").and_then(Json::as_array) {
+                Some(thresholds) => thresholds.len(),
+                None => workload.get("tasks").and_then(Json::as_f64).unwrap() as usize,
+            };
+            (id, tasks)
+        })
+        .collect()
+}
+
 #[test]
 fn corrupt_journal_bytes_never_panic_the_boot_replay() {
-    // A real journal to mutate: three plans, shut down cleanly.
+    // A real journal to mutate, shut down cleanly: a plan in four
+    // threshold buckets, whose record carries four sub-plans besides the
+    // merged plan, then three single-shard plans. The multi-bucket record
+    // comes first so replay still reaches it when a later record breaks.
     let path = journal_path("fuzz-seed");
     let (addr, _, done) = start_server(config(Some(path.clone()), None));
     let mut client = connect(addr);
+    ok_roundtrip(
+        &mut client,
+        "{\"op\":\"solve\",\"id\":\"d\",\"algorithm\":\"opq-extended\",\
+         \"thresholds\":[0.999,0.95,0.8,0.5,0.999,0.95,0.8,0.5,0.999,0.95]}",
+    );
     for (id, tasks) in [("a", 4), ("b", 7), ("c", 9)] {
         ok_roundtrip(
             &mut client,
@@ -325,7 +352,21 @@ fn corrupt_journal_bytes_never_panic_the_boot_replay() {
         // possibly with fewer plans, never with a panic or an error.
         let server = Server::bind(corrupted)
             .unwrap_or_else(|e| panic!("round {round}: bind must survive corruption: {e}"));
-        drop(server);
+        // Every recovered plan must serve a no-op resubmission, which
+        // splices its decoded sub-plans back in.
+        let addr = server.local_addr();
+        let (tx, done) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
+        let mut client = connect(addr);
+        for (id, tasks) in landed_plans(&target) {
+            let mut line = String::from("{\"op\":\"resubmit\",\"id\":");
+            Json::string(id).write_into(&mut line);
+            line.push_str(&format!(",\"delta\":{{\"resize\":{tasks}}}}}"));
+            ok_roundtrip(&mut client, &line);
+        }
+        shutdown(&mut client, &done);
     }
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(target);

@@ -239,12 +239,13 @@ fn metrics_snapshot_is_self_consistent_after_a_multi_connection_soak() {
 
 #[test]
 fn traced_pipelined_request_reports_its_full_lifecycle_and_steal_provenance() {
-    // 64 homogeneous tasks shard into 8 jobs on 2 workers: every job is
-    // submitted from the session reader, so workers must pull — and
-    // frequently steal — to run them.
+    // 64 tasks over 8 threshold levels, each level its own bucket, shard
+    // into 8 jobs on 2 workers: every job is submitted from the session
+    // reader, so workers must pull — and frequently steal — to run them.
+    const LEVELS: [&str; 8] = ["0.999", "0.95", "0.8", "0.5", "0.3", "0.15", "0.08", "0.04"];
+    let thresholds: Vec<&str> = (0..64).map(|i| LEVELS[i % 8]).collect();
     let (addr, done) = start_server(EngineConfig {
         threads: 2,
-        homogeneous_shard: Some(8),
         cache_capacity: 16,
         ..EngineConfig::default()
     });
@@ -255,7 +256,11 @@ fn traced_pipelined_request_reports_its_full_lifecycle_and_steal_provenance() {
 
     let response = parse(
         &client
-            .roundtrip("{\"op\":\"solve\",\"tasks\":64,\"threshold\":0.9,\"seq\":7,\"trace\":true}")
+            .roundtrip(&format!(
+                "{{\"op\":\"solve\",\"algorithm\":\"opq-extended\",\"thresholds\":[{}],\
+                 \"seq\":7,\"trace\":true}}",
+                thresholds.join(",")
+            ))
             .unwrap(),
     );
     assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response}");
