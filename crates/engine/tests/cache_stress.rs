@@ -326,11 +326,11 @@ fn plans_are_byte_identical_across_threads_and_warmth() {
         }
     };
 
-    // Cold, 8 threads: the same-key requests send 11 same-fingerprint
-    // shards through the cold path at once. The pile-up is only as likely as the
-    // workers are to reach the key while the first one is still computing
-    // it, so retry the cold pass on a fresh engine until a single-flight
-    // wait is seen — every pass's plans checked against the reference.
+    // Cold, 8 threads: the same-key requests send their shards through the
+    // cold path at once. The pile-up is only as likely as the workers are
+    // to reach the key while the first one is still computing it, so retry
+    // the cold pass on a fresh engine until a single-flight wait is seen —
+    // every pass's plans checked against the reference.
     let mut passes = 0;
     let engine = loop {
         passes += 1;
