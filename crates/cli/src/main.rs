@@ -247,28 +247,13 @@ fn run_batch(args: &[String], input: &str) -> Result<String, CliError> {
         .collect();
 
     let mut out = String::new();
-    for (i, (handle, request)) in handles.into_iter().zip(&requests).enumerate() {
+    for (i, handle) in handles.into_iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
-        // Result lines assemble from the same summary members (and print
-        // through the same serializer) as the server's responses.
-        let mut members = vec![member("request", Json::number(i as f64))];
-        match handle.wait() {
-            Ok(resolved) => {
-                let audit = resolved
-                    .plan()
-                    .validate(&request.workload, &request.bins)
-                    .expect("engine plans are structurally valid");
-                members.extend(protocol::plan_summary_members(
-                    request.algorithm,
-                    &request.workload,
-                    &audit,
-                ));
-            }
-            Err(e) => members.push(member("error", Json::string(e.to_string()))),
-        }
-        out.push_str(&Json::Object(members).to_string());
+        // Result lines are the server's batch entries, printed through the
+        // same serializer.
+        out.push_str(&protocol::batch_entry(i, &handle.wait()).to_string());
     }
     if reuse {
         // How much instance-independent work the two-phase pipeline shared

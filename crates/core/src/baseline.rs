@@ -30,16 +30,13 @@
 
 use crate::bin_set::BinSet;
 use crate::error::SladeError;
-use crate::fingerprint::KnobSink;
 use crate::plan::DecompositionPlan;
-use crate::solver::{expect_artifacts, DecompositionSolver, PreparedSolver, SolveArtifacts};
+use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slade_lp::covering::{suggested_inflation, CoveringProblem, SparseColumn};
 use slade_lp::simplex::LpOutcome;
-use std::any::Any;
-use std::sync::Arc;
 
 /// Tuning knobs for the [`Baseline`] solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,33 +77,6 @@ pub struct Baseline {
 struct ColumnSpec {
     bin_index: usize,
     tasks: Vec<TaskId>,
-}
-
-/// The baseline's reusable state for one `(BinSet, θ)`: the transformed
-/// demand `θ`, which [`Baseline::solve_with`] uses to seed a homogeneous
-/// workload's demand vector without recomputing `-ln(1-t)` per task, and
-/// the signature of the menu it was prepared for.
-///
-/// The covering program's columns and its LP/rounding state are shaped by
-/// the workload (`n` rows, `O(n·m)` columns), so — unlike the OPQ family —
-/// the baseline's heavy lifting cannot move into `prepare`; DESIGN.md keeps
-/// dual-priced column *generation* (which could) as an open seam.
-#[derive(Debug, Clone)]
-pub struct BaselineArtifacts {
-    theta: f64,
-    /// Signature of the bin menu the artifacts were prepared for;
-    /// `solve_with` rejects a different menu.
-    bins_signature: u64,
-}
-
-impl SolveArtifacts for BaselineArtifacts {
-    fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl Baseline {
@@ -159,25 +129,18 @@ impl Baseline {
     }
 }
 
-impl Baseline {
-    /// The shared solve behind the one-shot and two-phase entry points; the
-    /// optional `theta_hint` (from [`BaselineArtifacts`]) seeds a
-    /// homogeneous workload's demand vector when it bit-matches.
-    fn solve_inner(
-        &self,
-        workload: &Workload,
-        bins: &BinSet,
-        theta_hint: Option<f64>,
-    ) -> Result<DecompositionPlan, SladeError> {
+/// The pass-through pipeline: the covering program's columns and its
+/// LP/rounding state are shaped by the workload (`n` rows, `O(n·m)`
+/// columns), so — unlike the OPQ family — none of the baseline's work can
+/// move into `prepare`, and its requests take no artifact-cache entry.
+impl PreparedSolver for Baseline {
+    fn name(&self) -> &'static str {
+        "Baseline"
+    }
+
+    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
         let specs = Self::columns(workload, bins);
-        let demands: Vec<f64> = match theta_hint {
-            Some(theta)
-                if workload.is_homogeneous() && workload.theta(0).to_bits() == theta.to_bits() =>
-            {
-                vec![theta; workload.len() as usize]
-            }
-            _ => workload.thetas().collect(),
-        };
+        let demands: Vec<f64> = workload.thetas().collect();
         let columns: Vec<SparseColumn> = specs
             .iter()
             .map(|s| {
@@ -223,47 +186,6 @@ impl Baseline {
         }
         Ok(plan)
     }
-}
-
-impl DecompositionSolver for Baseline {
-    fn name(&self) -> &'static str {
-        "Baseline"
-    }
-
-    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
-        self.solve_inner(workload, bins, None)
-    }
-}
-
-impl PreparedSolver for Baseline {
-    fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
-        Ok(Arc::new(BaselineArtifacts {
-            theta,
-            bins_signature: bins.signature(),
-        }))
-    }
-
-    fn solve_with(
-        &self,
-        artifacts: &dyn SolveArtifacts,
-        workload: &Workload,
-        bins: &BinSet,
-    ) -> Result<DecompositionPlan, SladeError> {
-        let artifacts = expect_artifacts::<BaselineArtifacts>(self.name(), artifacts)?;
-        if artifacts.bins_signature != bins.signature() {
-            return Err(SladeError::ArtifactMismatch {
-                solver: self.name(),
-                detail: "artifacts were prepared for a different bin menu".into(),
-            });
-        }
-        self.solve_inner(workload, bins, Some(artifacts.theta))
-    }
-
-    // Deliberately NOT part of the knob digest: `seed`, `rounding_attempts`,
-    // and `inflation` shape the per-workload rounding, never the artifacts,
-    // and `exact_lp_max_cells` only routes the (workload-shaped) fractional
-    // step — so baselines of every configuration share one artifact entry.
-    fn fingerprint_knobs(&self, _sink: &mut KnobSink) {}
 }
 
 #[cfg(test)]

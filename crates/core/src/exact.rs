@@ -28,7 +28,7 @@ use crate::error::SladeError;
 use crate::greedy::Greedy;
 use crate::plan::DecompositionPlan;
 use crate::reliability::WEIGHT_EPS;
-use crate::solver::DecompositionSolver;
+use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 
 /// Exhaustive branch-and-bound solver; see the module docs.
@@ -165,7 +165,9 @@ fn next_combination(subset: &mut [usize], n: usize) -> bool {
     false
 }
 
-impl DecompositionSolver for ExactSolver {
+// Branch-and-bound state is dominated by the workload's residual vector, so
+// the two-phase pipeline is the trait's trivial pass-through.
+impl PreparedSolver for ExactSolver {
     fn name(&self) -> &'static str {
         "Exact"
     }
@@ -205,10 +207,6 @@ impl DecompositionSolver for ExactSolver {
         Ok(plan)
     }
 }
-
-// Branch-and-bound state is dominated by the workload's residual vector, so
-// the two-phase pipeline is the trait's trivial pass-through.
-impl crate::solver::PreparedSolver for ExactSolver {}
 
 #[cfg(test)]
 mod tests {

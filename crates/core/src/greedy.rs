@@ -35,7 +35,7 @@ use crate::bin_set::BinSet;
 use crate::error::SladeError;
 use crate::plan::DecompositionPlan;
 use crate::reliability::{satisfies, WEIGHT_EPS};
-use crate::solver::{expect_artifacts, DecompositionSolver, PreparedSolver, SolveArtifacts};
+use crate::solver::{expect_artifacts, PreparedSolver, SolveArtifacts};
 use crate::task::{TaskId, Workload};
 use std::any::Any;
 use std::cmp::Ordering;
@@ -60,10 +60,9 @@ const LADDER_CAP: usize = 4_096;
 /// In a homogeneous solve every interior round (all popped tasks at the same
 /// residual, enough tasks open) is exactly that situation, so
 /// [`Greedy::solve_with`] answers it from the ladder instead of rescanning
-/// the menu — and seeds the residual vector from the cached `θ` instead of
-/// recomputing `-ln(1-t)` per task. Rounds that mix residual levels (bucket
-/// boundaries, the endgame, heterogeneous workloads) take the ordinary scan,
-/// so plans stay bit-for-bit identical to [`Greedy::solve`]: the ladder is
+/// the menu. Rounds that mix residual levels (bucket boundaries, the
+/// endgame, heterogeneous workloads) take the ordinary scan, so plans stay
+/// bit-for-bit identical to [`Greedy::solve`]: the ladder is
 /// consulted only when its precondition — identical inputs to the scan —
 /// holds by bit comparison.
 #[derive(Debug, Clone)]
@@ -175,17 +174,8 @@ impl Greedy {
         artifacts: Option<&GreedyArtifacts>,
     ) -> DecompositionPlan {
         let n = workload.len();
-        // Residual transformed demand per task, seeded from the cached θ
-        // when it bit-matches the workload's (same value, n - 1 fewer logs).
-        let mut residual: Vec<f64> = match artifacts {
-            Some(arts)
-                if workload.is_homogeneous()
-                    && workload.theta(0).to_bits() == arts.theta.to_bits() =>
-            {
-                vec![arts.theta; n as usize]
-            }
-            _ => workload.thetas().collect(),
-        };
+        // Residual transformed demand per task.
+        let mut residual: Vec<f64> = workload.thetas().collect();
         // Current entry version per task; heap entries with an older version
         // are stale and dropped when popped.
         let mut version: Vec<u32> = vec![0; n as usize];
@@ -261,7 +251,7 @@ impl Greedy {
     }
 }
 
-impl DecompositionSolver for Greedy {
+impl PreparedSolver for Greedy {
     fn name(&self) -> &'static str {
         "Greedy"
     }
@@ -269,9 +259,7 @@ impl DecompositionSolver for Greedy {
     fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
         Ok(self.run(workload, bins, None))
     }
-}
 
-impl PreparedSolver for Greedy {
     fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
         let max_card = bins.max_cardinality() as usize;
         let mut ladder = Vec::new();

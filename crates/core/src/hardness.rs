@@ -79,7 +79,7 @@ pub fn knapsack_to_slade(
 mod tests {
     use super::*;
     use crate::exact::ExactSolver;
-    use crate::solver::DecompositionSolver;
+    use crate::solver::PreparedSolver;
 
     /// Direct brute force for unbounded min-knapsack (cover `demand` at
     /// minimum cost), via DFS with a cost bound.

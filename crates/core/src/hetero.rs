@@ -13,7 +13,8 @@
 //! Stitching the per-bucket plans back together (bucket-local task ids are
 //! remapped to global ids) yields the paper's
 //! `2⌈log(θ_max/θ_min)⌉·log n`-approximate heterogeneous solver. Workloads
-//! that are actually homogeneous skip the bucketing entirely.
+//! that are actually homogeneous form one identity bucket at their own
+//! threshold, so no demand is rounded up.
 //!
 //! ```
 //! use slade_core::prelude::*;
@@ -30,7 +31,7 @@ use crate::error::SladeError;
 use crate::opq_based::OpqBased;
 use crate::plan::DecompositionPlan;
 use crate::reliability::confidence_from_weight;
-use crate::solver::{DecompositionSolver, PreparedSolver};
+use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 
 /// The OPQ-Extended solver: threshold bucketing on top of [`OpqBased`].
@@ -103,35 +104,27 @@ pub fn partition(workload: &Workload) -> Vec<ThresholdBucket> {
         .collect()
 }
 
-impl DecompositionSolver for OpqExtended {
+/// The pass-through pipeline: the engine never prepares an `OpqExtended`
+/// request as a whole. It splits one into per-bucket homogeneous shards,
+/// which run and cache as [`OpqBased`] prepares.
+impl PreparedSolver for OpqExtended {
     fn name(&self) -> &'static str {
         "OpqExtended"
     }
 
     fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
         let mut plan = DecompositionPlan::empty(self.name());
-        if workload.is_homogeneous() {
-            // Algorithm 5 degenerates to Algorithm 3 on one bucket.
-            let sub = self.inner.solve(workload, bins)?;
-            plan.merge(sub);
-            return Ok(plan);
-        }
-
+        // A homogeneous workload is one identity bucket at its own
+        // threshold: Algorithm 5 degenerates to Algorithm 3.
         for bucket in partition(workload) {
             let sub_workload =
                 Workload::homogeneous(bucket.members.len() as u32, bucket.confidence)?;
-            let mut sub = self.inner.solve(&sub_workload, bins)?;
-            sub.remap_tasks(|local| bucket.members[local as usize]);
-            plan.merge(sub);
+            let sub = self.inner.solve(&sub_workload, bins)?;
+            plan.merge_mapped(&sub, |local| bucket.members[local as usize]);
         }
         Ok(plan)
     }
 }
-
-/// The pass-through pipeline: the engine never prepares an `OpqExtended`
-/// request as a whole. It splits one into per-bucket homogeneous shards,
-/// which run and cache as [`OpqBased`] prepares.
-impl PreparedSolver for OpqExtended {}
 
 /// Index of the geometric bucket holding transformed threshold `theta`.
 fn bucket_of(theta: f64, theta_max: f64, last_bucket: u32) -> u32 {

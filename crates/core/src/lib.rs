@@ -58,7 +58,10 @@ pub mod reliability;
 pub mod solver;
 pub mod task;
 
-/// Convenience re-exports of the most commonly used items.
+/// Convenience re-exports of the most commonly used items. Every solver
+/// implements the one [`PreparedSolver`] trait, so importing the prelude
+/// brings both the one-shot `solve` and the two-phase
+/// `prepare`/`solve_with` pipeline into scope.
 pub mod prelude {
     pub use crate::baseline::{Baseline, BaselineConfig};
     pub use crate::bin_set::{BinSet, TaskBin};
@@ -70,7 +73,7 @@ pub mod prelude {
     pub use crate::opq::OptimalPriorityQueue;
     pub use crate::opq_based::OpqBased;
     pub use crate::plan::{DecompositionPlan, PlanAudit};
-    pub use crate::solver::{Algorithm, DecompositionSolver, PreparedSolver, SolveArtifacts};
+    pub use crate::solver::{Algorithm, PreparedSolver, SolveArtifacts};
     pub use crate::task::{TaskId, Workload};
 }
 

@@ -43,7 +43,7 @@ use crate::error::SladeError;
 use crate::fingerprint::KnobSink;
 use crate::opq::{Combination, CombinationKey, OpqConfig, OptimalPriorityQueue};
 use crate::plan::DecompositionPlan;
-use crate::solver::{expect_artifacts, DecompositionSolver, PreparedSolver, SolveArtifacts};
+use crate::solver::{expect_artifacts, PreparedSolver, SolveArtifacts};
 use crate::task::{TaskId, Workload};
 use std::any::Any;
 use std::sync::Arc;
@@ -394,6 +394,25 @@ impl SolveArtifacts for OpqArtifacts {
 }
 
 impl PreparedSolver for OpqBased {
+    fn name(&self) -> &'static str {
+        "OpqBased"
+    }
+
+    fn supports_heterogeneous(&self) -> bool {
+        false
+    }
+
+    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
+        if !workload.is_homogeneous() {
+            return Err(SladeError::HeterogeneousUnsupported { solver: "OpqBased" });
+        }
+        let n = workload.len();
+        let theta = workload.theta(0);
+        let cap = n.min(self.dp_cap.max(1));
+        let artifacts = self.artifacts_up_to(bins, theta, cap)?;
+        Ok(self.solve_with_artifacts(n, &artifacts, bins))
+    }
+
     fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
         Ok(Arc::new(self.artifacts(bins, theta)?))
     }
@@ -432,27 +451,6 @@ impl PreparedSolver for OpqBased {
         sink.write_u64(u64::from(self.dp_cap));
         sink.write_opt_usize(self.opq.max_combination_size);
         sink.write_usize(self.opq.max_expansions);
-    }
-}
-
-impl DecompositionSolver for OpqBased {
-    fn name(&self) -> &'static str {
-        "OpqBased"
-    }
-
-    fn supports_heterogeneous(&self) -> bool {
-        false
-    }
-
-    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
-        if !workload.is_homogeneous() {
-            return Err(SladeError::HeterogeneousUnsupported { solver: "OpqBased" });
-        }
-        let n = workload.len();
-        let theta = workload.theta(0);
-        let cap = n.min(self.dp_cap.max(1));
-        let artifacts = self.artifacts_up_to(bins, theta, cap)?;
-        Ok(self.solve_with_artifacts(n, &artifacts, bins))
     }
 }
 

@@ -140,26 +140,11 @@ impl DecompositionPlan {
         self.total_cost
     }
 
-    /// Rewrites every task id through `map` (e.g. from bucket-local indices
-    /// back to global ids when merging per-bucket sub-plans, as
-    /// [`OpqExtended`](crate::hetero::OpqExtended) does).
-    pub fn remap_tasks(&mut self, map: impl Fn(TaskId) -> TaskId) {
-        for t in &mut self.tasks {
-            *t = map(*t);
-        }
-    }
-
-    /// Absorbs all bins (and cost) of `other` into `self`.
-    pub fn merge(&mut self, other: DecompositionPlan) {
-        self.merge_mapped(&other, |t| t);
-    }
-
     /// Appends every bin of `other` with its task ids rewritten through
-    /// `map`, and adds `other`'s recorded cost — [`merge`] of a remapped
-    /// copy, in one pass and leaving `other` untouched (the engine merges
-    /// shared shard outputs this way).
-    ///
-    /// [`merge`]: DecompositionPlan::merge
+    /// `map` (e.g. from bucket-local indices back to global ids), and adds
+    /// `other`'s recorded cost, leaving `other` untouched. Both
+    /// [`OpqExtended`](crate::hetero::OpqExtended) and the engine merge
+    /// per-bucket sub-plans this way.
     ///
     /// # Panics
     /// Panics if the plan would hold more than `u32::MAX` task slots.
@@ -425,8 +410,7 @@ mod tests {
         right.push(b.get(1).unwrap(), vec![0]);
         right.push(b.get(1).unwrap(), vec![0]);
         // `right` covers bucket-local task 0 -> global task 3.
-        right.remap_tasks(|t| t + 3);
-        left.merge(right);
+        left.merge_mapped(&right, |t| t + 3);
         assert_eq!(left.num_bins(), 4);
         assert!((left.total_cost() - 0.40).abs() < 1e-12);
         let audit = left.validate(&w, &b).unwrap();

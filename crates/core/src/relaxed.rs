@@ -35,7 +35,7 @@ use crate::bin_set::BinSet;
 use crate::error::SladeError;
 use crate::plan::DecompositionPlan;
 use crate::reliability::satisfies;
-use crate::solver::DecompositionSolver;
+use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 
 /// Solves a relaxed instance exactly; see the module docs.
@@ -82,12 +82,14 @@ pub fn solve_relaxed(workload: &Workload, bins: &BinSet) -> Result<Decomposition
     Ok(plan)
 }
 
-/// [`DecompositionSolver`] adapter over [`solve_relaxed`], used by
+/// [`PreparedSolver`] adapter over [`solve_relaxed`], used by
 /// [`Algorithm::Relaxed`](crate::solver::Algorithm::Relaxed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Relaxed;
 
-impl DecompositionSolver for Relaxed {
+// The rod-cutting DP is `O(n·m)` with no workload-independent prefix worth
+// caching, so the two-phase pipeline is the trait's trivial pass-through.
+impl PreparedSolver for Relaxed {
     fn name(&self) -> &'static str {
         "Relaxed"
     }
@@ -96,10 +98,6 @@ impl DecompositionSolver for Relaxed {
         solve_relaxed(workload, bins)
     }
 }
-
-// The rod-cutting DP is `O(n·m)` with no workload-independent prefix worth
-// caching, so the two-phase pipeline is the trait's trivial pass-through.
-impl crate::solver::PreparedSolver for Relaxed {}
 
 #[cfg(test)]
 mod tests {

@@ -1,35 +1,36 @@
 //! The common solver interface and the algorithm registry.
 //!
-//! Every decomposition algorithm in this crate implements
-//! [`DecompositionSolver`] plus the two-phase [`PreparedSolver`] pipeline;
-//! [`Algorithm`] is the closed enumeration used to select one by name (CLI
-//! flags, benchmark sweeps, config files).
+//! Every decomposition algorithm in this crate implements the one
+//! [`PreparedSolver`] trait; [`Algorithm`] is the closed enumeration used to
+//! select one by name (CLI flags, benchmark sweeps, config files).
 //!
 //! ## The two-phase pipeline
 //!
 //! Most of a solver's work is a function of `(BinSet, θ)` alone, not of the
 //! workload size `n`: OPQ enumeration, the group DP, the greedy's
-//! cost-effectiveness ladder. The [`PreparedSolver`] contract splits every
-//! solver accordingly:
+//! cost-effectiveness ladder. Besides the one-shot
+//! [`solve`](PreparedSolver::solve), the trait splits every solver
+//! accordingly:
 //!
 //! * [`prepare`](PreparedSolver::prepare) runs the instance-independent part
 //!   once and returns shareable [`SolveArtifacts`] behind an `Arc`;
 //! * [`solve_with`](PreparedSolver::solve_with) plans one workload from
 //!   those artifacts, **byte-identically** to what the one-shot
-//!   [`solve`](DecompositionSolver::solve) would produce — the invariant
+//!   [`solve`](PreparedSolver::solve) would produce — the invariant
 //!   every implementation pins in tests;
 //! * [`fingerprint_knobs`](PreparedSolver::fingerprint_knobs) reports the
 //!   configuration values that shape the artifacts, so cache keys
 //!   ([`Fingerprint`](crate::fingerprint::Fingerprint)) are derived from the
 //!   same impl that builds the artifacts and can never drift from it.
 //!
-//! Solvers whose work has no reusable prefix ([`ExactSolver`], [`Relaxed`])
-//! fall back to the trait's trivial pass-through defaults, and so does
-//! [`OpqExtended`]: its reusable work is per threshold bucket, and
+//! Solvers whose work has no reusable prefix ([`ExactSolver`], [`Relaxed`],
+//! [`Baseline`]) fall back to the trait's trivial pass-through defaults, and
+//! so does [`OpqExtended`]: its reusable work is per threshold bucket, and
 //! `slade-engine` reaches it by splitting a request into per-bucket
 //! [`OpqBased`] shards, which prepare and cache on their own. The
-//! [`Baseline`]'s covering program is shaped by the workload, so its
-//! artifacts hold only `θ` and the menu signature.
+//! [`Baseline`]'s covering program is shaped by the workload, so nothing of
+//! it can be prepared ahead (DESIGN.md keeps dual-priced column generation,
+//! which could, as an open seam).
 
 use crate::baseline::Baseline;
 use crate::bin_set::BinSet;
@@ -46,29 +47,6 @@ use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-
-/// A task-decomposition algorithm: turns an instance into a
-/// [`DecompositionPlan`].
-///
-/// Implementations must be deterministic for a fixed configuration (the
-/// randomized [`Baseline`] carries its seed in its config) and must return
-/// plans that pass [`DecompositionPlan::validate`] structurally; feasibility
-/// of the result is part of each solver's contract and is asserted by the
-/// crate's tests.
-pub trait DecompositionSolver {
-    /// Stable, human-readable solver name (also stamped on produced plans).
-    fn name(&self) -> &'static str;
-
-    /// Whether per-task thresholds are supported; solvers returning `false`
-    /// answer heterogeneous workloads with
-    /// [`SladeError::HeterogeneousUnsupported`].
-    fn supports_heterogeneous(&self) -> bool {
-        true
-    }
-
-    /// Decomposes `workload` over the bin menu `bins`.
-    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError>;
-}
 
 /// Workload-independent state computed by [`PreparedSolver::prepare`] for
 /// one `(BinSet, θ)` pair, shared across solves behind an `Arc`.
@@ -140,14 +118,35 @@ pub fn expect_artifacts<'a, T: SolveArtifacts>(
         })
 }
 
-/// The two-phase solve pipeline: an instance-independent `prepare` step
-/// producing shareable [`SolveArtifacts`], plus a per-workload `solve_with`
-/// step. See the module docs for the contract; the defaults implement the
-/// trivial pass-through used by solvers without a reusable prefix.
-pub trait PreparedSolver: DecompositionSolver {
+/// A task-decomposition algorithm: turns an instance into a
+/// [`DecompositionPlan`], in one shot or through the two-phase pipeline (an
+/// instance-independent `prepare` step producing shareable
+/// [`SolveArtifacts`], plus a per-workload `solve_with` step). See the
+/// module docs for the contract; the defaults implement the trivial
+/// pass-through used by solvers without a reusable prefix.
+///
+/// Implementations must be deterministic for a fixed configuration (the
+/// randomized [`Baseline`] carries its seed in its config) and must return
+/// plans that pass [`DecompositionPlan::validate`] structurally; feasibility
+/// of the result is part of each solver's contract and is asserted by the
+/// crate's tests.
+pub trait PreparedSolver {
+    /// Stable, human-readable solver name (also stamped on produced plans).
+    fn name(&self) -> &'static str;
+
+    /// Whether per-task thresholds are supported; solvers returning `false`
+    /// answer heterogeneous workloads with
+    /// [`SladeError::HeterogeneousUnsupported`].
+    fn supports_heterogeneous(&self) -> bool {
+        true
+    }
+
+    /// Decomposes `workload` over the bin menu `bins`.
+    fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError>;
+
     /// Computes the workload-independent artifacts for `bins` at transformed
     /// threshold `theta` — the expensive part of
-    /// [`solve`](DecompositionSolver::solve) that repeated `(BinSet, θ)`
+    /// [`solve`](PreparedSolver::solve) that repeated `(BinSet, θ)`
     /// pairs should pay only once.
     fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
         let _ = bins;
@@ -160,7 +159,7 @@ pub trait PreparedSolver: DecompositionSolver {
     /// policed by downcast/θ checks where it matters).
     ///
     /// **Identity invariant:** the plan is byte-identical to what
-    /// [`solve`](DecompositionSolver::solve) returns for the same inputs.
+    /// [`solve`](PreparedSolver::solve) returns for the same inputs.
     fn solve_with(
         &self,
         artifacts: &dyn SolveArtifacts,
@@ -225,9 +224,9 @@ impl Algorithm {
     ///
     /// The box is `Send + Sync`: every solver is plain configuration data,
     /// so instances can be shared with or moved across worker threads (the
-    /// `slade-engine` service relies on this). It is a [`PreparedSolver`],
-    /// so callers get both the one-shot `solve` and the two-phase
-    /// `prepare`/`solve_with` pipeline.
+    /// `slade-engine` service relies on this). A [`PreparedSolver`] offers
+    /// both the one-shot `solve` and the two-phase `prepare`/`solve_with`
+    /// pipeline.
     pub fn solver(self) -> Box<dyn PreparedSolver + Send + Sync> {
         match self {
             Algorithm::Greedy => Box::new(Greedy),
@@ -312,7 +311,6 @@ const _: () = {
     assert_send_sync::<crate::opq_based::OpqArtifacts>();
     assert_send_sync::<crate::hetero::ThresholdBucket>();
     assert_send_sync::<PassThroughArtifacts>();
-    assert_send_sync::<Box<dyn DecompositionSolver + Send + Sync>>();
     assert_send_sync::<Box<dyn PreparedSolver + Send + Sync>>();
     assert_send_sync::<Arc<dyn SolveArtifacts>>();
 };
@@ -430,7 +428,7 @@ mod tests {
         let bins_b = BinSet::new([(1, 0.9, 0.1), (4, 0.7, 0.3)]).unwrap();
         let theta = crate::reliability::theta(0.9);
         let w = Workload::homogeneous(5, 0.9).unwrap();
-        for a in [Algorithm::Greedy, Algorithm::OpqBased, Algorithm::Baseline] {
+        for a in [Algorithm::Greedy, Algorithm::OpqBased] {
             let s = a.solver();
             let artifacts = s.prepare(&bins_a, theta).unwrap();
             assert!(
@@ -443,21 +441,28 @@ mod tests {
         }
         // Pass-through artifacts carry no menu state, so they serve any
         // menu: the plan is the one-shot plan for the menu given.
-        let s = Algorithm::OpqExtended.solver();
-        let artifacts = s.prepare(&bins_a, theta).unwrap();
-        let two_phase = s.solve_with(artifacts.as_ref(), &w, &bins_b).unwrap();
-        assert_eq!(two_phase, s.solve(&w, &bins_b).unwrap());
+        for a in [Algorithm::OpqExtended, Algorithm::Baseline] {
+            let s = a.solver();
+            let artifacts = s.prepare(&bins_a, theta).unwrap();
+            let two_phase = s.solve_with(artifacts.as_ref(), &w, &bins_b).unwrap();
+            assert_eq!(two_phase, s.solve(&w, &bins_b).unwrap(), "{a}");
+        }
     }
 
     #[test]
     fn pass_through_artifacts_are_not_cacheable() {
         let bins = BinSet::paper_example();
         let theta = crate::reliability::theta(0.9);
-        for a in [Algorithm::OpqExtended, Algorithm::Relaxed, Algorithm::Exact] {
+        for a in [
+            Algorithm::OpqExtended,
+            Algorithm::Baseline,
+            Algorithm::Relaxed,
+            Algorithm::Exact,
+        ] {
             let artifacts = a.solver().prepare(&bins, theta).unwrap();
             assert!(!artifacts.cacheable(), "{a}");
         }
-        for a in [Algorithm::Greedy, Algorithm::OpqBased, Algorithm::Baseline] {
+        for a in [Algorithm::Greedy, Algorithm::OpqBased] {
             let artifacts = a.solver().prepare(&bins, theta).unwrap();
             assert!(artifacts.cacheable(), "{a}");
         }

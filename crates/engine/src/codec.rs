@@ -40,8 +40,10 @@
 //! total: malformed or corrupted input — including a journal tail hit by
 //! a crash mid-append — returns `Err`, never panics. Before a record is
 //! accepted, its merged plan is audited against its own workload and bin
-//! menu, and every sub-plan against its own shard's instance, so no
-//! decoded record can make a later resubmission panic.
+//! menu, and every sub-plan against its own shard's instance; a plan that
+//! is structurally unsound or leaves a task short of its threshold is
+//! rejected. So no decoded record can make a later resubmission panic, and
+//! replay never serves an infeasible plan.
 
 use crate::service::{EngineRequest, ResolvedPlan, ShardWork};
 use slade_core::bin_set::BinSet;
@@ -151,11 +153,12 @@ pub fn encode(resolved: &ResolvedPlan) -> Json {
 /// Total over arbitrary input: structural problems, version mismatches,
 /// signature mismatches, and plans that fail their own audit all come back
 /// as `Err(description)` — a corrupted journal record can never panic the
-/// replayer or smuggle in an inconsistent plan. The audits cover the
-/// merged plan (against the record's workload) and every sub-plan: an
-/// `Opq { n, threshold }` sub-plan against `n` tasks at `threshold`, a
-/// `prepared` one against the record's workload. A sub-plan that passes
-/// references only task ids its shard owns, which is what lets
+/// replayer or smuggle in an inconsistent plan. A plan fails its audit when
+/// it is structurally unsound or leaves any task short of its threshold.
+/// The audits cover the merged plan (against the record's workload) and
+/// every sub-plan: an `Opq { n, threshold }` sub-plan against `n` tasks at
+/// `threshold`, a `prepared` one against the record's workload. A sub-plan
+/// that passes references only task ids its shard owns, which is what lets
 /// resubmission splice it in.
 pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
     let version = u32_of(req(json, "v")?, "`v`")?;
@@ -226,8 +229,7 @@ pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
     // The merged plan carries global task ids and is audited against the
     // decoded instance; sub-plans keep shard-local ids and are audited
     // against their own shard's instance.
-    plan.validate(&workload, &bins)
-        .map_err(|e| format!("decoded plan failed its audit: {e}"))?;
+    audit(&plan, &workload, &bins).map_err(|e| format!("decoded plan {e}"))?;
     for (i, (work, sub)) in works.iter().zip(&subs).enumerate() {
         let shard = match work {
             ShardWork::Opq { n, threshold } => Some(
@@ -242,8 +244,7 @@ pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
         if Arc::ptr_eq(sub, &plan) && *instance == workload {
             continue;
         }
-        sub.validate(instance, &bins)
-            .map_err(|e| format!("decoded sub-plan {i} failed its audit: {e}"))?;
+        audit(sub, instance, &bins).map_err(|e| format!("decoded sub-plan {i} {e}"))?;
     }
 
     let reused_shards = u32_of(req(json, "reused_shards")?, "`reused_shards`")? as usize;
@@ -257,6 +258,20 @@ pub fn decode(json: &Json) -> Result<ResolvedPlan, String> {
         plan,
         reused_shards,
     ))
+}
+
+/// Audits a decoded plan against `workload`: a structural error and a plan
+/// that leaves a task short of its threshold are both rejected, so replay
+/// never serves a plan no solver could have produced.
+fn audit(plan: &DecompositionPlan, workload: &Workload, bins: &BinSet) -> Result<(), String> {
+    match plan.validate(workload, bins) {
+        Err(e) => Err(format!("failed its audit: {e}")),
+        Ok(audit) if !audit.feasible => Err(format!(
+            "leaves {} task(s) short of their threshold",
+            audit.unsatisfied.len()
+        )),
+        Ok(_) => Ok(()),
+    }
 }
 
 fn decode_workload(json: &Json) -> Result<Workload, String> {
@@ -807,6 +822,25 @@ mod tests {
         format!("{}900{}", &good[..at], &good[at + 1..])
     }
 
+    /// A 6-task greedy record whose one sub-plan (which the merged plan
+    /// aliases) has task 0 renamed 5 in its first bin: structurally sound,
+    /// but task 0 falls short of its threshold.
+    fn plan_leaving_a_task_short() -> String {
+        let engine = engine();
+        let resolved = engine
+            .solve_resolved(EngineRequest::new(
+                Algorithm::Greedy,
+                Workload::homogeneous(6, 0.95).unwrap(),
+                paper_bins(),
+            ))
+            .unwrap();
+        engine.shutdown();
+        let good = written(&resolved);
+        let first = "\"bins\":[[1,[0]],[1,[1]],";
+        assert_eq!(good.matches(first).count(), 1, "{good}");
+        good.replace(first, "\"bins\":[[1,[5]],[1,[1]],")
+    }
+
     #[test]
     fn decode_rejects_corruption_without_panicking() {
         let engine = engine();
@@ -833,6 +867,7 @@ mod tests {
             good.replace("\"tasks\":4", "\"tasks\":0"),
             good.replace("\"works\":[", "\"works\":[\"prepared\","),
             sub_plan_naming_a_foreign_task(),
+            plan_leaving_a_task_short(),
         ] {
             if let Ok(json) = slade_json::parse(&bad) {
                 assert!(decode(&json).is_err(), "accepted corrupted record: {bad}");

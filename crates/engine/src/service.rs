@@ -1042,7 +1042,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slade_core::solver::DecompositionSolver;
 
     fn paper_bins() -> Arc<BinSet> {
         Arc::new(BinSet::paper_example())
@@ -1194,7 +1193,7 @@ mod tests {
     #[derive(Debug)]
     struct PanickingSolver;
 
-    impl slade_core::solver::DecompositionSolver for PanickingSolver {
+    impl PreparedSolver for PanickingSolver {
         fn name(&self) -> &'static str {
             "Panicking"
         }
@@ -1207,8 +1206,6 @@ mod tests {
             panic!("injected solver panic");
         }
     }
-
-    impl PreparedSolver for PanickingSolver {}
 
     #[test]
     fn solver_panics_surface_as_worker_panicked_not_a_hang() {
@@ -1295,7 +1292,7 @@ mod tests {
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
 
-    impl slade_core::solver::DecompositionSolver for BlockingSolver {
+    impl PreparedSolver for BlockingSolver {
         fn name(&self) -> &'static str {
             "Blocking"
         }
@@ -1311,8 +1308,6 @@ mod tests {
             slade_core::greedy::Greedy.solve(workload, bins)
         }
     }
-
-    impl PreparedSolver for BlockingSolver {}
 
     #[test]
     fn try_wait_surfaces_a_stuck_solve_without_wedging() {
@@ -1679,7 +1674,7 @@ mod tests {
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
 
-    impl slade_core::solver::DecompositionSolver for GatedSolver {
+    impl PreparedSolver for GatedSolver {
         fn name(&self) -> &'static str {
             "Gated"
         }
@@ -1696,8 +1691,6 @@ mod tests {
             slade_core::greedy::Greedy.solve(workload, bins)
         }
     }
-
-    impl PreparedSolver for GatedSolver {}
 
     /// Pins both workers of a two-thread engine behind gates; returns the
     /// blocked handles and the senders that release them.

@@ -181,8 +181,7 @@ fn cacheable_algorithms_hit_the_shared_cache_when_warm() {
     for (algorithm, workload) in [
         (Algorithm::OpqBased, homo.clone()),
         (Algorithm::OpqExtended, hetero),
-        (Algorithm::Greedy, homo.clone()),
-        (Algorithm::Baseline, homo),
+        (Algorithm::Greedy, homo),
     ] {
         let engine = Engine::new(config(2));
         let request = EngineRequest::new(algorithm, workload, Arc::clone(&bins));
@@ -195,6 +194,32 @@ fn cacheable_algorithms_hit_the_shared_cache_when_warm() {
             "{algorithm} second solve must hit the cache: {warm:?}"
         );
         assert_eq!(warm.misses, cold.misses, "{algorithm} warmed twice");
+    }
+}
+
+#[test]
+fn baseline_solves_take_no_cache_entry() {
+    // The baseline has no workload-independent prepare step, so its
+    // pass-through artifacts are never inserted: a resident OPQ entry is
+    // all the cache holds before, between and after baseline solves.
+    let bins = Arc::new(BinSet::paper_example());
+    let engine = Engine::new(config(2));
+    let opq = EngineRequest::new(
+        Algorithm::OpqBased,
+        Workload::homogeneous(40, 0.95).unwrap(),
+        Arc::clone(&bins),
+    );
+    engine.solve(opq).unwrap();
+    assert_eq!(engine.cache_stats().entries, 1);
+    for seed in [1, 1, 2] {
+        let request = EngineRequest::new(
+            Algorithm::Baseline,
+            Workload::homogeneous(40, 0.95).unwrap(),
+            Arc::clone(&bins),
+        )
+        .with_seed(seed);
+        engine.solve(request).unwrap();
+        assert_eq!(engine.cache_stats().entries, 1, "seed {seed}");
     }
 }
 

@@ -11,7 +11,7 @@
 //! cumulative steal counter must show that stealing actually happened.
 
 use slade_core::prelude::*;
-use slade_core::solver::{DecompositionSolver, PreparedSolver};
+use slade_core::solver::PreparedSolver;
 use slade_engine::{Engine, EngineConfig, EngineRequest, ResolvedHandle, Submit};
 use std::sync::Arc;
 use std::thread;
@@ -25,7 +25,7 @@ struct StallSolver {
     millis: u64,
 }
 
-impl DecompositionSolver for StallSolver {
+impl PreparedSolver for StallSolver {
     fn name(&self) -> &'static str {
         "Stall"
     }
@@ -35,8 +35,6 @@ impl DecompositionSolver for StallSolver {
         slade_core::greedy::Greedy.solve(workload, bins)
     }
 }
-
-impl PreparedSolver for StallSolver {}
 
 /// Splitmix64: a tiny, dependency-free generator good enough to derive
 /// schedules from a seed. Each call advances the state.

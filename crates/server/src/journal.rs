@@ -7,17 +7,17 @@
 //!
 //! ```text
 //! {"record":"land","id":"<plan id>","plan":{<codec v1 object>}}
-//! {"record":"release","id":"<plan id>"}
 //! ```
 //!
 //! `land` is written together with the store update that lands the plan
-//! (re-lands under the same id overwrite — last record wins on replay);
-//! `release` after an
-//! explicit lease release (an audit record: replayed plans are always
-//! unleased, because the sessions that held them died with the process).
-//! Any other record kind is corrupt and ends replay. Leases and claims are
-//! deliberately **not** journaled as state: they are session-scoped, and a
-//! restart has no sessions.
+//! (re-lands under the same id overwrite — last record wins on replay).
+//! Journals written by older builds may also hold
+//! `{"record":"release","id":"<plan id>"}` audit lines, written after an
+//! explicit lease release; replay still accepts and skips them (compaction
+//! then drops them), but nothing writes them any more. Any other record
+//! kind is corrupt and ends replay. Leases and claims are deliberately
+//! **not** journaled: they are session-scoped, a restart has no sessions,
+//! and so replayed plans are always unleased.
 //!
 //! ## Torn-tail rule
 //!
@@ -39,7 +39,7 @@
 //! would land behind that torn line, where replay never reaches it. So
 //! after a failed append (or a failed compaction, which may have swapped
 //! the file out from under the handle) the journal stops appending: the
-//! next `land` or `release` rewrites the file from the store by compaction
+//! next `land` rewrites the file from the store by compaction
 //! instead, under the same file mutex (the store already holds the plan
 //! being landed, and compaction reopens the append handle). Appends resume
 //! only once a compaction succeeds.
@@ -110,8 +110,7 @@ pub(crate) struct Journal {
     since_compact: AtomicU64,
     /// Set (under the file mutex) when an append or a compaction fails,
     /// cleared when a compaction succeeds: while set, the file may end in a
-    /// torn record, so lands and releases compact instead of appending
-    /// behind it.
+    /// torn record, so lands compact instead of appending behind it.
     torn: AtomicBool,
     /// The duration of every successful compaction, in microseconds.
     compact_us: Arc<WindowedHistogram>,
@@ -172,15 +171,6 @@ impl Journal {
             self.append(file, store, &line);
         }
         outcome
-    }
-
-    /// Journals an explicit lease release (an audit record; see the module
-    /// docs for why leases are not replayed as state).
-    pub(crate) fn release(&self, store: &PlanStore, id: &str) {
-        let mut line = String::from("{\"record\":\"release\",\"id\":");
-        write_string(id, &mut line);
-        line.push_str("}\n");
-        self.append(self.lock(), store, &line);
     }
 
     /// Appends `line` under the held file mutex — or, when an earlier
@@ -327,6 +317,7 @@ fn replay(bytes: &[u8], replayed: &mut u64) -> Vec<(String, Arc<ResolvedPlan>)> 
                     order.push(id.to_string());
                 }
             }
+            // Audit lines of older builds: accepted and skipped.
             "release" => {}
             _ => break,
         }

@@ -69,7 +69,7 @@ use slade_core::bin_set::BinSet;
 use slade_core::plan::{DecompositionPlan, PlanAudit};
 use slade_core::solver::Algorithm;
 use slade_core::task::Workload;
-use slade_engine::{EngineRequest, WorkloadDelta};
+use slade_engine::{EngineError, EngineRequest, ResolvedPlan, WorkloadDelta};
 use slade_json::{self as json, member, Json};
 use std::sync::Arc;
 
@@ -583,6 +583,29 @@ pub fn plan_summary_members(
     ]
 }
 
+/// One request's entry in a batch answer: `{"request": index, …summary}`
+/// for a resolved plan, `{"request": index, "error": …}` for a failure.
+/// The CLI's `batch` result lines and the server's `batch` response both
+/// come from here, so the two cannot drift apart.
+pub fn batch_entry(index: usize, result: &Result<ResolvedPlan, EngineError>) -> Json {
+    let mut members = vec![member("request", Json::number(index as f64))];
+    match result {
+        Ok(resolved) => {
+            let audit = resolved
+                .plan()
+                .validate(resolved.workload(), resolved.bins())
+                .expect("engine plans are structurally valid");
+            members.extend(plan_summary_members(
+                resolved.algorithm(),
+                resolved.workload(),
+                &audit,
+            ));
+        }
+        Err(e) => members.push(member("error", Json::string(e.to_string()))),
+    }
+    Json::Object(members)
+}
+
 /// A structured error response; `op` is included when the failing verb is
 /// known (parse failures happen before the verb is), `seq` when the failing
 /// request was tagged (so pipelining clients can correlate the error).
@@ -963,7 +986,7 @@ mod tests {
 
     #[test]
     fn plan_json_is_byte_stable_across_identical_solves() {
-        use slade_core::solver::DecompositionSolver;
+        use slade_core::solver::PreparedSolver;
         let bins = bins();
         let workload = Workload::homogeneous(4, 0.95).unwrap();
         let a = slade_core::opq_based::OpqBased::default()

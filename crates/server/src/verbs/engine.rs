@@ -230,25 +230,10 @@ fn batch_response(
 ) -> Json {
     let mut entries = Vec::with_capacity(results.size_hint().0);
     for (i, result) in results.enumerate() {
-        let mut members = vec![member("request", Json::number(i as f64))];
-        match result {
-            Ok(resolved) => {
-                let audit = resolved
-                    .plan()
-                    .validate(resolved.workload(), resolved.bins())
-                    .expect("engine plans are structurally valid");
-                members.extend(protocol::plan_summary_members(
-                    resolved.algorithm(),
-                    resolved.workload(),
-                    &audit,
-                ));
-            }
-            Err(e) => {
-                shared.counters.count_error();
-                members.push(member("error", Json::string(e.to_string())));
-            }
+        if result.is_err() {
+            shared.counters.count_error();
         }
-        entries.push(Json::Object(members));
+        entries.push(protocol::batch_entry(i, &result));
     }
     let mut members = vec![
         member("ok", Json::Bool(true)),

@@ -17,19 +17,12 @@ impl Session<'_> {
         };
         match moved {
             Err(e) => self.store_error(op, None, &e),
-            Ok(()) => {
-                if op == "release" {
-                    if let Some(journal) = &self.shared.journal {
-                        journal.release(&self.shared.store, id);
-                    }
-                }
-                Json::Object(vec![
-                    member("ok", Json::Bool(true)),
-                    member("op", Json::string(op)),
-                    member("id", Json::string(id)),
-                    member("session", Json::number(self.sid as f64)),
-                ])
-            }
+            Ok(()) => Json::Object(vec![
+                member("ok", Json::Bool(true)),
+                member("op", Json::string(op)),
+                member("id", Json::string(id)),
+                member("session", Json::number(self.sid as f64)),
+            ]),
         }
     }
 

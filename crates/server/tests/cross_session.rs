@@ -17,7 +17,7 @@
 
 use slade_core::bin_set::BinSet;
 use slade_core::plan::DecompositionPlan;
-use slade_core::solver::{Algorithm, DecompositionSolver, PreparedSolver};
+use slade_core::solver::{Algorithm, PreparedSolver};
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::{Engine, EngineConfig, EngineRequest};
@@ -37,7 +37,7 @@ struct SlowSolver {
     delay: Duration,
 }
 
-impl DecompositionSolver for SlowSolver {
+impl PreparedSolver for SlowSolver {
     fn name(&self) -> &'static str {
         "SlowGreedy"
     }
@@ -47,8 +47,6 @@ impl DecompositionSolver for SlowSolver {
         slade_core::greedy::Greedy.solve(workload, bins)
     }
 }
-
-impl PreparedSolver for SlowSolver {}
 
 fn slow_sentinel_middleware(delay: Duration) -> slade_server::RequestMiddleware {
     Arc::new(move |request: EngineRequest| {

@@ -24,7 +24,7 @@
 
 use slade_core::bin_set::BinSet;
 use slade_core::plan::DecompositionPlan;
-use slade_core::solver::{DecompositionSolver, PreparedSolver};
+use slade_core::solver::PreparedSolver;
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::EngineConfig;
@@ -427,7 +427,7 @@ struct GatedSolver {
     gate: Arc<(Mutex<(usize, bool)>, Condvar)>,
 }
 
-impl DecompositionSolver for GatedSolver {
+impl PreparedSolver for GatedSolver {
     fn name(&self) -> &'static str {
         "GatedGreedy"
     }
@@ -444,8 +444,6 @@ impl DecompositionSolver for GatedSolver {
         slade_core::greedy::Greedy.solve(workload, bins)
     }
 }
-
-impl PreparedSolver for GatedSolver {}
 
 #[test]
 fn health_flips_to_degraded_under_queue_saturation_and_recovers() {

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slade_core::bin_set::BinSet;
 use slade_core::plan::DecompositionPlan;
-use slade_core::solver::{DecompositionSolver, PreparedSolver};
+use slade_core::solver::PreparedSolver;
 use slade_core::task::Workload;
 use slade_core::SladeError;
 use slade_engine::EngineConfig;
@@ -49,7 +49,7 @@ struct SlowSolver {
     delay: Duration,
 }
 
-impl DecompositionSolver for SlowSolver {
+impl PreparedSolver for SlowSolver {
     fn name(&self) -> &'static str {
         "SlowGreedy"
     }
@@ -59,8 +59,6 @@ impl DecompositionSolver for SlowSolver {
         slade_core::greedy::Greedy.solve(workload, bins)
     }
 }
-
-impl PreparedSolver for SlowSolver {}
 
 /// Middleware slowing every greedy request of exactly `tasks` tasks by the
 /// paired delay.
