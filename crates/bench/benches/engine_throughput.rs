@@ -4,9 +4,11 @@
 //!   workers with the artifact cache *disabled*, so every request performs
 //!   real enumeration + DP work and the comparison isolates the pool;
 //! * **per-algorithm cache effect** — cold versus warm batches at fixed
-//!   threads for every cacheable algorithm (OpqBased, OpqExtended, Greedy,
-//!   Baseline), isolating what the two-phase `prepare`/`solve_with`
-//!   pipeline reuses for each.
+//!   threads for the two algorithms whose shards use the artifact cache
+//!   (OpqBased, and OpqExtended through its per-bucket OpqBased shards),
+//!   isolating what the two-phase `prepare`/`solve_with` pipeline reuses.
+//!   Every other algorithm runs its one-shot `solve`, so it has no warm
+//!   path to time.
 //!
 //! Quick mode (the default, used by the CI smoke step) keeps the batch
 //! small; `SLADE_BENCH_FULL=1` sweeps the paper-scale grid. Reported
@@ -43,12 +45,8 @@ fn grid_batch(full: bool, bins: &Arc<BinSet>, copies: u32) -> Vec<EngineRequest>
 }
 
 /// The warm/cold batch for one algorithm: the shapes its artifact reuse is
-/// sensitive to (homogeneous grids for the homogeneous-threshold solvers,
-/// the fig7 heterogeneous ranges for OpqExtended; the column-heavy baseline
-/// keeps its own smaller cap). The greedy runs over the fig6e synthetic
-/// 8-cardinality menu instead of the 3-bin paper menu: its cached ladder
-/// skips the per-round `O(m·l)` menu scan, whose weight grows with the
-/// menu, so the wider menu is where the reuse it offers actually shows.
+/// sensitive to (the homogeneous fig6 grid for OpqBased, the fig7
+/// heterogeneous ranges for OpqExtended).
 fn algorithm_batch(algorithm: Algorithm, full: bool, bins: &Arc<BinSet>) -> Vec<EngineRequest> {
     let mut requests = Vec::new();
     match algorithm {
@@ -59,29 +57,6 @@ fn algorithm_batch(algorithm: Algorithm, full: bool, bins: &Arc<BinSet>) -> Vec<
                         algorithm,
                         instances::heterogeneous(n, lo, hi, 42 + i as u64),
                         Arc::clone(bins),
-                    ));
-                }
-            }
-        }
-        Algorithm::Baseline => {
-            for n in [50u32, 100, 200] {
-                for &t in &sweeps::THRESHOLDS {
-                    requests.push(EngineRequest::new(
-                        algorithm,
-                        instances::homogeneous(n.min(sweeps::BASELINE_SOLVER_MAX_N), t),
-                        Arc::clone(bins),
-                    ));
-                }
-            }
-        }
-        Algorithm::Greedy => {
-            let wide = Arc::new(instances::synthetic_bins(8));
-            for &n in sweeps::scale_grid(full) {
-                for &t in &sweeps::THRESHOLDS {
-                    requests.push(EngineRequest::new(
-                        algorithm,
-                        instances::homogeneous(n, t),
-                        Arc::clone(&wide),
                     ));
                 }
             }
@@ -239,12 +214,7 @@ fn main() {
 
     // Per-algorithm warm/cold grids: what the two-phase pipeline actually
     // reuses, per solver.
-    for algorithm in [
-        Algorithm::OpqBased,
-        Algorithm::OpqExtended,
-        Algorithm::Greedy,
-        Algorithm::Baseline,
-    ] {
+    for algorithm in [Algorithm::OpqBased, Algorithm::OpqExtended] {
         records.extend(warm_cold_grid(algorithm, full, &bins, n_threads));
     }
 

@@ -147,7 +147,7 @@ pub mod report {
     /// normalize; only same-named cases are comparable across PRs.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BenchRecord {
-        /// Stable case label, e.g. `engine/greedy/warm`.
+        /// Stable case label, e.g. `engine/opq-based/warm`.
         pub name: String,
         /// Problem scale of the case (tasks, requests, or items per unit).
         pub n: u64,

@@ -18,6 +18,14 @@
 //! (DESIGN.md scaling seam #1). The pop order equals the old sort order, so
 //! plans are bit-for-bit identical to the previous implementation.
 //!
+//! Each solve first walks a *uniform-level ladder* from the workload's
+//! largest `θ`: the bin a round would elect when a full top of tasks sits at
+//! one residual level. Interior rounds of a homogeneous solve are exactly
+//! that case and take their bin from the ladder instead of scanning the
+//! menu; every other round scans, so the ladder changes no plan bit. The
+//! walk is cheap next to the solve, so the greedy has no artifacts to
+//! prepare or cache.
+//!
 //! Fast in practice and the reference point the paper's experiments compare
 //! against; OPQ-Based/OPQ-Extended dominate it on cost in the homogeneous
 //! and heterogeneous settings respectively.
@@ -34,49 +42,63 @@
 use crate::bin_set::BinSet;
 use crate::error::SladeError;
 use crate::plan::DecompositionPlan;
-use crate::reliability::{satisfies, WEIGHT_EPS};
-use crate::solver::{expect_artifacts, PreparedSolver, SolveArtifacts};
+use crate::reliability::{self, satisfies, WEIGHT_EPS};
+use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
-use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// The Algorithm-1 greedy heuristic. Stateless; the unit struct is its own
 /// default configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;
 
-/// Upper bound on precomputed ladder rungs; extreme `θ / min-weight` ratios
-/// stop early (deeper levels just fall back to the per-round scan).
+/// Upper bound on ladder rungs; extreme `θ / min-weight` ratios stop early
+/// (deeper levels just fall back to the per-round scan).
 const LADDER_CAP: usize = 4_096;
 
-/// The greedy's reusable artifacts for one `(BinSet, θ)`: the transformed
-/// threshold plus the *uniform-level ladder* — for every residual level `r`
+/// The *uniform-level ladder* from one `θ`: for every residual level `r`
 /// reachable from `θ` by repeatedly applying the most cost-effective bin,
-/// the precomputed winner of the per-round bin scan when at least
-/// `max_cardinality` open tasks all sit at residual `r`.
+/// the winner of the per-round bin scan when at least `max_cardinality`
+/// open tasks all sit at residual `r`, as `(residual bit pattern, winning
+/// bin index)` in descent order.
 ///
-/// In a homogeneous solve every interior round (all popped tasks at the same
-/// residual, enough tasks open) is exactly that situation, so
-/// [`Greedy::solve_with`] answers it from the ladder instead of rescanning
-/// the menu. Rounds that mix residual levels (bucket boundaries, the
-/// endgame, heterogeneous workloads) take the ordinary scan, so plans stay
-/// bit-for-bit identical to [`Greedy::solve`]: the ladder is
+/// In a homogeneous solve every interior round (all popped tasks at the
+/// same residual, enough tasks open) is exactly that situation, so the
+/// solve answers it from the ladder instead of rescanning the menu. Rounds
+/// that mix residual levels (bucket boundaries, the endgame, most rounds of
+/// a heterogeneous workload) take the ordinary scan, and the ladder is
 /// consulted only when its precondition — identical inputs to the scan —
-/// holds by bit comparison.
-#[derive(Debug, Clone)]
-pub struct GreedyArtifacts {
-    theta: f64,
-    /// Signature of the bin menu the ladder's bin indices refer to;
-    /// `solve_with` rejects a different menu.
-    bins_signature: u64,
-    /// `(residual bit pattern, winning bin index)` per uniform level, in
-    /// descent order from `θ`.
-    ladder: Vec<(u64, usize)>,
-}
+/// holds by bit comparison, so plans are bit-for-bit those of a scan-only
+/// loop.
+#[derive(Debug)]
+struct Ladder(Vec<(u64, usize)>);
 
-impl GreedyArtifacts {
+impl Ladder {
+    /// Walks the uniform descent from `theta` over `bins`, up to
+    /// [`LADDER_CAP`] rungs.
+    fn walk(bins: &BinSet, theta: f64) -> Ladder {
+        let max_card = bins.max_cardinality() as usize;
+        let mut rungs = Vec::new();
+        let mut r = theta;
+        while !satisfies(0.0, r) && rungs.len() < LADDER_CAP {
+            let Some(bin) = scan_bins(bins, max_card, |_| r) else {
+                break; // no effective bin at this level: let the rounds scan
+            };
+            debug_assert!(
+                rungs.last().map_or(true, |&(bits, _)| bits > r.to_bits()),
+                "ladder must descend strictly (lookup binary-searches it)"
+            );
+            rungs.push((r.to_bits(), bin));
+            let next = r - bins.bins()[bin].weight();
+            if next.to_bits() == r.to_bits() {
+                break; // denormal-small weight: no progress, stop the walk
+            }
+            r = next;
+        }
+        Ladder(rungs)
+    }
+
     /// The precomputed scan winner for a uniform top at `residual_bits`.
     ///
     /// The ladder descends strictly (each rung subtracts a positive bin
@@ -84,35 +106,19 @@ impl GreedyArtifacts {
     /// order like the values, so this is a binary search over the
     /// descending `bits` — `O(log rungs)` per round even for deep ladders.
     fn lookup(&self, residual_bits: u64) -> Option<usize> {
-        self.ladder
+        self.0
             .binary_search_by(|&(bits, _)| residual_bits.cmp(&bits))
             .ok()
-            .map(|i| self.ladder[i].1)
-    }
-
-    /// Number of precomputed uniform levels (test hook).
-    pub fn rungs(&self) -> usize {
-        self.ladder.len()
-    }
-}
-
-impl SolveArtifacts for GreedyArtifacts {
-    fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+            .map(|i| self.0[i].1)
     }
 }
 
 /// The per-round bin election: the bin minimizing `c / Σ_{j<min(l,count)}
 /// min(w, residual(j))`, ties to the earlier menu index; `None` when no bin
 /// is effective. This is the ONE copy of the scan — both the in-solve round
-/// (per-entry residuals) and the ladder precompute (uniform residual) call
-/// it, so the float operations are identical by construction and the
-/// ladder's precomputed winner is bit-for-bit the winner a live scan would
-/// elect.
+/// (per-entry residuals) and the ladder walk (uniform residual) call it, so
+/// the float operations are identical by construction and a rung's winner
+/// is bit-for-bit the winner a live scan would elect.
 fn scan_bins(bins: &BinSet, count: usize, residual: impl Fn(usize) -> f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, b) in bins.bins().iter().enumerate() {
@@ -163,17 +169,12 @@ impl PartialOrd for Entry {
 }
 
 impl Greedy {
-    /// The shared greedy loop behind [`Greedy::solve`] (no artifacts) and
-    /// [`Greedy::solve_with`] (ladder-seeded). The ladder only short-circuits
-    /// rounds whose scan inputs provably (by bit comparison) match the
-    /// precomputed uniform level, so both paths emit identical plans.
-    fn run(
-        &self,
-        workload: &Workload,
-        bins: &BinSet,
-        artifacts: Option<&GreedyArtifacts>,
-    ) -> DecompositionPlan {
+    /// The greedy loop. It walks the [`Ladder`] from the workload's largest
+    /// `θ` — every level of a homogeneous workload — and lets it answer the
+    /// rounds whose scan inputs provably (by bit comparison) match a rung.
+    fn run(&self, workload: &Workload, bins: &BinSet) -> DecompositionPlan {
         let n = workload.len();
+        let ladder = Ladder::walk(bins, reliability::theta(workload.max_threshold()));
         // Residual transformed demand per task.
         let mut residual: Vec<f64> = workload.thetas().collect();
         // Current entry version per task; heap entries with an older version
@@ -203,21 +204,14 @@ impl Greedy {
             }
 
             // Interior fast path: a full top whose residuals are all
-            // bit-equal is exactly the situation the ladder precomputed —
-            // the scan's winner is already known.
-            let precomputed = artifacts.and_then(|arts| {
-                if top.len() == max_card {
-                    let bits = top[0].residual.to_bits();
-                    if top.iter().all(|e| e.residual.to_bits() == bits) {
-                        return arts.lookup(bits);
-                    }
-                }
-                None
-            });
+            // bit-equal is exactly the situation a rung precomputed — the
+            // scan's winner is already known.
+            let bits = top[0].residual.to_bits();
+            let uniform = top.len() == max_card && top.iter().all(|e| e.residual.to_bits() == bits);
 
             // Pick the most cost-effective bin type for the current top
             // residuals.
-            let i = match precomputed {
+            let i = match uniform.then(|| ladder.lookup(bits)).flatten() {
                 Some(i) => i,
                 // Residuals of open tasks are strictly positive and weights
                 // are strictly positive, so some bin is always effective.
@@ -257,53 +251,12 @@ impl PreparedSolver for Greedy {
     }
 
     fn solve(&self, workload: &Workload, bins: &BinSet) -> Result<DecompositionPlan, SladeError> {
-        Ok(self.run(workload, bins, None))
+        Ok(self.run(workload, bins))
     }
 
-    fn prepare(&self, bins: &BinSet, theta: f64) -> Result<Arc<dyn SolveArtifacts>, SladeError> {
-        let max_card = bins.max_cardinality() as usize;
-        let mut ladder = Vec::new();
-        let mut r = theta;
-        while !satisfies(0.0, r) && ladder.len() < LADDER_CAP {
-            let Some(bin) = scan_bins(bins, max_card, |_| r) else {
-                break; // no effective bin at this level: let solves scan
-            };
-            debug_assert!(
-                ladder.last().map_or(true, |&(bits, _)| bits > r.to_bits()),
-                "ladder must descend strictly (lookup binary-searches it)"
-            );
-            ladder.push((r.to_bits(), bin));
-            let next = r - bins.bins()[bin].weight();
-            if next.to_bits() == r.to_bits() {
-                break; // denormal-small weight: no progress, stop the walk
-            }
-            r = next;
-        }
-        Ok(Arc::new(GreedyArtifacts {
-            theta,
-            bins_signature: bins.signature(),
-            ladder,
-        }))
-    }
-
-    fn solve_with(
-        &self,
-        artifacts: &dyn SolveArtifacts,
-        workload: &Workload,
-        bins: &BinSet,
-    ) -> Result<DecompositionPlan, SladeError> {
-        let artifacts = expect_artifacts::<GreedyArtifacts>(self.name(), artifacts)?;
-        if artifacts.bins_signature != bins.signature() {
-            return Err(SladeError::ArtifactMismatch {
-                solver: self.name(),
-                detail: "artifacts were prepared for a different bin menu".into(),
-            });
-        }
-        Ok(self.run(workload, bins, Some(artifacts)))
-    }
-
-    // No knobs: the greedy is a unit struct, so `(BinSet, θ)` alone
-    // identifies its artifacts.
+    // No `prepare` override: the ladder walk is cheap next to the rounds
+    // it answers, so every solve builds its own and the greedy takes the
+    // pass-through `prepare`/`solve_with` defaults.
 }
 
 #[cfg(test)]
@@ -355,6 +308,10 @@ mod tests {
         plan
     }
 
+    /// Release runs (the CI reference step) take homogeneous sizes up to
+    /// 2 000; debug runs a share that keeps the default test suite fast.
+    const FULL_SWEEP: bool = !cfg!(debug_assertions);
+
     #[test]
     fn lazy_heap_matches_resort_reference_exactly() {
         let menus = [
@@ -377,6 +334,29 @@ mod tests {
                     reference_solve(&hetero, bins),
                     "n = {n}"
                 );
+            }
+        }
+        // Ladder-heavy inputs: homogeneous workloads over the fig6
+        // thresholds on the paper menu and the synthetic 4-, 6- and 8-wide
+        // menus, where the ladder answers nearly every round (all but 3 of
+        // 2 667 at n = 2 000, t = 0.95 on the paper menu).
+        let wide = [4, 6, 8].map(crate::opq_based::tests::synthetic_menu);
+        let sizes: &[u32] = if FULL_SWEEP {
+            &[3, 16, 129, 500, 2_000]
+        } else {
+            &[3, 16, 129]
+        };
+        for bins in std::iter::once(&menus[0]).chain(&wide) {
+            for t in [0.85, 0.90, 0.95, 0.99] {
+                for &n in sizes {
+                    let w = Workload::homogeneous(n, t).unwrap();
+                    assert_eq!(
+                        Greedy.solve(&w, bins).unwrap(),
+                        reference_solve(&w, bins),
+                        "|B| = {}, t = {t}, n = {n}",
+                        bins.len()
+                    );
+                }
             }
         }
         // Tie-prone inputs. A confidence 1 - 2^-k weighs k·ln 2 up to
@@ -405,37 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_pipeline_matches_one_shot_exactly() {
-        let menus = [
-            BinSet::paper_example(),
-            BinSet::new([(1, 0.9, 0.1), (3, 0.55, 0.12), (5, 0.6, 0.22)]).unwrap(),
-        ];
-        let mut rng = StdRng::seed_from_u64(0x1adde);
-        for bins in &menus {
-            for n in [1u32, 2, 7, 40, 300] {
-                for t in [0.5, 0.95, 0.999] {
-                    let w = Workload::homogeneous(n, t).unwrap();
-                    let artifacts = Greedy.prepare(bins, w.theta(0)).unwrap();
-                    let two_phase = Greedy.solve_with(artifacts.as_ref(), &w, bins).unwrap();
-                    assert_eq!(
-                        two_phase,
-                        Greedy.solve(&w, bins).unwrap(),
-                        "n = {n}, t = {t}"
-                    );
-                }
-                // Heterogeneous workloads with artifacts anchored at θ_max:
-                // the ladder rarely fires, but plans must stay identical.
-                let thresholds: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..0.995)).collect();
-                let w = Workload::heterogeneous(thresholds).unwrap();
-                let theta_max = w.thetas().fold(f64::MIN, f64::max);
-                let artifacts = Greedy.prepare(bins, theta_max).unwrap();
-                let two_phase = Greedy.solve_with(artifacts.as_ref(), &w, bins).unwrap();
-                assert_eq!(two_phase, Greedy.solve(&w, bins).unwrap(), "n = {n}");
-            }
-        }
-    }
-
-    #[test]
     fn ladder_walks_the_uniform_descent() {
         // t = 0.95 over the paper menu: level θ(0.95) elects b1 (ratio
         // 0.0434 beats b2's 0.0474 and b3's 0.0497), then level
@@ -443,16 +392,12 @@ mod tests {
         // 0.130), after which one b3 weight clears the residual.
         let bins = BinSet::paper_example();
         let theta = crate::reliability::theta(0.95);
-        let artifacts = Greedy.prepare(&bins, theta).unwrap();
-        let arts = artifacts
-            .as_any()
-            .downcast_ref::<GreedyArtifacts>()
-            .unwrap();
-        assert_eq!(arts.rungs(), 2);
-        assert_eq!(arts.lookup(theta.to_bits()), Some(0));
+        let ladder = Ladder::walk(&bins, theta);
+        assert_eq!(ladder.0.len(), 2);
+        assert_eq!(ladder.lookup(theta.to_bits()), Some(0));
         let level1 = theta - bins.bins()[0].weight();
-        assert_eq!(arts.lookup(level1.to_bits()), Some(2));
-        assert_eq!(arts.lookup(1.0f64.to_bits()), None);
+        assert_eq!(ladder.lookup(level1.to_bits()), Some(2));
+        assert_eq!(ladder.lookup(1.0f64.to_bits()), None);
     }
 
     #[test]

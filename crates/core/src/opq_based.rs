@@ -455,7 +455,7 @@ impl PreparedSolver for OpqBased {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reliability;
 
@@ -697,20 +697,23 @@ mod tests {
         }
     }
 
+    /// A synthetic `|B|` sweep menu of width `m` (`slade-bench`'s
+    /// `instances::synthetic_bins`, which this crate cannot depend on).
+    pub(crate) fn synthetic_menu(m: u32) -> BinSet {
+        BinSet::new((1..=m).map(|l| {
+            let lf = f64::from(l);
+            let confidence = 0.92 - 0.04 * (lf - 1.0) / (1.0 + 0.2 * (lf - 1.0));
+            let cost = 0.10 * lf * (1.0 - 0.05 * (lf - 1.0).min(8.0) / 8.0);
+            (l, confidence, cost)
+        }))
+        .unwrap()
+    }
+
     /// The fig6 menus: the paper's Table 1 and the synthetic `|B|` sweep
-    /// menus of widths 2–32 (`slade-bench`'s `instances::synthetic_bins`).
+    /// menus of widths 2–32.
     fn fig6_menus() -> Vec<BinSet> {
-        let synthetic = |m: u32| {
-            BinSet::new((1..=m).map(|l| {
-                let lf = f64::from(l);
-                let confidence = 0.92 - 0.04 * (lf - 1.0) / (1.0 + 0.2 * (lf - 1.0));
-                let cost = 0.10 * lf * (1.0 - 0.05 * (lf - 1.0).min(8.0) / 8.0);
-                (l, confidence, cost)
-            }))
-            .unwrap()
-        };
         let mut menus = vec![BinSet::paper_example()];
-        menus.extend([2, 4, 8, 16, 32].map(synthetic));
+        menus.extend([2, 4, 8, 16, 32].map(synthetic_menu));
         menus
     }
 

@@ -6,10 +6,9 @@
 //!
 //! ## The two-phase pipeline
 //!
-//! Most of a solver's work is a function of `(BinSet, θ)` alone, not of the
-//! workload size `n`: OPQ enumeration, the group DP, the greedy's
-//! cost-effectiveness ladder. Besides the one-shot
-//! [`solve`](PreparedSolver::solve), the trait splits every solver
+//! Most of OPQ-Based's work is a function of `(BinSet, θ)` alone, not of
+//! the workload size `n`: OPQ enumeration and the group DP. Besides the
+//! one-shot [`solve`](PreparedSolver::solve), the trait splits every solver
 //! accordingly:
 //!
 //! * [`prepare`](PreparedSolver::prepare) runs the instance-independent part
@@ -23,14 +22,17 @@
 //!   ([`Fingerprint`](crate::fingerprint::Fingerprint)) are derived from the
 //!   same impl that builds the artifacts and can never drift from it.
 //!
-//! Solvers whose work has no reusable prefix ([`ExactSolver`], [`Relaxed`],
-//! [`Baseline`]) fall back to the trait's trivial pass-through defaults, and
-//! so does [`OpqExtended`]: its reusable work is per threshold bucket, and
-//! `slade-engine` reaches it by splitting a request into per-bucket
-//! [`OpqBased`] shards, which prepare and cache on their own. The
-//! [`Baseline`]'s covering program is shaped by the workload, so nothing of
-//! it can be prepared ahead (DESIGN.md keeps dual-priced column generation,
-//! which could, as an open seam).
+//! [`OpqBased`] is the one solver that overrides `prepare`/`solve_with`.
+//! Solvers whose work has no reusable prefix worth keeping ([`Greedy`],
+//! [`ExactSolver`], [`Relaxed`], [`Baseline`]) fall back to the trait's
+//! trivial pass-through defaults, and so does [`OpqExtended`]: its reusable
+//! work is per threshold bucket, and `slade-engine` reaches it by splitting
+//! a request into per-bucket [`OpqBased`] shards, which prepare and cache on
+//! their own. The [`Greedy`]'s cost-effectiveness ladder is cheap next to
+//! its rounds, so every solve walks its own. The [`Baseline`]'s covering
+//! program is shaped by the workload, so nothing of it can be prepared
+//! ahead (DESIGN.md keeps dual-priced column generation, which could, as an
+//! open seam).
 
 use crate::baseline::Baseline;
 use crate::bin_set::BinSet;
@@ -60,12 +62,6 @@ pub trait SolveArtifacts: Any + Send + Sync + fmt::Debug {
 
     /// The artifacts as [`Any`], for solver-side downcasting.
     fn as_any(&self) -> &dyn Any;
-
-    /// Whether caching these artifacts buys anything. Pass-through solvers
-    /// return `false` so caches need not spend entries on empty state.
-    fn cacheable(&self) -> bool {
-        true
-    }
 }
 
 /// The artifacts of a solver with no reusable prepare step: just the θ the
@@ -90,10 +86,6 @@ impl SolveArtifacts for PassThroughArtifacts {
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-
-    fn cacheable(&self) -> bool {
-        false
     }
 }
 
@@ -421,27 +413,29 @@ mod tests {
 
     #[test]
     fn artifacts_prepared_for_another_bin_menu_are_rejected() {
-        // Artifacts carry bin indices (OPQ pool, greedy ladder), so serving
-        // a different menu must fail with ArtifactMismatch, not misapply
-        // indices or silently change the plan.
+        // OPQ artifacts carry pool bin indices, so serving a different menu
+        // must fail with ArtifactMismatch, not misapply indices or silently
+        // change the plan.
         let bins_a = BinSet::paper_example();
         let bins_b = BinSet::new([(1, 0.9, 0.1), (4, 0.7, 0.3)]).unwrap();
         let theta = crate::reliability::theta(0.9);
         let w = Workload::homogeneous(5, 0.9).unwrap();
-        for a in [Algorithm::Greedy, Algorithm::OpqBased] {
-            let s = a.solver();
-            let artifacts = s.prepare(&bins_a, theta).unwrap();
-            assert!(
-                matches!(
-                    s.solve_with(artifacts.as_ref(), &w, &bins_b),
-                    Err(SladeError::ArtifactMismatch { .. })
-                ),
-                "{a} accepted foreign-menu artifacts"
-            );
-        }
+        let opq = Algorithm::OpqBased.solver();
+        let artifacts = opq.prepare(&bins_a, theta).unwrap();
+        assert!(
+            matches!(
+                opq.solve_with(artifacts.as_ref(), &w, &bins_b),
+                Err(SladeError::ArtifactMismatch { .. })
+            ),
+            "OpqBased accepted foreign-menu artifacts"
+        );
         // Pass-through artifacts carry no menu state, so they serve any
         // menu: the plan is the one-shot plan for the menu given.
-        for a in [Algorithm::OpqExtended, Algorithm::Baseline] {
+        for a in [
+            Algorithm::Greedy,
+            Algorithm::OpqExtended,
+            Algorithm::Baseline,
+        ] {
             let s = a.solver();
             let artifacts = s.prepare(&bins_a, theta).unwrap();
             let two_phase = s.solve_with(artifacts.as_ref(), &w, &bins_b).unwrap();
@@ -450,21 +444,13 @@ mod tests {
     }
 
     #[test]
-    fn pass_through_artifacts_are_not_cacheable() {
+    fn only_opq_based_prepares_artifacts_of_its_own() {
         let bins = BinSet::paper_example();
         let theta = crate::reliability::theta(0.9);
-        for a in [
-            Algorithm::OpqExtended,
-            Algorithm::Baseline,
-            Algorithm::Relaxed,
-            Algorithm::Exact,
-        ] {
+        for a in Algorithm::ALL {
             let artifacts = a.solver().prepare(&bins, theta).unwrap();
-            assert!(!artifacts.cacheable(), "{a}");
-        }
-        for a in [Algorithm::Greedy, Algorithm::OpqBased] {
-            let artifacts = a.solver().prepare(&bins, theta).unwrap();
-            assert!(artifacts.cacheable(), "{a}");
+            let pass_through = artifacts.as_any().is::<PassThroughArtifacts>();
+            assert_eq!(pass_through, a != Algorithm::OpqBased, "{a}");
         }
     }
 

@@ -2,31 +2,21 @@
 //! `Arc`-shared solve artifacts with single-flight cold misses.
 
 use slade_core::fingerprint::Fingerprint;
-use slade_core::solver::{Algorithm, SolveArtifacts};
+use slade_core::solver::SolveArtifacts;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// The cache key: which algorithm's `prepare` ran, over which
-/// [`Fingerprint`] (bin-menu signature, θ bits, and the solver's own knob
-/// digest). One cache serves every request type; the `Algorithm` component
-/// keeps two solvers' artifacts apart even when their knob words coincide.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// The algorithm whose [`prepare`](slade_core::solver::PreparedSolver)
-    /// produced (or will produce) the entry.
-    pub algorithm: Algorithm,
-    /// The canonical identity of the prepare computation.
-    pub fingerprint: Fingerprint,
-}
 
 /// Shards of the [`ArtifactCache`] table. A small fixed power of two:
 /// shard choice is the fingerprint digest's low bits, and 16 independent
 /// locks already out-number the worker pool on every deployment target.
 pub const CACHE_SHARDS: usize = 16;
 
-/// A thread-safe cache from [`CacheKey`] to type-erased [`SolveArtifacts`],
-/// shared by every worker of an [`Engine`].
+/// A thread-safe cache from [`Fingerprint`] (bin-menu signature, θ bits,
+/// and the solver's own knob digest) to type-erased [`SolveArtifacts`],
+/// shared by every worker of an [`Engine`]. The engine keys only
+/// `OpqBased` artifacts here — the one solver with a `prepare` worth
+/// keeping — so every lookup is one an OPQ shard made.
 ///
 /// Keys hash by the fingerprint's 64-bit digest but compare by full key
 /// material (`Fingerprint`'s `Eq` checks the bin menu by content), so an FNV
@@ -68,11 +58,6 @@ pub const CACHE_SHARDS: usize = 16;
 /// Values are `Arc`ed, so a hit hands out a shared reference while the entry
 /// may be concurrently evicted — readers are never invalidated.
 ///
-/// Artifacts reporting [`SolveArtifacts::cacheable`]` == false`
-/// (pass-through solvers) are computed but never inserted, so trivial
-/// entries cannot evict expensive ones; under single-flight the leader's
-/// value is still handed to the waiters of that one race.
-///
 /// A capacity of `0` disables caching (every lookup computes); the engine
 /// uses that for apples-to-apples cold benchmarks.
 ///
@@ -100,10 +85,10 @@ pub struct ArtifactCache {
 /// hit takes (read half); `flights` is a cold-miss-only side table.
 #[derive(Debug, Default)]
 struct Shard {
-    map: RwLock<HashMap<CacheKey, Slot>>,
+    map: RwLock<HashMap<Fingerprint, Slot>>,
     /// In-flight cold computations, keyed like `map`. Only missing lookups
     /// touch this mutex, so it cannot contend with warm hits.
-    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    flights: Mutex<HashMap<Fingerprint, Arc<Flight>>>,
 }
 
 #[derive(Debug)]
@@ -124,8 +109,7 @@ struct Flight {
 #[derive(Debug, Clone)]
 enum FlightState {
     Pending,
-    /// The leader's artifacts (published whether or not they were
-    /// cacheable — the racers of this one key still share the value).
+    /// The leader's artifacts.
     Ready(Arc<dyn SolveArtifacts>),
     /// The leader's compute failed; waiters fall back to computing
     /// individually, so each caller sees its own error.
@@ -268,13 +252,12 @@ impl ArtifactCache {
 
     /// Returns the artifacts for `key`, computing and caching them with
     /// `compute` on a miss. Errors from `compute` are passed through and
-    /// nothing is cached; non-[`cacheable`](SolveArtifacts::cacheable)
-    /// results are returned without being inserted. Concurrent misses on
+    /// nothing is cached. Concurrent misses on
     /// the same key compute **once** (single-flight); `compute` runs
     /// outside every table lock.
     pub fn get_or_try_insert_with<E>(
         &self,
-        key: CacheKey,
+        key: Fingerprint,
         compute: impl FnOnce() -> Result<Arc<dyn SolveArtifacts>, E>,
     ) -> Result<Arc<dyn SolveArtifacts>, E> {
         if self.capacity == 0 {
@@ -328,11 +311,9 @@ impl ArtifactCache {
         self.compute_and_publish(shard, Some(flight), key, compute)
     }
 
-    /// The shard `key` lives in: the fingerprint digest's low bits (the
-    /// digest already mixes every key component except the algorithm, whose
-    /// co-residence in one shard is harmless).
-    fn shard_of(&self, key: &CacheKey) -> &Shard {
-        &self.shards[(key.fingerprint.as_u64() as usize) % self.shards.len()]
+    /// The shard `key` lives in: the fingerprint digest's low bits.
+    fn shard_of(&self, key: &Fingerprint) -> &Shard {
+        &self.shards[(key.as_u64() as usize) % self.shards.len()]
     }
 
     /// Leader (or post-failure fallback) compute: run `compute` outside all
@@ -341,7 +322,7 @@ impl ArtifactCache {
         &self,
         shard: &Shard,
         flight: Option<Arc<Flight>>,
-        key: CacheKey,
+        key: Fingerprint,
         compute: impl FnOnce() -> Result<Arc<dyn SolveArtifacts>, E>,
     ) -> Result<Arc<dyn SolveArtifacts>, E> {
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -356,7 +337,9 @@ impl ArtifactCache {
             }
         };
 
-        if computed.cacheable() {
+        // Scoped: the map's write lock must be released before the flights
+        // lock below (the cold path re-probes the map under `flights`).
+        {
             let mut map = shard
                 .map
                 .write()
@@ -405,7 +388,7 @@ impl ArtifactCache {
     }
 
     /// One warm probe: shard read lock, stamp bump, `Arc` clone.
-    fn probe(&self, shard: &Shard, key: &CacheKey) -> Option<Arc<dyn SolveArtifacts>> {
+    fn probe(&self, shard: &Shard, key: &Fingerprint) -> Option<Arc<dyn SolveArtifacts>> {
         let map = shard
             .map
             .read()
@@ -425,16 +408,13 @@ mod tests {
     use slade_core::bin_set::BinSet;
     use slade_core::opq_based::OpqBased;
     use slade_core::reliability::theta;
-    use slade_core::solver::{PassThroughArtifacts, PreparedSolver};
+    use slade_core::solver::PreparedSolver;
     use slade_core::SladeError;
 
-    fn key_and_artifacts(t: f64) -> (CacheKey, Arc<dyn SolveArtifacts>) {
+    fn key_and_artifacts(t: f64) -> (Fingerprint, Arc<dyn SolveArtifacts>) {
         let bins = Arc::new(BinSet::paper_example());
         let solver = OpqBased::default();
-        let key = CacheKey {
-            algorithm: Algorithm::OpqBased,
-            fingerprint: Fingerprint::new(Arc::clone(&bins), theta(t), &solver),
-        };
+        let key = Fingerprint::new(Arc::clone(&bins), theta(t), &solver);
         let artifacts = solver.prepare(&bins, theta(t)).unwrap();
         (key, artifacts)
     }
@@ -455,31 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn same_fingerprint_under_two_algorithms_is_two_entries() {
-        // Greedy and OpqExtended can share a fingerprint digest shape; the
-        // Algorithm component must still keep their artifacts apart.
-        let cache = ArtifactCache::new(4);
-        let (key, artifacts) = key_and_artifacts(0.95);
-        let other_key = CacheKey {
-            algorithm: Algorithm::OpqExtended,
-            fingerprint: key.fingerprint.clone(),
-        };
-        cache
-            .get_or_try_insert_with::<SladeError>(key, || Ok(artifacts))
-            .unwrap();
-        let mut recomputed = false;
-        let (_, other) = key_and_artifacts(0.95);
-        cache
-            .get_or_try_insert_with::<SladeError>(other_key, || {
-                recomputed = true;
-                Ok(other)
-            })
-            .unwrap();
-        assert!(recomputed);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn sharded_eviction_keeps_a_shard_within_budget_and_prefers_cold_entries() {
         // Capacity 1 with two keys in one shard: the insert that takes the
         // cache over capacity must shed the colder co-resident.
@@ -488,7 +443,7 @@ mod tests {
         let thresholds = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.99];
         let shard_of = |t: f64| {
             let (key, _) = key_and_artifacts(t);
-            (key.fingerprint.as_u64() as usize) % CACHE_SHARDS
+            (key.as_u64() as usize) % CACHE_SHARDS
         };
         let (a, b) = 'found: {
             for (i, &ta) in thresholds.iter().enumerate() {
@@ -571,21 +526,6 @@ mod tests {
         assert!(recomputed);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn pass_through_artifacts_are_never_inserted() {
-        let cache = ArtifactCache::new(4);
-        let (key, _) = key_and_artifacts(0.95);
-        for expected_misses in 1..=2u64 {
-            cache
-                .get_or_try_insert_with::<SladeError>(key.clone(), || {
-                    Ok(Arc::new(PassThroughArtifacts::new(theta(0.95))))
-                })
-                .unwrap();
-            assert!(cache.is_empty());
-            assert_eq!(cache.stats().misses, expected_misses);
-        }
     }
 
     #[test]

@@ -22,21 +22,20 @@
 //!   as one shard, as the paper's algorithms plan it); sub-plans are merged
 //!   in shard order, so the result is a function of the request alone,
 //!   never of thread count or scheduling;
-//! * **an algorithm-agnostic artifact cache** ([`ArtifactCache`]) — a
-//!   sharded concurrent table keyed by `(Algorithm, `[`Fingerprint`]`)`
-//!   over type-erased [`slade_core::solver::SolveArtifacts`], whose warm
-//!   hits take no process-global lock (shard-local `RwLock` read + relaxed
-//!   atomics), with approximate-LRU eviction off the hot path and
-//!   single-flight cold misses. Every worker routes every shard through
-//!   the core's two-phase
+//! * **an OPQ artifact cache** ([`ArtifactCache`]) — a sharded concurrent
+//!   table keyed by [`Fingerprint`] over type-erased
+//!   [`slade_core::solver::SolveArtifacts`], whose warm hits take no
+//!   process-global lock (shard-local `RwLock` read + relaxed atomics),
+//!   with approximate-LRU eviction off the hot path and single-flight cold
+//!   misses. Every OPQ shard runs the core's two-phase
 //!   [`PreparedSolver`](slade_core::solver::PreparedSolver) pipeline
 //!   (`prepare` once per fingerprint, `solve_with` per workload), so
-//!   repeated `(BinSet, θ)` pairs skip the expensive prepare step — OPQ
-//!   enumeration + group DP, the greedy's ladder. (OpqExtended requests
-//!   are first decomposed into their per-bucket homogeneous shards, which
-//!   then run — and cache — as `OpqBased` prepares, maximizing sharing
-//!   across the two request types; `OpqExtended` itself has no prepare
-//!   step of its own);
+//!   repeated `(BinSet, θ)` pairs skip OPQ enumeration and the group DP.
+//!   OpqExtended requests are first decomposed into their per-bucket
+//!   homogeneous shards, which then run — and cache — as `OpqBased`
+//!   prepares, maximizing sharing across the two request types. Every
+//!   other algorithm has no prepare step worth keeping and runs its
+//!   one-shot `solve`, so only OPQ lookups enter the cache's counters;
 //! * **incremental deltas** ([`Engine::resubmit`]) — a solved request can be
 //!   retained as a [`ResolvedPlan`] and re-solved under a
 //!   [`WorkloadDelta`] (grow/shrink `n`, per-task threshold changes,
@@ -52,8 +51,8 @@
 //! in shard order. Hence the same request produces byte-identical plans at
 //! `threads = 1` and `threads = N` — *including under steal-heavy
 //! schedules, where jobs run on arbitrary workers in arbitrary order* — a
-//! warm-cache solve equals the cold solve for the same fingerprint (for
-//! every algorithm), and a delta resubmission equals the cold solve of the
+//! warm-cache solve equals the cold solve for the same request (for every
+//! algorithm), and a delta resubmission equals the cold solve of the
 //! resulting workload — all pinned by this crate's tests
 //! (`tests/steal_determinism.rs` forces stealing with stalled shards
 //! across 100 seeded schedules).
@@ -109,7 +108,7 @@ mod sched;
 mod service;
 mod store;
 
-pub use cache::{ArtifactCache, CacheKey, CacheStats, CACHE_SHARDS};
+pub use cache::{ArtifactCache, CacheStats, CACHE_SHARDS};
 pub use service::{
     Engine, EngineConfig, EngineError, EngineRequest, RequestTrace, ResolvedHandle, ResolvedPlan,
     ShardNotify, Submit, WorkloadDelta,

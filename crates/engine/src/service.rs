@@ -1,7 +1,7 @@
 //! The engine: a work-stealing worker pool, request sharding, blocking
 //! handles, and incremental workload deltas.
 
-use crate::cache::{ArtifactCache, CacheKey, CacheStats};
+use crate::cache::{ArtifactCache, CacheStats};
 use crate::sched::{Job, JobCtx, Scheduler};
 use slade_core::baseline::{Baseline, BaselineConfig};
 use slade_core::bin_set::BinSet;
@@ -213,9 +213,9 @@ pub(crate) enum ShardWork {
     /// A homogeneous OPQ solve of `n` tasks at `threshold`, accelerated by
     /// the artifact cache.
     Opq { n: u32, threshold: f64 },
-    /// Run the request's algorithm on its full workload through the
-    /// two-phase `prepare`/`solve_with` pipeline (artifact-cached per
-    /// `(Algorithm, Fingerprint)`).
+    /// Run the request's algorithm on its full workload with its one-shot
+    /// `solve`; no artifact cache is involved. (The name predates that and
+    /// is kept because it is codec v1's wire name for this shard kind.)
     Prepared,
 }
 
@@ -840,8 +840,9 @@ impl Engine {
     /// Wrap under the requested algorithm's label only an `OpqExtended`
     /// request that ran as OPQ shards. Every other shard list is one shard
     /// that already produces what a direct `solve` would: a Prepared shard
-    /// (`solve_with` reproduces `solve` byte-identically — the core
-    /// contract), or the whole-workload OPQ shard of an `OpqBased` request.
+    /// (which runs `solve` itself), or the whole-workload OPQ shard of an
+    /// `OpqBased` request (`solve_with` reproduces `solve` byte-identically
+    /// — the core contract).
     fn wrap_of(shards: &[Shard], request: &EngineRequest) -> Option<&'static str> {
         let opq_shards = shards
             .first()
@@ -900,17 +901,14 @@ impl Engine {
         notify: Option<ShardNotify>,
     ) -> Job {
         let bins = Arc::clone(&request.bins);
-        let cache = Arc::clone(&self.cache);
         let trace = request.trace.clone();
         match work {
             ShardWork::Opq { n, threshold } => {
                 let solver = self.config.solver.clone();
+                let cache = Arc::clone(&self.cache);
                 shard_job(index, trace, result_tx, notify, move || {
                     let theta = reliability::theta(threshold);
-                    let key = CacheKey {
-                        algorithm: Algorithm::OpqBased,
-                        fingerprint: Fingerprint::new(Arc::clone(&bins), theta, &solver),
-                    };
+                    let key = Fingerprint::new(Arc::clone(&bins), theta, &solver);
                     let artifacts =
                         cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?;
                     let workload = Workload::homogeneous(n, threshold)?;
@@ -923,12 +921,10 @@ impl Engine {
                 let seed = request.seed;
                 let solver_override = request.solver_override.clone();
                 shard_job(index, trace, result_tx, notify, move || {
-                    let cacheable = solver_override.is_none();
                     let solver: Arc<dyn PreparedSolver + Send + Sync> = match solver_override {
                         Some(solver) => solver,
                         // The one randomized solver takes the request's
-                        // seed; the seed shapes rounding, not artifacts, so
-                        // it stays out of the fingerprint.
+                        // seed.
                         None => match algorithm {
                             Algorithm::Baseline => Arc::new(Baseline {
                                 config: BaselineConfig {
@@ -939,26 +935,7 @@ impl Engine {
                             other => Arc::from(other.solver()),
                         },
                     };
-                    if !workload.is_homogeneous() && !solver.supports_heterogeneous() {
-                        // Surface the solver's own rejection without
-                        // preparing artifacts it could never use.
-                        return Ok(solver.solve(&workload, &bins)?);
-                    }
-                    let theta = reliability::theta(workload.max_threshold());
-                    let artifacts = if cacheable {
-                        let key = CacheKey {
-                            algorithm,
-                            fingerprint: Fingerprint::new(
-                                Arc::clone(&bins),
-                                theta,
-                                solver.as_ref(),
-                            ),
-                        };
-                        cache.get_or_try_insert_with(key, || solver.prepare(&bins, theta))?
-                    } else {
-                        solver.prepare(&bins, theta)?
-                    };
-                    Ok(solver.solve_with(artifacts.as_ref(), &workload, &bins)?)
+                    Ok(solver.solve(&workload, &bins)?)
                 })
             }
         }

@@ -16,8 +16,8 @@ use slade_core::prelude::*;
 use slade_core::reliability::theta;
 use slade_core::solver::SolveArtifacts;
 use slade_engine::{
-    ArtifactCache, CacheKey, Engine, EngineConfig, EngineRequest, Fingerprint, ResolvedHandle,
-    Submit, CACHE_SHARDS,
+    ArtifactCache, Engine, EngineConfig, EngineRequest, Fingerprint, ResolvedHandle, Submit,
+    CACHE_SHARDS,
 };
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,16 +56,13 @@ impl Rng {
 
 /// Distinct cache keys: one per threshold, each with the threshold's own
 /// fingerprint (distinct θ ⇒ distinct digest material).
-fn stress_keys(count: usize) -> Vec<(CacheKey, f64)> {
+fn stress_keys(count: usize) -> Vec<(Fingerprint, f64)> {
     let bins = Arc::new(BinSet::paper_example());
     let solver = slade_core::opq_based::OpqBased::default();
     (0..count)
         .map(|i| {
             let t = 0.50 + 0.49 * (i as f64 / (count - 1) as f64);
-            let key = CacheKey {
-                algorithm: Algorithm::OpqBased,
-                fingerprint: Fingerprint::new(Arc::clone(&bins), theta(t), &solver),
-            };
+            let key = Fingerprint::new(Arc::clone(&bins), theta(t), &solver);
             (key, theta(t))
         })
         .collect()

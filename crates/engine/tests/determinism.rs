@@ -179,9 +179,8 @@ fn cacheable_algorithms_hit_the_shared_cache_when_warm() {
     let homo = Workload::homogeneous(40, 0.95).unwrap();
     let hetero = Workload::heterogeneous(vec![0.3, 0.55, 0.72, 0.9, 0.95]).unwrap();
     for (algorithm, workload) in [
-        (Algorithm::OpqBased, homo.clone()),
+        (Algorithm::OpqBased, homo),
         (Algorithm::OpqExtended, hetero),
-        (Algorithm::Greedy, homo),
     ] {
         let engine = Engine::new(config(2));
         let request = EngineRequest::new(algorithm, workload, Arc::clone(&bins));
@@ -199,9 +198,9 @@ fn cacheable_algorithms_hit_the_shared_cache_when_warm() {
 
 #[test]
 fn baseline_solves_take_no_cache_entry() {
-    // The baseline has no workload-independent prepare step, so its
-    // pass-through artifacts are never inserted: a resident OPQ entry is
-    // all the cache holds before, between and after baseline solves.
+    // Only OPQ shards look artifacts up: every other algorithm runs its
+    // one-shot solve, so after one OPQ solve the cache's counters hold
+    // still across Baseline, Greedy, Relaxed and Exact requests.
     let bins = Arc::new(BinSet::paper_example());
     let engine = Engine::new(config(2));
     let opq = EngineRequest::new(
@@ -210,16 +209,39 @@ fn baseline_solves_take_no_cache_entry() {
         Arc::clone(&bins),
     );
     engine.solve(opq).unwrap();
-    assert_eq!(engine.cache_stats().entries, 1);
-    for seed in [1, 1, 2] {
-        let request = EngineRequest::new(
-            Algorithm::Baseline,
-            Workload::homogeneous(40, 0.95).unwrap(),
-            Arc::clone(&bins),
-        )
-        .with_seed(seed);
+    let after_opq = engine.cache_stats();
+    assert_eq!(
+        (after_opq.hits, after_opq.misses, after_opq.entries),
+        (0, 1, 1)
+    );
+    let homo = Workload::homogeneous(40, 0.95).unwrap();
+    let cases = [
+        (Algorithm::Baseline, homo.clone(), 1),
+        (Algorithm::Baseline, homo.clone(), 1),
+        (Algorithm::Baseline, homo.clone(), 2),
+        (Algorithm::Greedy, homo.clone(), 0),
+        (Algorithm::Greedy, homo, 0),
+        (
+            Algorithm::Greedy,
+            Workload::heterogeneous(vec![0.3, 0.55, 0.72, 0.9, 0.95]).unwrap(),
+            0,
+        ),
+        (
+            Algorithm::Relaxed,
+            Workload::homogeneous(9, 0.7).unwrap(),
+            0,
+        ),
+        (Algorithm::Exact, Workload::homogeneous(3, 0.9).unwrap(), 0),
+    ];
+    for (algorithm, workload, seed) in cases {
+        let request = EngineRequest::new(algorithm, workload, Arc::clone(&bins)).with_seed(seed);
         engine.solve(request).unwrap();
-        assert_eq!(engine.cache_stats().entries, 1, "seed {seed}");
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (after_opq.hits, after_opq.misses, after_opq.entries),
+            "{algorithm} seed {seed}"
+        );
     }
 }
 

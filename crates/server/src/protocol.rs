@@ -81,6 +81,25 @@ pub const VERBS: [&str; 11] = [
     "profile", "shutdown",
 ];
 
+/// The most tasks one request's workload may hold: the `n` the solver
+/// suite is benchmarked at. Every solver allocates per-task state, so a
+/// larger workload (a `u32` task count admits four billion) is refused
+/// before it reaches the engine.
+pub const MAX_TASKS: u32 = 1_000_000;
+
+/// Refuses a workload of more than [`MAX_TASKS`] tasks, naming the limit.
+/// The one size check for every workload a request produces: the ones
+/// [`parse_engine_request`] builds and the ones a `resubmit` delta derives.
+pub fn check_task_limit(workload: &Workload) -> Result<(), String> {
+    if workload.len() > MAX_TASKS {
+        return Err(format!(
+            "workload of {} tasks exceeds the limit of {MAX_TASKS} tasks",
+            workload.len()
+        ));
+    }
+    Ok(())
+}
+
 /// One parsed protocol request.
 #[derive(Debug)]
 pub enum Request {
@@ -360,7 +379,8 @@ fn parse_delta(value: &Json) -> Result<WorkloadDelta, String> {
 /// `extra_allowed` names protocol-level members (e.g. `op`, `id`) that may
 /// accompany the engine fields; anything else unknown is rejected, the same
 /// strictness `slade-cli batch` has always had. All fields are optional;
-/// the defaults are the paper's Example 9 instance.
+/// the defaults are the paper's Example 9 instance. Workloads over
+/// [`MAX_TASKS`] are refused.
 pub fn parse_engine_request(
     value: &Json,
     default_bins: &Arc<BinSet>,
@@ -453,6 +473,7 @@ pub fn parse_engine_request(
         }
     }
     .map_err(|e| e.to_string())?;
+    check_task_limit(&workload)?;
 
     let seed = match value.get("seed") {
         None => 0xC0FFEE,
@@ -875,6 +896,33 @@ mod tests {
         for verb in VERBS {
             assert!(err.contains(verb), "missing {verb} in: {err}");
         }
+    }
+
+    #[test]
+    fn workloads_over_the_task_limit_are_refused() {
+        let limit = MAX_TASKS.to_string();
+        for line in [
+            r#"{"algorithm":"greedy","tasks":4294967295}"#.to_string(),
+            format!(r#"{{"tasks":{}}}"#, MAX_TASKS + 1),
+            format!(
+                r#"{{"op":"batch","requests":[{{}},{{"tasks":{}}}]}}"#,
+                MAX_TASKS + 1
+            ),
+        ] {
+            let err = parse_request(&line, &bins()).unwrap_err();
+            assert!(err.contains(&limit), "{line}: {err}");
+        }
+        // A `thresholds` array is held to the same limit by its length.
+        let thresholds = vec!["0.5"; MAX_TASKS as usize + 1].join(",");
+        let line = format!(r#"{{"algorithm":"greedy","thresholds":[{thresholds}]}}"#);
+        let err = parse_request(&line, &bins()).unwrap_err();
+        assert!(err.contains(&limit), "thresholds: {err}");
+        // The limit itself is admitted.
+        let line = format!(r#"{{"algorithm":"greedy","tasks":{MAX_TASKS}}}"#);
+        let Request::Solve { request, .. } = parse_request(&line, &bins()).unwrap() else {
+            panic!("{line} is a solve");
+        };
+        assert_eq!(request.workload.len(), MAX_TASKS);
     }
 
     #[test]

@@ -83,12 +83,17 @@ impl Session<'_> {
         };
         self.shared.counters.count_algorithm(prior.algorithm());
         record_stage(at.span, "dispatched");
-        let request = match prior.resubmission(delta) {
+        // The delta may grow the workload past the limit a fresh request
+        // is held to; refuse it the same way, keeping the id's plan.
+        let resubmission = prior
+            .resubmission(delta)
+            .map_err(|e| e.to_string())
+            .and_then(|request| protocol::check_task_limit(&request.workload).map(|()| request));
+        let request = match resubmission {
             Ok(request) => traced(request, at.span),
-            Err(e) => {
+            Err(message) => {
                 let _ = self.shared.finish_store(self.sid, &id, None);
                 self.shared.counters.count_error();
-                let message = e.to_string();
                 return Err(protocol::error_response(Some("resubmit"), at.seq, &message));
             }
         };

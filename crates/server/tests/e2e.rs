@@ -4,8 +4,8 @@
 //! 1. a session's over-the-wire `solve → resubmit → resubmit` chain
 //!    returns a plan **byte-identical** to a cold in-process solve of the
 //!    final workload;
-//! 2. malformed requests get structured error responses and never cost
-//!    the connection.
+//! 2. malformed requests — oversize workloads included — get structured
+//!    error responses and never cost the connection.
 //!
 //! Every blocking step is bounded — client reads carry timeouts and the
 //! server thread is joined through `recv_timeout` — so a hung accept loop
@@ -178,6 +178,45 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     let solved = ok_roundtrip(&mut client, "{}");
     assert_eq!(field_f64(&solved, "tasks"), 4.0);
     assert_eq!(solved.get("feasible"), Some(&Json::Bool(true)), "{solved}");
+
+    shutdown.shutdown();
+    expect_clean_exit(&done);
+}
+
+#[test]
+fn oversize_workloads_are_refused_and_the_plan_id_stays_usable() {
+    let (addr, shutdown, done) = start_server();
+    let mut client = connect(addr);
+    ok_roundtrip(
+        &mut client,
+        r#"{"op":"solve","id":"w","algorithm":"greedy","tasks":4}"#,
+    );
+
+    // A u32-sized task count, fresh or through a resize, is refused before
+    // any solver allocates for it.
+    let limit = protocol::MAX_TASKS.to_string();
+    for line in [
+        r#"{"algorithm":"greedy","tasks":4294967295}"#,
+        r#"{"op":"resubmit","id":"w","delta":{"resize":4294967295}}"#,
+    ] {
+        let response = client.roundtrip(line).expect("connection must survive");
+        let value = slade_json::parse(&response).expect("errors are valid JSON");
+        assert_eq!(value.get("ok"), Some(&Json::Bool(false)), "{response}");
+        let error = value.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&limit), "{line} → {error}");
+    }
+
+    // The refused resize left `w` as it was, and free to resubmit.
+    let resized = ok_roundtrip(
+        &mut client,
+        r#"{"op":"resubmit","id":"w","delta":{"resize":8}}"#,
+    );
+    assert_eq!(field_f64(&resized, "tasks"), 8.0);
+    assert_eq!(
+        resized.get("feasible"),
+        Some(&Json::Bool(true)),
+        "{resized}"
+    );
 
     shutdown.shutdown();
     expect_clean_exit(&done);
