@@ -170,8 +170,9 @@ impl PartialOrd for Entry {
 
 impl Greedy {
     /// The greedy loop. It walks the [`Ladder`] from the workload's largest
-    /// `θ` — every level of a homogeneous workload — and lets it answer the
-    /// rounds whose scan inputs provably (by bit comparison) match a rung.
+    /// `θ` (a homogeneous workload's only one, so every uniform level of its
+    /// solve is a rung) and lets it answer the rounds whose scan inputs
+    /// provably (by bit comparison) match a rung.
     fn run(&self, workload: &Workload, bins: &BinSet) -> DecompositionPlan {
         let n = workload.len();
         let ladder = Ladder::walk(bins, reliability::theta(workload.max_threshold()));

@@ -252,9 +252,8 @@ impl ArtifactCache {
 
     /// Returns the artifacts for `key`, computing and caching them with
     /// `compute` on a miss. Errors from `compute` are passed through and
-    /// nothing is cached. Concurrent misses on
-    /// the same key compute **once** (single-flight); `compute` runs
-    /// outside every table lock.
+    /// nothing is cached. Concurrent misses on the same key compute
+    /// **once** (single-flight); `compute` runs outside every table lock.
     pub fn get_or_try_insert_with<E>(
         &self,
         key: Fingerprint,
