@@ -8,11 +8,10 @@
 //! (`Σ min(w_l, residual_i)` over the top-`l` residuals), is smallest — and
 //! assign exactly those tasks to it.
 //!
-//! The top-`l` residuals come from a *lazy max-heap* with versioned entries:
-//! each open task keeps exactly one live entry keyed by its current residual
-//! (descending, ties by ascending id); superseded entries stay in the heap
-//! and are discarded when popped. One round pops `O(l_max)` entries and
-//! pushes back the untouched ones, so a full solve is
+//! The top-`l` residuals come from a max-heap holding exactly one entry per
+//! open task, keyed by its current residual (descending, ties by ascending
+//! id). One round pops `O(l_max)` entries, pushes the touched ones back at
+//! their new residual and the untouched ones as they were, so a full solve is
 //! `O((n + A + rounds·l_max) log n)` for `A` total task-to-bin assignments —
 //! versus the `O(n log n)` *per round* of the naive re-sort it replaced
 //! (DESIGN.md scaling seam #1). The pop order equals the old sort order, so
@@ -135,14 +134,11 @@ fn scan_bins(bins: &BinSet, count: usize, residual: impl Fn(usize) -> f64) -> Op
     best.map(|(i, _)| i)
 }
 
-/// One heap entry: a task at the residual it had when pushed. `version`
-/// invalidates superseded entries (lazy deletion): an entry is live iff its
-/// version matches the task's current one.
+/// One heap entry: an open task at its current residual.
 #[derive(Debug)]
 struct Entry {
     residual: f64,
     task: TaskId,
-    version: u32,
 }
 
 impl PartialEq for Entry {
@@ -178,15 +174,11 @@ impl Greedy {
         let ladder = Ladder::walk(bins, reliability::theta(workload.max_threshold()));
         // Residual transformed demand per task.
         let mut residual: Vec<f64> = workload.thetas().collect();
-        // Current entry version per task; heap entries with an older version
-        // are stale and dropped when popped.
-        let mut version: Vec<u32> = vec![0; n as usize];
         let mut open_count = n as usize;
         let mut heap: BinaryHeap<Entry> = (0..n)
             .map(|t| Entry {
                 residual: residual[t as usize],
                 task: t,
-                version: 0,
             })
             .collect();
         let max_card = bins.max_cardinality() as usize;
@@ -197,11 +189,7 @@ impl Greedy {
             // Most-deprived open tasks first; ties by id for determinism.
             top.clear();
             while top.len() < max_card.min(open_count) {
-                let entry = heap.pop().expect("every open task has a live heap entry");
-                if entry.version != version[entry.task as usize] {
-                    continue; // superseded by a later residual update
-                }
-                top.push(entry);
+                top.push(heap.pop().expect("every open task has a heap entry"));
             }
 
             // Interior fast path: a full top whose residuals are all
@@ -225,18 +213,16 @@ impl Greedy {
             for &Entry { task: t, .. } in &top[..take] {
                 let r = residual[t as usize] - bin.weight();
                 residual[t as usize] = r;
-                version[t as usize] += 1;
                 if satisfies(0.0, r) {
-                    open_count -= 1; // done; its stale entries die lazily
+                    open_count -= 1; // done: it leaves the heap for good
                 } else {
                     heap.push(Entry {
                         residual: r,
                         task: t,
-                        version: version[t as usize],
                     });
                 }
             }
-            // Untouched popped entries are still live; put them back as-is.
+            // Untouched popped entries keep their residual; put them back.
             for entry in top.drain(take..) {
                 heap.push(entry);
             }
