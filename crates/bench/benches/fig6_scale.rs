@@ -13,7 +13,7 @@ fn main() {
     for &n in sweeps::scale_grid(full_sweep()) {
         let workload = instances::homogeneous(n, 0.95);
         for algorithm in [Algorithm::OpqBased, Algorithm::Greedy] {
-            if algorithm == Algorithm::Greedy && n > sweeps::QUADRATIC_SOLVER_MAX_N {
+            if algorithm == Algorithm::Greedy && n > sweeps::GREEDY_MAX_N {
                 println!("fig6-scale n={n} algorithm={algorithm} skipped (see DESIGN.md seam #1)");
                 continue;
             }

@@ -11,7 +11,7 @@ fn main() {
     for &n in sweeps::hetero_scale_grid(full_sweep()) {
         let workload = instances::heterogeneous(n, 0.3, 0.99, 7);
         for algorithm in [Algorithm::OpqExtended, Algorithm::Greedy] {
-            if algorithm == Algorithm::Greedy && n > sweeps::QUADRATIC_SOLVER_MAX_N {
+            if algorithm == Algorithm::Greedy && n > sweeps::GREEDY_MAX_N {
                 println!("fig8 n={n} algorithm={algorithm} skipped (see DESIGN.md seam #1)");
                 continue;
             }

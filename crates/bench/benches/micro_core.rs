@@ -96,20 +96,26 @@ fn main() {
     );
     record("core/opq-based-solve-with-wide", wide_n, &r);
 
-    // Pins the DESIGN.md seam-#1 rework: the lazy max-heap greedy runs the
-    // full grid (the old full-re-sort loop was ~68 ms at n = 2 000; the heap
-    // version is ~n log n and still caps at QUADRATIC_SOLVER_MAX_N only as a
-    // safety net for pathological menus).
-    let greedy_n = n.min(sweeps::QUADRATIC_SOLVER_MAX_N);
+    // The greedy in its three regimes (DESIGN.md seam #1). Homogeneous:
+    // one run of ids, answered by a few bulk steps per residual level.
+    let greedy_n = n.min(sweeps::GREEDY_MAX_N);
     let greedy_workload = instances::homogeneous(greedy_n, 0.95);
     let r = harness.bench(&format!("greedy::solve(n={greedy_n})"), || {
         black_box(Greedy.solve(black_box(&greedy_workload), &bins)).unwrap();
     });
     record("core/greedy-solve", greedy_n, &r);
 
+    // The fig6 thresholds at scattered ids: equal residuals, but short id
+    // runs, so most rounds step one at a time.
+    let grid = instances::threshold_grid(greedy_n, 0x6f16);
+    let r = harness.bench(&format!("greedy::solve(n={greedy_n}, fig6 grid)"), || {
+        black_box(Greedy.solve(black_box(&grid), &bins)).unwrap();
+    });
+    record("core/greedy-solve-grid", greedy_n, &r);
+
     // All-distinct random thresholds: no two tasks share a residual, the
-    // opposite extreme to the homogeneous row above. A loop that groups
-    // open tasks by residual pays most here.
+    // opposite extreme to the homogeneous row. Every run holds one id, so
+    // this times the per-task heap the run heap degrades to.
     let distinct = instances::heterogeneous(greedy_n, 0.05, 0.995, 0x9eed);
     let r = harness.bench(
         &format!("greedy::solve(n={greedy_n}, distinct thresholds)"),

@@ -39,7 +39,7 @@ fn main() {
         let workload = instances::homogeneous(n, 0.95);
         for algorithm in [Algorithm::OpqBased, Algorithm::Greedy, Algorithm::Baseline] {
             let cap = match algorithm {
-                Algorithm::Greedy => sweeps::QUADRATIC_SOLVER_MAX_N,
+                Algorithm::Greedy => sweeps::GREEDY_MAX_N,
                 Algorithm::Baseline => sweeps::BASELINE_SOLVER_MAX_N, // seam #6
                 _ => u32::MAX,
             };

@@ -419,14 +419,12 @@ pub mod sweeps {
     /// Heterogeneous threshold ranges (Fig. 7).
     pub const HETERO_RANGES: [(f64, f64); 3] = [(0.5, 0.9), (0.1, 0.99), (0.8, 0.99)];
 
-    /// Largest `n` the greedy is swept at. Historically 10 000: the original
-    /// implementation re-sorted the whole open list every round
-    /// (`O(n² log n)`, ~2 s per solve at that cap). The lazy max-heap rework
-    /// (DESIGN.md scaling seam #1, landed) brought a full solve to
-    /// `O((n + assignments) log n)`, so the greedy now joins every
-    /// paper-scale grid; `micro_core`'s `greedy::solve` case pins the
-    /// improvement.
-    pub const QUADRATIC_SOLVER_MAX_N: u32 = 1_000_000;
+    /// Largest `n` the greedy is swept at: a safety net, above every
+    /// paper-scale grid. The greedy's heap of id runs (DESIGN.md scaling
+    /// seam #1) solves a homogeneous workload in time linear in its
+    /// assignments and any workload in `O((n + assignments) log n)`;
+    /// `micro_core`'s three `greedy::solve` rows time it.
+    pub const GREEDY_MAX_N: u32 = 1_000_000;
 
     /// Largest `n` the column-heavy CIP baseline is swept at: its column
     /// generation materializes `O(n·m)` sparse columns per solve, which is
@@ -471,6 +469,21 @@ pub mod instances {
     /// Panics if the parameters are invalid (`n == 0` or `t ∉ (0,1)`).
     pub fn homogeneous(n: u32, t: f64) -> Workload {
         Workload::homogeneous(n, t).expect("benchmark workload parameters are valid")
+    }
+
+    /// A workload of `n` tasks with thresholds drawn from the fig6 grid
+    /// ([`THRESHOLDS`](crate::sweeps::THRESHOLDS)), so equal thresholds sit
+    /// at scattered ids; deterministic from `seed`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn threshold_grid(n: u32, seed: u64) -> Workload {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = &crate::sweeps::THRESHOLDS;
+        let thresholds = (0..n)
+            .map(|_| grid[rng.random_range(0..grid.len())])
+            .collect();
+        Workload::heterogeneous(thresholds).expect("benchmark workload parameters are valid")
     }
 
     /// A heterogeneous workload of `n` tasks with thresholds drawn uniformly

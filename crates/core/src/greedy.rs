@@ -8,22 +8,30 @@
 //! (`Σ min(w_l, residual_i)` over the top-`l` residuals), is smallest — and
 //! assign exactly those tasks to it.
 //!
-//! The top-`l` residuals come from a max-heap holding exactly one entry per
-//! open task, keyed by its current residual (descending, ties by ascending
-//! id). One round pops `O(l_max)` entries, pushes the touched ones back at
-//! their new residual and the untouched ones as they were, so a full solve is
-//! `O((n + A + rounds·l_max) log n)` for `A` total task-to-bin assignments —
-//! versus the `O(n log n)` *per round* of the naive re-sort it replaced
-//! (DESIGN.md scaling seam #1). The pop order equals the old sort order, so
-//! plans are bit-for-bit identical to the previous implementation.
+//! The open tasks live in a max-heap of *runs*: ranges of consecutive task
+//! ids at one residual, ordered by residual descending, then first id
+//! ascending. Runs are disjoint, so popping ids off run fronts yields the
+//! tasks in (residual desc, id asc) order — the order of a full re-sort,
+//! which keeps plans bit-for-bit those of the naive loop (DESIGN.md scaling
+//! seam #1).
 //!
-//! Each solve first walks a *uniform-level ladder* from the workload's
-//! largest `θ`: the bin a round would elect when a full top of tasks sits at
-//! one residual level. Interior rounds of a homogeneous solve are exactly
-//! that case and take their bin from the ladder instead of scanning the
-//! menu; every other round scans, so the ladder changes no plan bit. The
-//! walk is cheap next to the solve, so the greedy has no artifacts to
-//! prepare or cache.
+//! When the top run alone holds `L ≥ l_max` ids (`l_max` the menu's widest
+//! cardinality) at residual `r`, every round until it drops below `l_max`
+//! sees the same uniform top and elects the same bin `b` of cardinality `c`
+//! and weight `w`. One *bulk step* answers those `k = (L − l_max) / c + 1`
+//! rounds at once: one bin scan at `r`, `k` bins of consecutive ids, and one
+//! run at `r − w` (or none, once `r − w` meets the threshold). Any other
+//! round pops ids off run fronts and scans the menu over their residuals,
+//! as the per-task heap did; with all-distinct thresholds every run holds
+//! one task and the loop is that heap.
+//!
+//! A solve costs `O(A + S·|B|·l_max + S·l_max·log H)` for `A` task-to-bin
+//! assignments, `S` steps (bulk steps plus per-round steps) and `H ≤ n`
+//! live runs. A homogeneous workload takes a handful of steps per residual
+//! level whatever its `n`, so its solve is linear in its assignments; with
+//! all-distinct thresholds `S` is the round count and `H = n`, the
+//! per-task heap's `O((n + A + rounds·l_max) log n)`. Nothing is worth
+//! preparing ahead of a workload, so the greedy has no artifacts to cache.
 //!
 //! Fast in practice and the reference point the paper's experiments compare
 //! against; OPQ-Based/OPQ-Extended dominate it on cost in the homogeneous
@@ -41,10 +49,11 @@
 use crate::bin_set::BinSet;
 use crate::error::SladeError;
 use crate::plan::DecompositionPlan;
-use crate::reliability::{self, satisfies, WEIGHT_EPS};
+use crate::reliability::{satisfies, WEIGHT_EPS};
 use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// The Algorithm-1 greedy heuristic. Stateless; the unit struct is its own
@@ -52,72 +61,11 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy;
 
-/// Upper bound on ladder rungs; extreme `θ / min-weight` ratios stop early
-/// (deeper levels just fall back to the per-round scan).
-const LADDER_CAP: usize = 4_096;
-
-/// The *uniform-level ladder* from one `θ`: for every residual level `r`
-/// reachable from `θ` by repeatedly applying the most cost-effective bin,
-/// the winner of the per-round bin scan when at least `max_cardinality`
-/// open tasks all sit at residual `r`, as `(residual bit pattern, winning
-/// bin index)` in descent order.
-///
-/// In a homogeneous solve every interior round (all popped tasks at the
-/// same residual, enough tasks open) is exactly that situation, so the
-/// solve answers it from the ladder instead of rescanning the menu. Rounds
-/// that mix residual levels (bucket boundaries, the endgame, most rounds of
-/// a heterogeneous workload) take the ordinary scan, and the ladder is
-/// consulted only when its precondition — identical inputs to the scan —
-/// holds by bit comparison, so plans are bit-for-bit those of a scan-only
-/// loop.
-#[derive(Debug)]
-struct Ladder(Vec<(u64, usize)>);
-
-impl Ladder {
-    /// Walks the uniform descent from `theta` over `bins`, up to
-    /// [`LADDER_CAP`] rungs.
-    fn walk(bins: &BinSet, theta: f64) -> Ladder {
-        let max_card = bins.max_cardinality() as usize;
-        let mut rungs = Vec::new();
-        let mut r = theta;
-        while !satisfies(0.0, r) && rungs.len() < LADDER_CAP {
-            let Some(bin) = scan_bins(bins, max_card, |_| r) else {
-                break; // no effective bin at this level: let the rounds scan
-            };
-            debug_assert!(
-                rungs.last().map_or(true, |&(bits, _)| bits > r.to_bits()),
-                "ladder must descend strictly (lookup binary-searches it)"
-            );
-            rungs.push((r.to_bits(), bin));
-            let next = r - bins.bins()[bin].weight();
-            if next.to_bits() == r.to_bits() {
-                break; // denormal-small weight: no progress, stop the walk
-            }
-            r = next;
-        }
-        Ladder(rungs)
-    }
-
-    /// The precomputed scan winner for a uniform top at `residual_bits`.
-    ///
-    /// The ladder descends strictly (each rung subtracts a positive bin
-    /// weight from a positive residual), and positive `f64` bit patterns
-    /// order like the values, so this is a binary search over the
-    /// descending `bits` — `O(log rungs)` per round even for deep ladders.
-    fn lookup(&self, residual_bits: u64) -> Option<usize> {
-        self.0
-            .binary_search_by(|&(bits, _)| residual_bits.cmp(&bits))
-            .ok()
-            .map(|i| self.0[i].1)
-    }
-}
-
 /// The per-round bin election: the bin minimizing `c / Σ_{j<min(l,count)}
 /// min(w, residual(j))`, ties to the earlier menu index; `None` when no bin
-/// is effective. This is the ONE copy of the scan — both the in-solve round
-/// (per-entry residuals) and the ladder walk (uniform residual) call it, so
-/// the float operations are identical by construction and a rung's winner
-/// is bit-for-bit the winner a live scan would elect.
+/// is effective. This is the ONE copy of the scan — a bulk step (uniform
+/// residual) and a per-round step (per-id residuals) both call it, so a
+/// bulk step elects bit-for-bit the bin each of its rounds would.
 fn scan_bins(bins: &BinSet, count: usize, residual: impl Fn(usize) -> f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, b) in bins.bins().iter().enumerate() {
@@ -134,97 +82,157 @@ fn scan_bins(bins: &BinSet, count: usize, residual: impl Fn(usize) -> f64) -> Op
     best.map(|(i, _)| i)
 }
 
-/// One heap entry: an open task at its current residual.
-#[derive(Debug)]
-struct Entry {
+/// One heap entry: the open tasks `first..first + len`, all at `residual`.
+/// Never empty.
+#[derive(Debug, Clone, Copy)]
+struct Run {
     residual: f64,
-    task: TaskId,
+    first: TaskId,
+    len: u32,
 }
 
-impl PartialEq for Entry {
+impl PartialEq for Run {
     fn eq(&self, other: &Self) -> bool {
-        self.residual == other.residual && self.task == other.task
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Entry {}
-impl Ord for Entry {
+impl Eq for Run {}
+impl Ord for Run {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: larger residual pops first; ties pop the smaller id, so
-        // the pop order matches a sort by (residual desc, id asc). Residuals
-        // are finite, so partial_cmp never actually falls back.
-        self.residual
-            .partial_cmp(&other.residual)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.task.cmp(&self.task))
+        // Max-heap: larger residual pops first; ties pop the smaller first
+        // id. Runs are disjoint, so a run with the smaller first id holds
+        // only smaller ids, and the pop order matches a sort of tasks by
+        // (residual desc, id asc). Open residuals are positive and finite,
+        // and positive `f64` bit patterns order like their values.
+        (self.residual.to_bits(), other.first).cmp(&(other.residual.to_bits(), self.first))
     }
 }
-impl PartialOrd for Entry {
+impl PartialOrd for Run {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// The workload's tasks as maximal runs of consecutive ids at bit-equal
+/// `θ`: one run for a homogeneous workload.
+fn initial_runs(workload: &Workload) -> BinaryHeap<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for (t, theta) in (0..workload.len()).zip(workload.thetas()) {
+        match runs.last_mut() {
+            Some(run) if run.residual.to_bits() == theta.to_bits() => run.len += 1,
+            _ => runs.push(Run {
+                residual: theta,
+                first: t,
+                len: 1,
+            }),
+        }
+    }
+    BinaryHeap::from(runs)
+}
+
+/// Moves the tasks of `run` down by `weight`: back into the heap at the
+/// new residual, or out of the solve when that meets their threshold.
+fn settle(heap: &mut BinaryHeap<Run>, open_count: &mut usize, run: Run, weight: f64) {
+    let residual = run.residual - weight;
+    if satisfies(0.0, residual) {
+        *open_count -= run.len as usize;
+    } else {
+        heap.push(Run { residual, ..run });
+    }
+}
+
 impl Greedy {
-    /// The greedy loop. It walks the [`Ladder`] from the workload's largest
-    /// `θ` (a homogeneous workload's only one, so every uniform level of its
-    /// solve is a rung) and lets it answer the rounds whose scan inputs
-    /// provably (by bit comparison) match a rung.
+    /// The greedy loop: a bulk step whenever the top run covers a full
+    /// uniform top, a per-round step otherwise.
     fn run(&self, workload: &Workload, bins: &BinSet) -> DecompositionPlan {
-        let n = workload.len();
-        let ladder = Ladder::walk(bins, reliability::theta(workload.max_threshold()));
-        // Residual transformed demand per task.
-        let mut residual: Vec<f64> = workload.thetas().collect();
-        let mut open_count = n as usize;
-        let mut heap: BinaryHeap<Entry> = (0..n)
-            .map(|t| Entry {
-                residual: residual[t as usize],
-                task: t,
-            })
-            .collect();
+        let mut heap = initial_runs(workload);
+        let mut open_count = workload.len() as usize;
         let max_card = bins.max_cardinality() as usize;
-        let mut top: Vec<Entry> = Vec::with_capacity(max_card);
+        // A per-round step's popped runs, and the residual of each of its
+        // top ids in pop order.
+        let mut popped: Vec<Run> = Vec::with_capacity(max_card);
+        let mut top: Vec<f64> = Vec::with_capacity(max_card);
         let mut plan = DecompositionPlan::empty(self.name());
 
-        while open_count > 0 {
-            // Most-deprived open tasks first; ties by id for determinism.
-            top.clear();
-            while top.len() < max_card.min(open_count) {
-                top.push(heap.pop().expect("every open task has a heap entry"));
-            }
-
-            // Interior fast path: a full top whose residuals are all
-            // bit-equal is exactly the situation a rung precomputed — the
-            // scan's winner is already known.
-            let bits = top[0].residual.to_bits();
-            let uniform = top.len() == max_card && top.iter().all(|e| e.residual.to_bits() == bits);
-
-            // Pick the most cost-effective bin type for the current top
-            // residuals.
-            let i = match uniform.then(|| ladder.lookup(bits)).flatten() {
-                Some(i) => i,
-                // Residuals of open tasks are strictly positive and weights
-                // are strictly positive, so some bin is always effective.
-                None => scan_bins(bins, top.len(), |j| top[j].residual)
-                    .expect("positive residuals admit an effective bin"),
+        loop {
+            let Some(mut head) = heap.peek_mut() else {
+                break;
             };
-            let bin = &bins.bins()[i];
-            let take = (bin.cardinality() as usize).min(top.len());
-            plan.push(bin, top[..take].iter().map(|e| e.task));
-            for &Entry { task: t, .. } in &top[..take] {
-                let r = residual[t as usize] - bin.weight();
-                residual[t as usize] = r;
-                if satisfies(0.0, r) {
-                    open_count -= 1; // done: it leaves the heap for good
+            if head.len as usize >= max_card {
+                // Bulk step: the first `max_card` ids of this run are the
+                // top of each of the next `k` rounds.
+                let Run {
+                    residual,
+                    first,
+                    len,
+                } = *head;
+                let i = scan_bins(bins, max_card, |_| residual)
+                    .expect("positive residuals admit an effective bin");
+                let bin = &bins.bins()[i];
+                let c = bin.cardinality();
+                let done = ((len - max_card as u32) / c + 1) * c;
+                for start in (first..first + done).step_by(c as usize) {
+                    plan.push(bin, start..start + c);
+                }
+                // The rest of the run stays put; it still heads its level.
+                if done == len {
+                    PeekMut::pop(head);
                 } else {
-                    heap.push(Entry {
-                        residual: r,
-                        task: t,
+                    head.first += done;
+                    head.len -= done;
+                    drop(head);
+                }
+                let posted = Run {
+                    residual,
+                    first,
+                    len: done,
+                };
+                settle(&mut heap, &mut open_count, posted, bin.weight());
+                continue;
+            }
+            drop(head);
+
+            // Per-round step: the most-deprived open tasks, ties by id,
+            // popped off run fronts.
+            let need = max_card.min(open_count);
+            popped.clear();
+            top.clear();
+            while top.len() < need {
+                let run = heap.pop().expect("every open task sits in one run");
+                let count = (run.len as usize).min(need - top.len());
+                top.extend(std::iter::repeat(run.residual).take(count));
+                popped.push(run);
+            }
+            // Residuals of open tasks are strictly positive and weights are
+            // strictly positive, so some bin is always effective.
+            let i = scan_bins(bins, need, |j| top[j])
+                .expect("positive residuals admit an effective bin");
+            let bin = &bins.bins()[i];
+            let take = (bin.cardinality() as usize).min(need);
+            plan.push(
+                bin,
+                popped
+                    .iter()
+                    .flat_map(|r| r.first..r.first + r.len)
+                    .take(take),
+            );
+            // Each popped run's posted ids are a prefix of it: move that
+            // prefix down and put the untouched rest back as it was.
+            let mut left = take as u32;
+            for &run in &popped {
+                let posted = run.len.min(left);
+                left -= posted;
+                if posted > 0 {
+                    let moved = Run { len: posted, ..run };
+                    settle(&mut heap, &mut open_count, moved, bin.weight());
+                }
+                if posted < run.len {
+                    heap.push(Run {
+                        residual: run.residual,
+                        first: run.first + posted,
+                        len: run.len - posted,
                     });
                 }
-            }
-            // Untouched popped entries keep their residual; put them back.
-            for entry in top.drain(take..) {
-                heap.push(entry);
             }
         }
 
@@ -241,9 +249,9 @@ impl PreparedSolver for Greedy {
         Ok(self.run(workload, bins))
     }
 
-    // No `prepare` override: the ladder walk is cheap next to the rounds
-    // it answers, so every solve builds its own and the greedy takes the
-    // pass-through `prepare`/`solve_with` defaults.
+    // No `prepare` override: nothing in a solve depends on the menu alone
+    // beyond one bin scan per step, so the greedy takes the pass-through
+    // `prepare`/`solve_with` defaults.
 }
 
 #[cfg(test)]
@@ -253,8 +261,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// The pre-heap reference implementation: full re-sort of the open list
-    /// every round. Kept verbatim so the lazy-heap rework is pinned to
-    /// produce bit-for-bit identical plans.
+    /// every round. Kept verbatim so the run heap is pinned to produce
+    /// bit-for-bit identical plans. Quadratic, so it stops at n = 2 000.
     fn reference_solve(workload: &Workload, bins: &BinSet) -> DecompositionPlan {
         let n = workload.len();
         let mut residual: Vec<f64> = workload.thetas().collect();
@@ -295,9 +303,87 @@ mod tests {
         plan
     }
 
-    /// Release runs (the CI reference step) take homogeneous sizes up to
-    /// 2 000; debug runs a share that keeps the default test suite fast.
+    /// One entry of [`heap_solve`]'s per-task heap.
+    struct Entry {
+        residual: f64,
+        task: TaskId,
+    }
+
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.residual
+                .partial_cmp(&other.residual)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.task.cmp(&self.task))
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The per-task heap loop the run heap replaced: one entry per open
+    /// task, `l_max` pops and pushes every round. `O(rounds · l_max ·
+    /// log n)`, so unlike [`reference_solve`] it reaches n = 10⁵.
+    fn heap_solve(workload: &Workload, bins: &BinSet) -> DecompositionPlan {
+        let mut heap: BinaryHeap<Entry> = (0..workload.len())
+            .zip(workload.thetas())
+            .map(|(task, residual)| Entry { residual, task })
+            .collect();
+        let max_card = bins.max_cardinality() as usize;
+        let mut top: Vec<Entry> = Vec::with_capacity(max_card);
+        let mut plan = DecompositionPlan::empty("Greedy");
+        while !heap.is_empty() {
+            top.clear();
+            while top.len() < max_card {
+                let Some(entry) = heap.pop() else { break };
+                top.push(entry);
+            }
+            let i = scan_bins(bins, top.len(), |j| top[j].residual)
+                .expect("positive residuals admit an effective bin");
+            let bin = &bins.bins()[i];
+            let take = (bin.cardinality() as usize).min(top.len());
+            plan.push(bin, top[..take].iter().map(|e| e.task));
+            for entry in top.drain(..take) {
+                let residual = entry.residual - bin.weight();
+                if !satisfies(0.0, residual) {
+                    heap.push(Entry { residual, ..entry });
+                }
+            }
+            heap.extend(top.drain(..));
+        }
+        plan
+    }
+
+    /// Release runs (the CI reference step) take sizes up to 2 000 against
+    /// the reference and 10⁵ against the per-task heap; debug runs a share
+    /// that keeps the default test suite fast.
     const FULL_SWEEP: bool = !cfg!(debug_assertions);
+
+    /// The fig6 threshold grid at random (scattered) ids.
+    fn fig6_grid(n: u32, seed: u64) -> Workload {
+        const FIG6: [f64; 4] = [0.85, 0.90, 0.95, 0.99];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let thresholds = (0..n).map(|_| FIG6[rng.random_range(0..4usize)]);
+        Workload::heterogeneous(thresholds.collect()).unwrap()
+    }
+
+    fn assert_matches_reference(w: &Workload, bins: &BinSet, what: &str) {
+        assert_eq!(
+            Greedy.solve(w, bins).unwrap(),
+            reference_solve(w, bins),
+            "{what}: |B| = {}, n = {}",
+            bins.len(),
+            w.len()
+        );
+    }
 
     #[test]
     fn lazy_heap_matches_resort_reference_exactly() {
@@ -310,23 +396,19 @@ mod tests {
             for n in [1u32, 2, 7, 40, 300] {
                 // Homogeneous (many residual ties) and heterogeneous spreads.
                 let homo = Workload::homogeneous(n, 0.95).unwrap();
-                assert_eq!(
-                    Greedy.solve(&homo, bins).unwrap(),
-                    reference_solve(&homo, bins)
-                );
+                assert_matches_reference(&homo, bins, "homogeneous");
                 let thresholds: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..0.995)).collect();
                 let hetero = Workload::heterogeneous(thresholds).unwrap();
-                assert_eq!(
-                    Greedy.solve(&hetero, bins).unwrap(),
-                    reference_solve(&hetero, bins),
-                    "n = {n}"
-                );
+                assert_matches_reference(&hetero, bins, "all-distinct");
             }
         }
-        // Ladder-heavy inputs: homogeneous workloads over the fig6
-        // thresholds on the paper menu and the synthetic 4-, 6- and 8-wide
-        // menus, where the ladder answers nearly every round (all but 3 of
-        // 2 667 at n = 2 000, t = 0.95 on the paper menu).
+        // Bulk-heavy inputs: homogeneous workloads over the fig6 thresholds
+        // on the paper menu and the synthetic 4-, 6- and 8-wide menus, where
+        // bulk steps answer nearly every round; then the fig6 thresholds at
+        // scattered ids, where runs are short and most rounds step one by
+        // one; then resubmit-shaped workloads: a homogeneous chain with
+        // ~20 thresholds changed at scattered ids and a short appended
+        // tail, which splits one long run into a few.
         let wide = [4, 6, 8].map(crate::opq_based::tests::synthetic_menu);
         let sizes: &[u32] = if FULL_SWEEP {
             &[3, 16, 129, 500, 2_000]
@@ -337,13 +419,17 @@ mod tests {
             for t in [0.85, 0.90, 0.95, 0.99] {
                 for &n in sizes {
                     let w = Workload::homogeneous(n, t).unwrap();
-                    assert_eq!(
-                        Greedy.solve(&w, bins).unwrap(),
-                        reference_solve(&w, bins),
-                        "|B| = {}, t = {t}, n = {n}",
-                        bins.len()
-                    );
+                    assert_matches_reference(&w, bins, &format!("homogeneous t = {t}"));
+                    let mut thresholds = vec![t; n as usize];
+                    for i in 0..20 {
+                        thresholds[(i * 97 + 13) % n as usize] = [0.8, 0.9, 0.99][i % 3];
+                    }
+                    thresholds.extend([0.99, t, t, 0.9]);
+                    let w = Workload::heterogeneous(thresholds).unwrap();
+                    assert_matches_reference(&w, bins, &format!("resubmit-shaped t = {t}"));
                 }
+                let w = fig6_grid(*sizes.last().unwrap(), 0x6f16);
+                assert_matches_reference(&w, bins, "fig6 grid");
             }
         }
         // Tie-prone inputs. A confidence 1 - 2^-k weighs k·ln 2 up to
@@ -351,7 +437,7 @@ mod tests {
         // bit-equal residuals through different bin sequences, and only the
         // id tie-break orders them. The second menu adds a bin of tiny
         // weight (≈0.001) that tops off the small residuals the offset
-        // thresholds leave. Flipping the tie-break in `Entry::cmp` fails
+        // thresholds leave. Flipping the tie-break in `Run::cmp` fails
         // every one of these cases.
         let dyadic = BinSet::new([(1, 0.5, 0.1), (2, 0.75, 0.3), (3, 0.875, 0.55)]).unwrap();
         let tiny = BinSet::new([(1, 0.5, 0.1), (2, 0.75, 0.3), (4, 1.0 / 1024.0, 0.078)]).unwrap();
@@ -362,29 +448,53 @@ mod tests {
             let offset: Vec<f64> = grid.iter().map(|t| t + 0.0005).collect();
             for (bins, thresholds) in [(&dyadic, &grid), (&tiny, &grid), (&tiny, &offset)] {
                 let w = Workload::heterogeneous(thresholds.clone()).unwrap();
-                assert_eq!(
-                    Greedy.solve(&w, bins).unwrap(),
-                    reference_solve(&w, bins),
-                    "n = {n}"
-                );
+                assert_matches_reference(&w, bins, "tie-prone");
+            }
+        }
+        // Where a bulk step starts or stops: a homogeneous run one short of
+        // the widest cardinality `M` (no bulk step), exactly `M` (one
+        // round), and `M + c - 1` / `M + c` for every cardinality `c` the
+        // step might elect (the last bulk round leaves `M - 1` ids / all
+        // bulk rounds leave `M`).
+        for bins in menus.iter().chain(&wide).chain([&dyadic, &tiny]) {
+            let m = bins.max_cardinality();
+            let mut edges = vec![m - 1, m];
+            for b in bins.bins() {
+                edges.extend([m + b.cardinality() - 1, m + b.cardinality()]);
+            }
+            for n in edges.into_iter().filter(|&n| n > 0) {
+                for t in [0.85, 0.95, 0.99, 0.9990234375] {
+                    let w = Workload::homogeneous(n, t).unwrap();
+                    assert_matches_reference(&w, bins, &format!("bulk edge t = {t}"));
+                }
             }
         }
     }
 
     #[test]
-    fn ladder_walks_the_uniform_descent() {
-        // t = 0.95 over the paper menu: level θ(0.95) elects b1 (ratio
-        // 0.0434 beats b2's 0.0474 and b3's 0.0497), then level
-        // θ - w(0.9) = 0.693 elects b3 (0.115 beats b1's 0.144 and b2's
-        // 0.130), after which one b3 weight clears the residual.
+    fn run_heap_matches_per_task_heap_at_scale() {
+        let n: u32 = if FULL_SWEEP { 100_000 } else { 5_000 };
         let bins = BinSet::paper_example();
-        let theta = crate::reliability::theta(0.95);
-        let ladder = Ladder::walk(&bins, theta);
-        assert_eq!(ladder.0.len(), 2);
-        assert_eq!(ladder.lookup(theta.to_bits()), Some(0));
-        let level1 = theta - bins.bins()[0].weight();
-        assert_eq!(ladder.lookup(level1.to_bits()), Some(2));
-        assert_eq!(ladder.lookup(1.0f64.to_bits()), None);
+        let wide = crate::opq_based::tests::synthetic_menu(8);
+        let workloads = [
+            ("homogeneous", Workload::homogeneous(n, 0.95).unwrap()),
+            ("fig6 grid", fig6_grid(n, 0x5ca1e)),
+            ("all-distinct", {
+                let mut rng = StdRng::seed_from_u64(0xd15c);
+                let thresholds = (0..n).map(|_| rng.random_range(0.05..0.995));
+                Workload::heterogeneous(thresholds.collect()).unwrap()
+            }),
+        ];
+        for bins in [&bins, &wide] {
+            for (what, w) in &workloads {
+                assert_eq!(
+                    Greedy.solve(w, bins).unwrap(),
+                    heap_solve(w, bins),
+                    "{what}: |B| = {}, n = {n}",
+                    bins.len()
+                );
+            }
+        }
     }
 
     #[test]
