@@ -53,7 +53,6 @@ use crate::reliability::{satisfies, WEIGHT_EPS};
 use crate::solver::PreparedSolver;
 use crate::task::{TaskId, Workload};
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// The Algorithm-1 greedy heuristic. Stateless; the unit struct is its own
@@ -130,14 +129,32 @@ fn initial_runs(workload: &Workload) -> BinaryHeap<Run> {
     BinaryHeap::from(runs)
 }
 
-/// Moves the tasks of `run` down by `weight`: back into the heap at the
-/// new residual, or out of the solve when that meets their threshold.
-fn settle(heap: &mut BinaryHeap<Run>, open_count: &mut usize, run: Run, weight: f64) {
+/// Posts the first `posted` ids of `run` to a bin of weight `weight`: they
+/// move down by `weight`, or leave the solve once that meets their
+/// threshold, and the rest of the run goes back as it was.
+fn post_prefix(
+    heap: &mut BinaryHeap<Run>,
+    open_count: &mut usize,
+    run: Run,
+    posted: u32,
+    weight: f64,
+) {
+    if posted < run.len {
+        heap.push(Run {
+            first: run.first + posted,
+            len: run.len - posted,
+            ..run
+        });
+    }
     let residual = run.residual - weight;
     if satisfies(0.0, residual) {
-        *open_count -= run.len as usize;
-    } else {
-        heap.push(Run { residual, ..run });
+        *open_count -= posted as usize;
+    } else if posted > 0 {
+        heap.push(Run {
+            residual,
+            len: posted,
+            ..run
+        });
     }
 }
 
@@ -154,54 +171,36 @@ impl Greedy {
         let mut top: Vec<f64> = Vec::with_capacity(max_card);
         let mut plan = DecompositionPlan::empty(self.name());
 
-        loop {
-            let Some(mut head) = heap.peek_mut() else {
-                break;
-            };
+        while let Some(head) = heap.pop() {
             if head.len as usize >= max_card {
                 // Bulk step: the first `max_card` ids of this run are the
                 // top of each of the next `k` rounds.
-                let Run {
-                    residual,
-                    first,
-                    len,
-                } = *head;
-                let i = scan_bins(bins, max_card, |_| residual)
+                let i = scan_bins(bins, max_card, |_| head.residual)
                     .expect("positive residuals admit an effective bin");
                 let bin = &bins.bins()[i];
                 let c = bin.cardinality();
-                let done = ((len - max_card as u32) / c + 1) * c;
-                for start in (first..first + done).step_by(c as usize) {
+                let done = ((head.len - max_card as u32) / c + 1) * c;
+                for start in (head.first..head.first + done).step_by(c as usize) {
                     plan.push(bin, start..start + c);
                 }
-                // The rest of the run stays put; it still heads its level.
-                if done == len {
-                    PeekMut::pop(head);
-                } else {
-                    head.first += done;
-                    head.len -= done;
-                    drop(head);
-                }
-                let posted = Run {
-                    residual,
-                    first,
-                    len: done,
-                };
-                settle(&mut heap, &mut open_count, posted, bin.weight());
+                post_prefix(&mut heap, &mut open_count, head, done, bin.weight());
                 continue;
             }
-            drop(head);
 
             // Per-round step: the most-deprived open tasks, ties by id,
-            // popped off run fronts.
+            // taken off run fronts, starting with the head.
             let need = max_card.min(open_count);
             popped.clear();
             top.clear();
-            while top.len() < need {
-                let run = heap.pop().expect("every open task sits in one run");
+            let mut run = head;
+            loop {
                 let count = (run.len as usize).min(need - top.len());
                 top.extend(std::iter::repeat(run.residual).take(count));
                 popped.push(run);
+                if top.len() == need {
+                    break;
+                }
+                run = heap.pop().expect("every open task sits in one run");
             }
             // Residuals of open tasks are strictly positive and weights are
             // strictly positive, so some bin is always effective.
@@ -209,30 +208,14 @@ impl Greedy {
                 .expect("positive residuals admit an effective bin");
             let bin = &bins.bins()[i];
             let take = (bin.cardinality() as usize).min(need);
-            plan.push(
-                bin,
-                popped
-                    .iter()
-                    .flat_map(|r| r.first..r.first + r.len)
-                    .take(take),
-            );
-            // Each popped run's posted ids are a prefix of it: move that
-            // prefix down and put the untouched rest back as it was.
+            let ids = popped.iter().flat_map(|r| r.first..r.first + r.len);
+            plan.push(bin, ids.take(take));
+            // Each popped run's posted ids are a prefix of it.
             let mut left = take as u32;
             for &run in &popped {
                 let posted = run.len.min(left);
                 left -= posted;
-                if posted > 0 {
-                    let moved = Run { len: posted, ..run };
-                    settle(&mut heap, &mut open_count, moved, bin.weight());
-                }
-                if posted < run.len {
-                    heap.push(Run {
-                        residual: run.residual,
-                        first: run.first + posted,
-                        len: run.len - posted,
-                    });
-                }
+                post_prefix(&mut heap, &mut open_count, run, posted, bin.weight());
             }
         }
 
