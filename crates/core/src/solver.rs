@@ -28,8 +28,8 @@
 //! trivial pass-through defaults, and so does [`OpqExtended`]: its reusable
 //! work is per threshold bucket, and `slade-engine` reaches it by splitting
 //! a request into per-bucket [`OpqBased`] shards, which prepare and cache on
-//! their own. The [`Greedy`]'s cost-effectiveness ladder is cheap next to
-//! its rounds, so every solve walks its own. The [`Baseline`]'s covering
+//! their own. The [`Greedy`] depends on the menu alone through one bin scan
+//! per step, which is nothing worth caching. The [`Baseline`]'s covering
 //! program is shaped by the workload, so nothing of it can be prepared
 //! ahead (DESIGN.md keeps dual-priced column generation, which could, as an
 //! open seam).
