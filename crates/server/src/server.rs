@@ -75,9 +75,12 @@ pub struct ServerConfig {
     /// When set, every plan-store mutation (plan landed, lease released)
     /// is appended to this JSONL journal, and the file is replayed into
     /// the store at bind — retained plans survive a restart, recovering
-    /// byte-identical resubmit chains. Compacted atomically (rewrite to
-    /// `<path>.tmp` + rename) at bind and periodically. See the `journal`
-    /// module docs for the record grammar and the torn-tail rule.
+    /// byte-identical resubmit chains. Compacted atomically (rewrite to a
+    /// temp file beside it + rename) at bind and every 256 appends; the
+    /// periodic compaction holds the journal's lock only to snapshot the
+    /// store and to swap the files, so lands continue while it writes. See
+    /// the `journal` module docs for the record grammar, the torn-tail rule
+    /// and the compaction steps.
     pub journal: Option<PathBuf>,
     /// When set, an idle plan lease expires this long after its holder's
     /// last store operation on the id and becomes reclaimable by any
@@ -469,10 +472,13 @@ impl Server {
         let journal = match config.journal {
             None => None,
             Some(path) => {
-                let compact_us = obs
-                    .registry
-                    .windowed_histogram("journal.compact_us", config.obs.window);
-                Some(Journal::open(path, &store, compact_us)?)
+                let histogram = |name| obs.registry.windowed_histogram(name, config.obs.window);
+                Some(Journal::open(
+                    path,
+                    &store,
+                    histogram("journal.compact_us"),
+                    histogram("journal.compact_hold_us"),
+                )?)
             }
         };
         let shared = Arc::new(Shared {

@@ -282,7 +282,14 @@ impl Session<'_> {
                             Json::number(journal.append_errors() as f64),
                         ),
                         member("compactions", Json::number(journal.compactions() as f64)),
-                        member("compact_us", compact_us_json(&snapshot)),
+                        member(
+                            "compact_us",
+                            journal_us_json(&snapshot, "journal.compact_us"),
+                        ),
+                        member(
+                            "compact_hold_us",
+                            journal_us_json(&snapshot, "journal.compact_hold_us"),
+                        ),
                     ]),
                 },
             ),
@@ -510,12 +517,11 @@ impl PhaseAgg {
     }
 }
 
-/// The `journal.compact_us` histogram as the `metrics` verb's
-/// `journal.compact_us` member: lifetime count, quantiles (log₂-bucket
-/// upper bounds) and mean, then the windowed count and quantiles — all in
-/// microseconds.
-fn compact_us_json(snapshot: &RegistrySnapshot) -> Json {
-    let name = "journal.compact_us";
+/// A journal histogram (`journal.compact_us`, `journal.compact_hold_us`)
+/// as the `metrics` verb's member of the same name under `journal`:
+/// lifetime count, quantiles (log₂-bucket upper bounds) and mean, then the
+/// windowed count and quantiles — all in microseconds.
+fn journal_us_json(snapshot: &RegistrySnapshot, name: &str) -> Json {
     let lifetime = snapshot.histograms.get(name).cloned().unwrap_or_default();
     let window = snapshot
         .windows

@@ -429,13 +429,16 @@ fn compaction_bounds_the_journal_by_live_plans_not_appends() {
     );
     let compactions = metric(&metrics, "journal", "compactions");
     assert!(compactions >= 2.0, "boot + automatic: {metrics}");
-    // Every compaction is timed into `journal.compact_us`.
-    let timed = metrics
-        .get("journal")
-        .and_then(|journal| journal.get("compact_us"))
-        .and_then(|histogram| histogram.get("count"))
-        .and_then(Json::as_f64);
-    assert_eq!(timed, Some(compactions), "{metrics}");
+    // Every compaction is timed into `journal.compact_us`, and the time it
+    // holds the file mutex into `journal.compact_hold_us`.
+    for histogram in ["compact_us", "compact_hold_us"] {
+        let timed = metrics
+            .get("journal")
+            .and_then(|journal| journal.get(histogram))
+            .and_then(|histogram| histogram.get("count"))
+            .and_then(Json::as_f64);
+        assert_eq!(timed, Some(compactions), "{histogram}: {metrics}");
+    }
     assert_eq!(metric(&metrics, "store", "plans"), 1.0, "{metrics}");
     shutdown(&mut client, &done);
 
@@ -489,6 +492,8 @@ fn store_and_journal_gauges_reach_health_and_prometheus() {
         // The boot-time compaction, timed.
         "slade_journal_compact_us_count 1",
         "# TYPE slade_journal_compact_us_window_p50 gauge",
+        "slade_journal_compact_hold_us_count 1",
+        "# TYPE slade_journal_compact_hold_us_window_p50 gauge",
     ] {
         assert!(body.contains(expected), "missing `{expected}` in:\n{body}");
     }
