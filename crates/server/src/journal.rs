@@ -39,10 +39,10 @@
 //! would land behind that torn line, where replay never reaches it. So
 //! after a failed append (or a failed compaction, which may have swapped
 //! the file out from under the handle) the journal stops appending: the
-//! next `land` rewrites the file from the store instead, entirely under
+//! next `land` compacts the file from the store instead, entirely under
 //! the same file mutex (the store already holds the plan being landed,
-//! and the rewrite reopens the append handle). Appends resume only once a
-//! rewrite succeeds.
+//! and the compaction reopens the append handle). Appends resume only once
+//! a compaction succeeds.
 //!
 //! ## Lock order and record order
 //!
@@ -59,43 +59,45 @@
 //! each id to the byte range of its latest `land` line and a [`Weak`]
 //! reference to the plan that line was rendered from. A successful append
 //! updates the index, a failed one (which marks the file torn) clears it,
-//! and every rewrite rebuilds it.
+//! and every compaction rebuilds it.
 //!
 //! ## Compaction atomicity
 //!
 //! Compaction rewrites the retained plans as `land` records, in id order,
 //! into a temp file, fsyncs it, then atomically renames it over the
 //! journal — a crash during compaction leaves either the old complete
-//! journal or the new complete journal, never a mix. Every compaction
-//! writes its records through one writer: a record whose index entry
-//! points at the very plan the store holds (the `Weak` and the store's
-//! `Arc` share an allocation) is copied from the live file with
-//! `copy_file_range(2)`, since its bytes are already there; any other
-//! plan is rendered. Either way the output has the same bytes.
+//! journal or the new complete journal, never a mix. A record whose index
+//! entry points at the very plan the store holds (the `Weak` and the
+//! store's `Arc` share an allocation) is copied from the live file with
+//! `copy_file_range(2)`, since its bytes are already there; any other plan
+//! is rendered. Either way the output has the same bytes.
 //!
-//! Compaction runs at every boot (nothing is indexed yet, so it renders
-//! every record, seeds the index, and truncates any torn tail before new
-//! appends could land behind it), after a failed append (above), and every
-//! [`COMPACT_EVERY`] appended records. The first two rewrite into
-//! `<path>.tmp` with the file mutex held throughout. The budget-triggered
-//! one runs on the request path of whichever append spends the budget,
-//! one at a time, and holds the mutex only at its two ends:
+//! Every compaction is one [`Compaction`], in three steps:
 //!
-//! 1. **Snapshot**, under the mutex: take the store's plans, note for each
-//!    the line the index vouches for (or keep its `Arc` to render it), the
-//!    file's length `L0`, and open a read handle on the file. The store and
-//!    the file agree here, because every land stores and appends under
-//!    this same mutex.
-//! 2. **Write**, without the mutex: copy or render the snapshot into
-//!    `<path>.compact.tmp` and fsync it. Lands keep appending to the live
-//!    file meanwhile.
-//! 3. **Swap**, under the mutex: if an append failed or a rewrite ran
-//!    since the snapshot, the live file is no longer the one the snapshot
-//!    read, so the temp file is deleted and the journal stays as it is.
+//! 1. **Begin**, under the file mutex: take the store's plans, note for
+//!    each the line the index vouches for (or keep its `Arc` to render it),
+//!    the file's length `L0` and the file's epoch, and open a read handle
+//!    on the file. The store and the file agree here, because every land
+//!    stores and appends under this same mutex.
+//! 2. **Write**, which needs no mutex: copy or render the snapshot into a
+//!    temp file and fsync it.
+//! 3. **Swap**, under the mutex: if the epoch moved since the snapshot (an
+//!    append failed or another compaction swapped), the live file is no
+//!    longer the one the snapshot read, so the journal stays as it is.
 //!    Otherwise the bytes `[L0, len)` — exactly the lands since the
 //!    snapshot, in their order — are copied onto the temp file, which is
 //!    renamed over the journal. The append handle is reopened and the
 //!    index rebuilt, with the copied tail's ranges shifted.
+//!
+//! A compaction that fails or is abandoned removes its temp file. At boot
+//! (nothing is indexed yet, so it renders every record, seeds the index,
+//! and truncates any torn tail before new appends could land behind it)
+//! and after a failed append (above), compaction writes `<path>.tmp` and
+//! holds the mutex across all three steps, so its tail is empty. Every
+//! [`COMPACT_EVERY`] appended records it writes `<path>.compact.tmp`
+//! instead, one at a time, on the request path of whichever append spends
+//! the budget, and releases the mutex for the write: lands keep appending
+//! to the live file meanwhile.
 //!
 //! Every land is therefore either in the snapshot or in the copied tail,
 //! and replay's last-record-wins recovers each id's latest version. The
@@ -103,11 +105,11 @@
 //! file without an fsync and keep exactly that durability in the new one,
 //! while the fsynced prefix holds every plan of the snapshot, and an
 //! unflushed tail at worst tears, which the torn-tail rule handles. The
-//! two temp names differ so that a rewrite never renames a file the
-//! budget compaction still writes into the live journal's place. Each
-//! compaction's duration is recorded in the `journal.compact_us`
-//! histogram and the time it holds the file mutex in
-//! `journal.compact_hold_us`.
+//! two temp names differ so that a compaction under the held mutex never
+//! renames a file the budget compaction still writes into the live
+//! journal's place. Each compaction's duration is recorded in the
+//! `journal.compact_us` histogram and the time it holds the file mutex
+//! (all of it, when held throughout) in `journal.compact_hold_us`.
 
 use slade_engine::{codec, FinishOutcome, PlanStore, ResolvedPlan, SessionId};
 use slade_json::{parse, write_string, Json};
@@ -117,8 +119,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
 /// Appends between automatic compactions. Small enough that the journal
@@ -136,29 +138,22 @@ pub(crate) struct Journal {
     path: PathBuf,
     /// The append handle and what the journal knows of the file's bytes.
     /// The mutex also orders store updates with their appends and brackets
-    /// compaction's snapshot and swap (see the module docs for the lock
+    /// compaction's begin and swap (see the module docs for the lock
     /// order).
     log: Mutex<Log>,
     /// Records currently in the file (surviving replay + appended since).
-    /// Changed only under the file mutex, like `compactions` and
-    /// `since_compact`.
+    /// Changed only under the file mutex, like `compactions`, but read
+    /// without it, so `metrics` and `health` never wait behind journal I/O.
     records: AtomicU64,
     /// Records recovered by the boot-time replay.
     replayed: AtomicU64,
     /// Appends or compactions that failed with an I/O error — plans landed
     /// after a nonzero value here may not be durable (health degrades).
     append_errors: AtomicU64,
-    /// Completed compactions (the boot-time one included). A budget
-    /// compaction swaps only if this has not moved since its snapshot.
+    /// Completed compactions (the boot-time one included).
     compactions: AtomicU64,
-    /// Appends since the last compaction, driving [`COMPACT_EVERY`].
-    since_compact: AtomicU64,
-    /// Set (under the file mutex) when an append or a compaction fails,
-    /// cleared when a compaction succeeds: while set, the file may end in a
-    /// torn record, so lands compact instead of appending behind it.
-    torn: AtomicBool,
-    /// Set while a budget compaction runs: one at a time.
-    compacting: AtomicBool,
+    /// Held by the running budget compaction: one at a time.
+    compacting: Mutex<()>,
     /// The duration of every successful compaction, in microseconds.
     compact_us: Arc<WindowedHistogram>,
     /// How long every successful compaction held the file mutex, in
@@ -169,10 +164,21 @@ pub(crate) struct Journal {
 /// The journal file as the file mutex guards it.
 struct Log {
     file: File,
-    /// The file's length: the last rewrite's bytes plus every append since.
+    /// The file's length: the last compaction's bytes plus every append
+    /// since.
     len: u64,
     /// Per id, its latest `land` line; empty while the file is torn.
     index: HashMap<String, Line>,
+    /// Appends since the last compaction, driving [`COMPACT_EVERY`].
+    since_compact: u64,
+    /// Set when an append or a compaction fails, cleared when a compaction
+    /// succeeds: while set, the file may end in a torn record, so lands
+    /// compact instead of appending behind it.
+    torn: bool,
+    /// Bumped by every [`Log::mark_torn`] (every failed append and every
+    /// swap): a compaction swaps only if the epoch has not moved since its
+    /// begin.
+    epoch: u64,
 }
 
 /// Where an id's latest `land` line lies, and the plan it was rendered
@@ -191,30 +197,31 @@ enum Source {
     Render(Arc<ResolvedPlan>),
 }
 
-/// A compaction's view of the store and of the live file, taken under the
-/// file mutex.
-struct Snapshot {
-    /// The retained plans in id order, each with its source.
+/// The journal's one compaction, between its steps: [`Compaction::begin`],
+/// [`Compaction::write`] and [`Compaction::swap`]. Dropping it removes its
+/// temp file (gone already after a swap), then lets the next budget
+/// compaction begin.
+struct Compaction<'a> {
+    journal: &'a Journal,
+    /// A budget compaction's claim on [`Journal::compacting`], which keeps
+    /// it the only one; `None` when the caller holds the file mutex across
+    /// all three steps (at boot and on the torn path).
+    claim: Option<MutexGuard<'a, ()>>,
+    /// `<path>.compact.tmp` with a claim, `<path>.tmp` without.
+    tmp: PathBuf,
+    /// The retained plans in id order, each with its source, until written.
     records: Vec<(String, Source)>,
     /// A read handle on the file the snapshot's ranges point into.
     live: File,
-    /// The file's length, [`Journal::compactions`] and the appends since
-    /// the last compaction, all at the snapshot.
+    /// The file's length, its epoch and the appends since the last
+    /// compaction, all at the begin.
     len: u64,
-    compactions: u64,
+    epoch: u64,
     appended: u64,
-}
-
-/// A budget compaction between its steps: [`Journal::begin_compaction`],
-/// [`Compaction::write`] and [`Compaction::swap`]. Dropping it removes its
-/// temp file (gone already after a swap) and lets the next one begin.
-struct Compaction<'a> {
-    journal: &'a Journal,
-    snapshot: Snapshot,
     /// The fsynced temp file, once written: its handle, length and index.
     written: Option<(File, u64, HashMap<String, Line>)>,
     started: Instant,
-    /// How long the snapshot held the file mutex.
+    /// How long the begin held the file mutex.
     held: Duration,
 }
 
@@ -242,15 +249,16 @@ impl Journal {
                 file: OpenOptions::new().create(true).append(true).open(&path)?,
                 len: 0,
                 index: HashMap::new(),
+                since_compact: 0,
+                torn: false,
+                epoch: 0,
             }),
             path,
             records: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
             append_errors: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            since_compact: AtomicU64::new(0),
-            torn: AtomicBool::new(false),
-            compacting: AtomicBool::new(false),
+            compacting: Mutex::new(()),
             compact_us,
             compact_hold_us,
         };
@@ -298,14 +306,14 @@ impl Journal {
         plan: Weak<ResolvedPlan>,
         line: &str,
     ) {
-        if self.torn.load(Ordering::Relaxed) {
+        if log.torn {
             if self.rewrite(&mut log, store).is_err() {
                 self.append_errors.fetch_add(1, Ordering::Relaxed);
             }
             return;
         }
         if log.file.write_all(line.as_bytes()).is_err() {
-            self.mark_torn(&mut log);
+            log.mark_torn();
             self.append_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -322,121 +330,39 @@ impl Journal {
             }
         }
         self.records.fetch_add(1, Ordering::Relaxed);
-        let due = self.since_compact.fetch_add(1, Ordering::Relaxed) + 1 >= COMPACT_EVERY;
+        log.since_compact += 1;
+        let due = log.since_compact >= COMPACT_EVERY;
         drop(log);
         if due && self.compact(store).is_err() {
             self.append_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Rewrites the journal to the store's retained plans plus whatever
-    /// lands meanwhile, holding the file mutex only for the snapshot and
-    /// the swap (see the module docs). Returns `false` without compacting
-    /// when another compaction is running, or when the live file changed
-    /// under this one (a failed append, a rewrite) — the next land then
-    /// decides again.
+    /// The budget compaction: rewrites the journal to the store's retained
+    /// plans plus whatever lands meanwhile, releasing the file mutex while
+    /// it writes (see the module docs). Returns `false` without compacting
+    /// when another budget compaction is running, or when the live file
+    /// changed under this one (a failed append, a torn-path compaction) —
+    /// the next land then decides again.
     pub(crate) fn compact(&self, store: &PlanStore) -> io::Result<bool> {
-        let Some(mut compaction) = self.begin_compaction(store)? else {
-            return Ok(false);
+        let claim = match self.compacting.try_lock() {
+            Ok(claim) => claim,
+            Err(TryLockError::Poisoned(claim)) => claim.into_inner(),
+            Err(TryLockError::WouldBlock) => return Ok(false),
         };
+        let mut compaction = Compaction::begin(self, &self.lock(), store, Some(claim))?;
         compaction.write()?;
-        compaction.swap()
-    }
-
-    /// Step 1 of [`Journal::compact`]: the snapshot, under the file mutex.
-    /// `None` when another compaction is running.
-    fn begin_compaction(&self, store: &PlanStore) -> io::Result<Option<Compaction<'_>>> {
-        if self.compacting.swap(true, Ordering::Acquire) {
-            return Ok(None);
-        }
-        let started = Instant::now();
-        let log = self.lock();
-        let locked = Instant::now();
-        let snapshot = self.snapshot(&log, store);
-        drop(log);
-        let held = locked.elapsed();
-        match snapshot {
-            Ok(snapshot) => Ok(Some(Compaction {
-                journal: self,
-                snapshot,
-                written: None,
-                started,
-                held,
-            })),
-            Err(e) => {
-                self.compacting.store(false, Ordering::Release);
-                Err(e)
-            }
-        }
+        compaction.swap(&mut self.lock())
     }
 
     /// Rewrites the journal to exactly the store's retained plans under the
-    /// already-held file mutex: snapshot → write `<path>.tmp` → fsync →
-    /// rename → swap the append handle. The boot and torn paths (see the
-    /// module docs). The file counts as torn until the rewrite succeeds: a
-    /// failure after the rename would leave the handle on the replaced
-    /// file.
+    /// already-held file mutex: the boot and torn paths (see the module
+    /// docs).
     fn rewrite(&self, log: &mut Log, store: &PlanStore) -> io::Result<()> {
-        let started = Instant::now();
-        self.mark_torn(log);
-        let snapshot = self.snapshot(log, store)?;
-        let records = snapshot.records.len() as u64;
-        let tmp = self.temp_path(".tmp");
-        let (_, len, index) = write_records(&tmp, snapshot.records, &snapshot.live)?;
-        std::fs::rename(&tmp, &self.path)?;
-        log.file = OpenOptions::new().append(true).open(&self.path)?;
-        log.len = len;
-        log.index = index;
-        let elapsed = started.elapsed();
-        self.count_compaction(records, 0, elapsed, elapsed);
+        let mut compaction = Compaction::begin(self, log, store, None)?;
+        compaction.write()?;
+        compaction.swap(log)?;
         Ok(())
-    }
-
-    /// Takes a compaction's snapshot under the held file mutex: a plan
-    /// whose latest line the index vouches for — rendered from the very
-    /// `Arc` the store holds — is copied from that line, any other plan is
-    /// rendered.
-    fn snapshot(&self, log: &Log, store: &PlanStore) -> io::Result<Snapshot> {
-        let live = File::open(&self.path)?;
-        let records = store
-            .snapshot_plans()
-            .into_iter()
-            .map(|(id, plan)| {
-                let source = match log.index.get(&id) {
-                    Some(line) if std::ptr::eq(line.plan.as_ptr(), Arc::as_ptr(&plan)) => {
-                        Source::Copy(line.range.clone(), line.plan.clone())
-                    }
-                    _ => Source::Render(plan),
-                };
-                (id, source)
-            })
-            .collect();
-        Ok(Snapshot {
-            records,
-            live,
-            len: log.len,
-            compactions: self.compactions.load(Ordering::Relaxed),
-            appended: self.since_compact.load(Ordering::Relaxed),
-        })
-    }
-
-    /// Counts a successful compaction, under the held file mutex: the new
-    /// file holds `records` records, of which the last `tail` were appended
-    /// after the snapshot.
-    fn count_compaction(&self, records: u64, tail: u64, elapsed: Duration, held: Duration) {
-        self.records.store(records, Ordering::Relaxed);
-        self.since_compact.store(tail, Ordering::Relaxed);
-        self.torn.store(false, Ordering::Relaxed);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.compact_us.record(micros(elapsed));
-        self.compact_hold_us.record(micros(held));
-    }
-
-    /// Marks the file torn under the held file mutex: its tail may be a
-    /// partial record, so nothing in it is vouched for any more.
-    fn mark_torn(&self, log: &mut Log) {
-        self.torn.store(true, Ordering::Relaxed);
-        log.index.clear();
     }
 
     /// `<path><suffix>`.
@@ -473,46 +399,95 @@ impl Journal {
     }
 }
 
-impl Compaction<'_> {
-    /// Step 2: writes and fsyncs the temp file, without the file mutex.
+impl Log {
+    /// Marks the file torn: its tail may be a partial record, so nothing in
+    /// it is vouched for any more, and no compaction begun before may swap.
+    fn mark_torn(&mut self) {
+        self.torn = true;
+        self.epoch += 1;
+        self.index.clear();
+    }
+}
+
+impl<'a> Compaction<'a> {
+    /// Step 1, under the held file mutex `log`: snapshots `store`. A plan
+    /// whose latest line the index vouches for — rendered from the very
+    /// `Arc` the store holds — is to be copied from that line, any other
+    /// plan rendered.
+    fn begin(
+        journal: &'a Journal,
+        log: &Log,
+        store: &PlanStore,
+        claim: Option<MutexGuard<'a, ()>>,
+    ) -> io::Result<Self> {
+        let started = Instant::now();
+        let live = File::open(&journal.path)?;
+        let records = store
+            .snapshot_plans()
+            .into_iter()
+            .map(|(id, plan)| {
+                let source = match log.index.get(&id) {
+                    Some(line) if std::ptr::eq(line.plan.as_ptr(), Arc::as_ptr(&plan)) => {
+                        Source::Copy(line.range.clone(), line.plan.clone())
+                    }
+                    _ => Source::Render(plan),
+                };
+                (id, source)
+            })
+            .collect();
+        let tmp = journal.temp_path(match claim {
+            Some(_) => ".compact.tmp",
+            None => ".tmp",
+        });
+        Ok(Compaction {
+            journal,
+            claim,
+            tmp,
+            records,
+            live,
+            len: log.len,
+            epoch: log.epoch,
+            appended: log.since_compact,
+            written: None,
+            started,
+            held: started.elapsed(),
+        })
+    }
+
+    /// Step 2: writes and fsyncs the temp file. Needs no mutex.
     fn write(&mut self) -> io::Result<()> {
-        let records = std::mem::take(&mut self.snapshot.records);
-        let tmp = self.journal.temp_path(".compact.tmp");
-        self.written = Some(write_records(&tmp, records, &self.snapshot.live)?);
+        let records = std::mem::take(&mut self.records);
+        self.written = Some(write_records(&self.tmp, records, &self.live)?);
         Ok(())
     }
 
-    /// Step 3: under the file mutex, appends the records landed since the
-    /// snapshot to the written temp file and renames it over the journal —
-    /// or returns `false`, leaving the journal as it is, when an append
-    /// failed or a rewrite ran since the snapshot.
-    fn swap(mut self) -> io::Result<bool> {
-        let journal = self.journal;
+    /// Step 3, under the held file mutex `log`: appends the records landed
+    /// since the begin to the written temp file and renames it over the
+    /// journal — or returns `false`, leaving the journal as it is, when the
+    /// file's epoch moved since the begin.
+    fn swap(mut self, log: &mut Log) -> io::Result<bool> {
+        let locked = Instant::now();
         let Some((mut out, len, mut index)) = self.written.take() else {
             return Ok(false);
         };
-        let mut log = journal.lock();
-        let locked = Instant::now();
-        let snapshot = &self.snapshot;
-        if journal.torn.load(Ordering::Relaxed)
-            || journal.compactions.load(Ordering::Relaxed) != snapshot.compactions
-        {
+        if log.epoch != self.epoch {
             return Ok(false);
         }
-        let tail = journal.since_compact.load(Ordering::Relaxed) - snapshot.appended;
+        let tail = log.since_compact - self.appended;
         let records = index.len() as u64 + tail;
         let live_index = std::mem::take(&mut log.index);
-        // Torn until the swap completes, as in `rewrite`.
-        journal.torn.store(true, Ordering::Relaxed);
-        copy_range(&snapshot.live, snapshot.len..log.len, &mut out)?;
-        std::fs::rename(journal.temp_path(".compact.tmp"), &journal.path)?;
-        log.file = OpenOptions::new().append(true).open(&journal.path)?;
-        // Tail lines moved from `snapshot.len` to `len`; older lines are
+        // Torn until the swap completes: a failure after the rename would
+        // leave the append handle on the replaced file.
+        log.mark_torn();
+        copy_range(&self.live, self.len..log.len, &mut out)?;
+        std::fs::rename(&self.tmp, &self.journal.path)?;
+        log.file = OpenOptions::new().append(true).open(&self.journal.path)?;
+        // Tail lines moved from `self.len` to `len`; older lines are
         // superseded by the written records.
         for (id, line) in live_index {
-            if line.range.start >= snapshot.len {
-                let start = line.range.start - snapshot.len + len;
-                let end = line.range.end - snapshot.len + len;
+            if line.range.start >= self.len {
+                let start = line.range.start - self.len + len;
+                let end = line.range.end - self.len + len;
                 index.insert(
                     id,
                     Line {
@@ -522,22 +497,27 @@ impl Compaction<'_> {
                 );
             }
         }
-        log.len = len + (log.len - snapshot.len);
+        log.len = len + (log.len - self.len);
         log.index = index;
-        journal.count_compaction(
-            records,
-            tail,
-            self.started.elapsed(),
-            self.held + locked.elapsed(),
-        );
+        log.since_compact = tail;
+        log.torn = false;
+        let journal = self.journal;
+        journal.records.store(records, Ordering::Relaxed);
+        journal.compactions.fetch_add(1, Ordering::Relaxed);
+        let elapsed = self.started.elapsed();
+        let held = match self.claim {
+            Some(_) => self.held + locked.elapsed(),
+            None => elapsed,
+        };
+        journal.compact_us.record(micros(elapsed));
+        journal.compact_hold_us.record(micros(held));
         Ok(true)
     }
 }
 
 impl Drop for Compaction<'_> {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(self.journal.temp_path(".compact.tmp"));
-        self.journal.compacting.store(false, Ordering::Release);
+        let _ = std::fs::remove_file(&self.tmp);
     }
 }
 
@@ -673,7 +653,7 @@ mod tests {
     use slade_engine::{Engine, EngineConfig, EngineRequest, StoreError};
     use slade_json::member;
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::thread;
     use std::time::Duration;
 
@@ -762,6 +742,12 @@ mod tests {
     fn land(journal: &Journal, store: &PlanStore, id: &str, plan: &Arc<ResolvedPlan>) {
         let outcome = journal.land(store, 1, id, Arc::clone(plan));
         assert_eq!(outcome, FinishOutcome::Applied);
+    }
+
+    /// Step 1 of a budget compaction, as [`Journal::compact`] takes it.
+    fn begin_budget<'a>(journal: &'a Journal, store: &PlanStore) -> Compaction<'a> {
+        let claim = journal.compacting.try_lock().unwrap();
+        Compaction::begin(journal, &journal.lock(), store, Some(claim)).unwrap()
     }
 
     /// Runs `work` while another thread runs budget compactions of
@@ -934,6 +920,37 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_torn_path_compaction_leaves_no_temp_file() {
+        let plan = resolved(4);
+        let path = temp_journal("torn-rename");
+        let store = PlanStore::new();
+        let journal = open(&path, &store);
+        let land_next = |id: &str| {
+            begin(&store, 1, id);
+            land(&journal, &store, id, &plan);
+        };
+        land_next("a");
+        // The append handle stops taking writes: the file is torn.
+        journal.lock().file = File::open(&path).unwrap();
+        land_next("b");
+        assert_eq!(journal.append_errors(), 1);
+        // A non-empty directory takes the journal's name, so the next
+        // land's compaction writes its temp file, then fails to rename it.
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        std::fs::write(path.join("occupied"), "").unwrap();
+        land_next("c");
+        assert_eq!(journal.append_errors(), 2);
+        let tmp = journal.temp_path(".tmp");
+        assert!(
+            !tmp.exists(),
+            "a failed rewrite left {} behind",
+            tmp.display()
+        );
+        std::fs::remove_dir_all(&path).unwrap();
+    }
+
+    #[test]
     fn compaction_copies_exactly_what_it_would_render() {
         let path = temp_journal("copy");
         let store = PlanStore::new();
@@ -974,9 +991,9 @@ mod tests {
         let (four, five, six) = (resolved(4), resolved(5), resolved(6));
         land_next("a", &four);
         land_next("b", &four);
-        let mut compaction = journal.begin_compaction(&store).unwrap().unwrap();
+        let mut compaction = begin_budget(&journal, &store);
         // One compaction at a time.
-        assert!(journal.begin_compaction(&store).unwrap().is_none());
+        assert!(journal.compacting.try_lock().is_err());
         assert!(!journal.compact(&store).unwrap());
         // A new id lands before the snapshot is written, and an id of the
         // snapshot is re-landed twice after.
@@ -984,14 +1001,14 @@ mod tests {
         compaction.write().unwrap();
         land_next("a", &five);
         land_next("a", &six);
-        assert!(compaction.swap().unwrap());
+        assert!(compaction.swap(&mut journal.lock()).unwrap());
         let recovered_plans = recovered(&path);
         assert_eq!(recovered_plans, encoded(store.snapshot_plans()));
         assert_eq!(recovered_plans["a"], codec::encode(&six).to_string());
         // The snapshot's two records, then the three of the tail.
         assert_eq!(journal.records(), 5);
         assert_eq!(journal.records(), lines(&path));
-        assert_eq!(journal.since_compact.load(Ordering::Relaxed), 3);
+        assert_eq!(journal.lock().since_compact, 3);
         assert_eq!(journal.compactions(), 2);
         assert_eq!(journal.compact_hold_us.lifetime().count(), 2);
         assert!(!journal.temp_path(".compact.tmp").exists());
@@ -1020,7 +1037,7 @@ mod tests {
             };
             land_next("a");
             land_next("b");
-            let mut compaction = journal.begin_compaction(&store).unwrap().unwrap();
+            let mut compaction = begin_budget(&journal, &store);
             compaction.write().unwrap();
             let tmp = journal.temp_path(".compact.tmp");
             assert!(tmp.exists());
@@ -1038,7 +1055,7 @@ mod tests {
             if rewrite_first {
                 land_next("d");
             }
-            assert!(!compaction.swap().unwrap());
+            assert!(!compaction.swap(&mut journal.lock()).unwrap());
             assert!(!tmp.exists());
             if !rewrite_first {
                 land_next("d");

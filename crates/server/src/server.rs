@@ -72,13 +72,13 @@ pub struct ServerConfig {
     /// [`Server::metrics_local_addr`]). Hand-rolled and thread-per-
     /// connection like the main server; no other path is served.
     pub metrics_addr: Option<String>,
-    /// When set, every plan-store mutation (plan landed, lease released)
-    /// is appended to this JSONL journal, and the file is replayed into
-    /// the store at bind — retained plans survive a restart, recovering
-    /// byte-identical resubmit chains. Compacted atomically (rewrite to a
-    /// temp file beside it + rename) at bind and every 256 appends; the
-    /// periodic compaction holds the journal's lock only to snapshot the
-    /// store and to swap the files, so lands continue while it writes. See
+    /// When set, every landed plan is appended to this JSONL journal, and
+    /// the file is replayed into the store at bind — retained plans survive
+    /// a restart, recovering byte-identical resubmit chains. One compaction
+    /// (snapshot the store, write a temp file beside the journal, rename it
+    /// over) keeps the file bounded by live plans: at bind and after a
+    /// failed append it holds the journal's lock throughout; every 256
+    /// appends it releases the lock while it writes, so lands continue. See
     /// the `journal` module docs for the record grammar, the torn-tail rule
     /// and the compaction steps.
     pub journal: Option<PathBuf>,

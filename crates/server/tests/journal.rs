@@ -37,9 +37,11 @@ fn journal_path(name: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("slade-journal-{}-{name}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut tmp = path.clone().into_os_string();
-    tmp.push(".tmp");
-    let _ = std::fs::remove_file(PathBuf::from(tmp));
+    for suffix in [".tmp", ".compact.tmp"] {
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(suffix);
+        let _ = std::fs::remove_file(PathBuf::from(tmp));
+    }
     path
 }
 
